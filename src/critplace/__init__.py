@@ -4,9 +4,6 @@ detection for trajectory data."""
 
 from .geom import (
     CIRCLE,
-    COLLINEAR,
-    LEFT,
-    RIGHT,
     SQUARE,
     Line,
     PerimeterCoord,
@@ -14,9 +11,6 @@ from .geom import (
     Polyline,
     Segment,
     ToleranceConfig,
-    boundary_distance,
-    orientation,
-    intersect_lines,
     perimeter_coordinate,
     perimeter_point,
 )
@@ -33,7 +27,6 @@ from .arrangement import (
 from .placement import (
     CriticalCurve,
     CurvePiece,
-    Epsilon,
     PlacementArrangement,
     TranslationVector,
     TranslationVectorSet,

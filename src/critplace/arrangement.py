@@ -19,6 +19,7 @@ from .geom import (
     Line,
     Point,
     Segment,
+    _line_in_box,
     segment_intersection,
 )
 
@@ -281,6 +282,23 @@ def _point_segment_dist(x: float, y: float, p0: Point, p1: Point) -> float:
     return math.hypot(x - p0.x - t * dx, y - p0.y - t * dy)
 
 
+def _count_components(n: int, pairs) -> int:
+    """Connected components of the graph on vertices 0..n-1 with these edges."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return len({find(i) for i in range(n)})
+
+
 def build_subdivision(
     walls: list[tuple[Point, Point, Tag]],
     clip_box: BBox,
@@ -337,19 +355,7 @@ def build_subdivision(
 
     edges = [(u, v, tag) for (u, v), tag in edge_set.items()]
     cells = _extract_faces(pts, edges)
-    parent = list(range(len(pts)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _tag in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    n_components = len({find(i) for i in range(len(pts))})
+    n_components = _count_components(len(pts), ((u, v) for u, v, _tag in edges))
     arr = Arrangement(
         verts=pts,
         edges=edges,
@@ -550,9 +556,9 @@ def build_line_arrangement(lines: list[Line], clip_box: BBox | None = None) -> A
 
     walls = _frame_walls(box)
     for i, ln in enumerate(lines):
-        seg = _clip_line_to_box(ln, box)
+        seg = _line_in_box(ln, box.xmin, box.ymin, box.xmax, box.ymax)
         if seg is not None:
-            walls.append((seg[0], seg[1], ("line", i)))
+            walls.append((Point(*seg[0]), Point(*seg[1]), ("line", i)))
     return build_subdivision(walls, box, "lines", lines)
 
 
@@ -567,24 +573,6 @@ def _frame_walls(box: BBox) -> list[tuple[Point, Point, Tag]]:
         (tr, tl, ("clip", "top")),
         (tl, bl, ("clip", "left")),
     ]
-
-
-def _clip_line_to_box(line: Line, box: BBox) -> tuple[Point, Point] | None:
-    dx, dy = line.direction()
-    px, py = line.p.x, line.p.y
-    t0, t1 = -math.inf, math.inf
-    for d, p, lo, hi in ((dx, px, box.xmin, box.xmax), (dy, py, box.ymin, box.ymax)):
-        if abs(d) <= 1e-15:
-            if not (lo <= p <= hi):
-                return None
-            continue
-        ta, tb = (lo - p) / d, (hi - p) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-    if t0 >= t1:
-        return None
-    return (Point(px + t0 * dx, py + t0 * dy), Point(px + t1 * dx, py + t1 * dy))
 
 
 # ---------------------------------------------------------------------------

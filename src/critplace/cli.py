@@ -12,12 +12,22 @@ import argparse
 import sys
 from pathlib import Path
 
-from .arrangement import BBox, build_line_arrangement, build_segment_arrangement
+from .arrangement import (
+    bbox_of_points,
+    build_line_arrangement,
+    build_segment_arrangement,
+    enforce_general_position,
+)
 from .generators import lower_bound_lines
-from .geom import CIRCLE, SQUARE
+from .geom import CIRCLE, SQUARE, GeometryError
 from .junctions import grid_scan, top_k
 from .oracle import dense_scan, verify
-from .placement import PlacementArrangement, build_placement_arrangement, translation_vectors
+from .placement import (
+    PlacementArrangement,
+    _placement_box,
+    build_placement_arrangement,
+    translation_vectors,
+)
 from .render import render_svg
 from .sceneio import (
     Scene,
@@ -86,16 +96,22 @@ def _read(path: str) -> str:
 
 def _cmd_critical(args) -> int:
     scene = parse_scene(_read(args.scene))
-    prims = scene.primitives()
     if args.shape == CIRCLE and scene.segments:
         print("circle placements are only computed over lines", file=sys.stderr)
         return 1
+    # one build, on the clip box the placement needs; the box comes from the
+    # lines after the general-position perturbation, which the build then keeps
     if scene.lines:
-        arr = build_line_arrangement(scene.lines)
+        prims, build = enforce_general_position(scene.lines), build_line_arrangement
     else:
-        arr = build_segment_arrangement(scene.segments)
+        prims, build = scene.segments, build_segment_arrangement
+    domain, box = _placement_box(prims, args.eps, args.shape)
     pa = build_placement_arrangement(
-        arr, args.eps, args.shape, include_line_translates=args.include_line_translates
+        build(prims, clip_box=box),
+        args.eps,
+        args.shape,
+        include_line_translates=args.include_line_translates,
+        domain=domain,
     )
     Path(args.out).write_text(emit_result(result_from_placement(pa)))
     print(
@@ -156,13 +172,7 @@ def _cmd_junctions(args) -> int:
     if not scene.trajectories:
         print("scene has no trajectories", file=sys.stderr)
         return 1
-    pts = [v for t in scene.trajectories for v in t.vertices]
-    bbox = BBox(
-        min(p.x for p in pts),
-        min(p.y for p in pts),
-        max(p.x for p in pts),
-        max(p.y for p in pts),
-    )
+    bbox = bbox_of_points([(v.x, v.y) for t in scene.trajectories for v in t.vertices])
     grid = grid_scan(scene.trajectories, args.eps, bbox, args.spacing)
     top = top_k(grid, args.k)
     Path(args.out).write_text(emit_result(result_from_junctions(grid, top, args.eps)))
@@ -197,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (SceneError, FileNotFoundError, ValueError) as exc:
+    except (SceneError, FileNotFoundError, ValueError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,20 +1,13 @@
 """Scalar geometric primitives, tolerance policy, and perimeter coordinates.
 
 Everything here is an immutable value; all operations are pure functions.
-Coordinates are plain floats; a Fraction-based exact fallback kicks in for
-orientation and line intersection when the determinant is too close to zero
-to trust double precision.
+Coordinates are plain floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-LEFT = 1
-RIGHT = -1
-COLLINEAR = 0
 
 SQUARE = "square"
 CIRCLE = "circle"
@@ -28,19 +21,7 @@ class GeometryError(Exception):
     """Base class for geometric failures."""
 
 
-class ParallelLines(GeometryError):
-    pass
-
-
-class CoincidentLines(GeometryError):
-    pass
-
-
 class NotOnBoundary(GeometryError):
-    pass
-
-
-class ShapeMismatch(GeometryError):
     pass
 
 
@@ -64,9 +45,6 @@ class ToleranceConfig:
 
 TOL = ToleranceConfig()
 
-# Exact arithmetic takes over when |det| falls below 1e3 * eps_geom * scale.
-EXACT_FALLBACK_FACTOR = 1e3
-
 
 @dataclass(frozen=True)
 class Point:
@@ -80,9 +58,6 @@ class Point:
     def __iter__(self):
         yield self.x
         yield self.y
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
 
     def dist(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -159,9 +134,6 @@ class Segment:
     def length(self) -> float:
         return self.p.dist(self.q)
 
-    def supporting_line(self) -> Line:
-        return Line(self.p, self.q)
-
 
 @dataclass(frozen=True)
 class Polyline:
@@ -177,61 +149,6 @@ class Polyline:
 
     def edges(self) -> list[tuple[Point, Point]]:
         return list(zip(self.vertices, self.vertices[1:]))
-
-
-def _orientation_exact(p: Point, q: Point, r: Point) -> int:
-    det = (Fraction(q.x) - Fraction(p.x)) * (Fraction(r.y) - Fraction(p.y)) - (
-        Fraction(q.y) - Fraction(p.y)
-    ) * (Fraction(r.x) - Fraction(p.x))
-    if det > 0:
-        return LEFT
-    if det < 0:
-        return RIGHT
-    return COLLINEAR
-
-
-def orientation(p: Point, q: Point, r: Point, tol: ToleranceConfig = TOL) -> int:
-    """Sign of the signed area of triangle pqr: LEFT, RIGHT or COLLINEAR.
-
-    Collinear means |signed area| <= eps_geom scaled by the input magnitude.
-    Near the collinear band the determinant is recomputed exactly.
-    """
-    det = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    scale = max(
-        abs(q.x - p.x), abs(r.y - p.y), abs(q.y - p.y), abs(r.x - p.x), 1.0
-    )
-    band = tol.eps_geom * scale * scale
-    if abs(det) <= band:
-        return COLLINEAR
-    if abs(det) <= EXACT_FALLBACK_FACTOR * band:
-        return _orientation_exact(p, q, r)
-    return LEFT if det > 0.0 else RIGHT
-
-
-def intersect_lines(l1: Line, l2: Line, tol: ToleranceConfig = TOL) -> Point:
-    """Unique intersection point of two canonicalized lines.
-
-    Raises ParallelLines when the direction cross product vanishes within
-    eps_geom, and CoincidentLines when the two lines are the same line.
-    """
-    det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) <= tol.eps_geom:
-        if abs(l1.c - l2.c) <= tol.eps_geom and (
-            abs(l1.a - l2.a) <= tol.eps_geom and abs(l1.b - l2.b) <= tol.eps_geom
-        ):
-            raise CoincidentLines("lines coincide")
-        raise ParallelLines("lines are parallel")
-    if abs(det) <= EXACT_FALLBACK_FACTOR * tol.eps_geom:
-        # Nearly parallel: solve exactly, then round once.
-        a1, b1, c1 = Fraction(l1.a), Fraction(l1.b), Fraction(l1.c)
-        a2, b2, c2 = Fraction(l2.a), Fraction(l2.b), Fraction(l2.c)
-        d = a1 * b2 - a2 * b1
-        x = (c1 * b2 - c2 * b1) / d
-        y = (a1 * c2 - a2 * c1) / d
-        return Point(float(x), float(y))
-    x = (l1.c * l2.b - l2.c * l1.b) / det
-    y = (l1.a * l2.c - l2.a * l1.c) / det
-    return Point(x, y)
 
 
 def segment_intersection(
@@ -257,6 +174,61 @@ def segment_intersection(
         u = min(max(u, 0.0), 1.0)
         return (t, u, Point(a0.x + t * dax, a0.y + t * day))
     return None
+
+
+def _slab_clip(
+    px: float, py: float, dx: float, dy: float, t0: float, t1: float,
+    xmin: float, ymin: float, xmax: float, ymax: float, closed: bool = False,
+) -> tuple[float, float] | None:
+    """Liang-Barsky: the part [t0', t1'] of p + t*d, t in [t0, t1], inside the box.
+
+    By default a zero-length part counts as a miss and an axis-parallel
+    direction must lie within the bounds.  closed=True treats the box as
+    closed: a touch gives a zero-length interval and axis-parallel runs
+    within 1e-12 outside the bounds count as inside.
+    """
+    # unrolled over the two axes: junction detection calls this for every
+    # trajectory edge at every grid point
+    pad = 1e-12 if closed else 0.0
+    if abs(dx) <= 1e-15:
+        if not (xmin - pad <= px <= xmax + pad):
+            return None
+    else:
+        ta, tb = (xmin - px) / dx, (xmax - px) / dx
+        if ta > tb:
+            ta, tb = tb, ta
+        if ta > t0:
+            t0 = ta
+        if tb < t1:
+            t1 = tb
+    if abs(dy) <= 1e-15:
+        if not (ymin - pad <= py <= ymax + pad):
+            return None
+    else:
+        ta, tb = (ymin - py) / dy, (ymax - py) / dy
+        if ta > tb:
+            ta, tb = tb, ta
+        if ta > t0:
+            t0 = ta
+        if tb < t1:
+            t1 = tb
+    if t0 > t1 or (t0 == t1 and not closed):
+        return None
+    return (t0, t1)
+
+
+def _line_in_box(
+    line: Line, xmin: float, ymin: float, xmax: float, ymax: float
+) -> tuple[tuple[float, float], tuple[float, float]] | None:
+    """End points of the line's part inside the box; None when the line
+    misses the box or only touches it."""
+    dx, dy = line.direction()
+    px, py = line.p.x, line.p.y
+    clip = _slab_clip(px, py, dx, dy, -math.inf, math.inf, xmin, ymin, xmax, ymax)
+    if clip is None:
+        return None
+    t0, t1 = clip
+    return ((px + t0 * dx, py + t0 * dy), (px + t1 * dx, py + t1 * dy))
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +327,3 @@ def perimeter_coordinate(
     s %= SQUARE_PERIMETER
     return PerimeterCoord(SQUARE, center, min(max(s, 0.0), SQUARE_PERIMETER - 1e-15))
 
-
-def boundary_distance(a: PerimeterCoord, b: PerimeterCoord) -> float:
-    """Shorter-way-around distance between two perimeter coordinates."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    L = a.perimeter
-    d = abs(a.s - b.s)
-    return min(d, L - d)
-
-
-def cyclic_gap(s_from: float, s_to: float, perimeter: float) -> float:
-    """Forward (CCW) arc length from s_from to s_to, in [0, perimeter)."""
-    return (s_to - s_from) % perimeter

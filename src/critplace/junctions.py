@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arrangement import BBox
 from .geom import (
     SQUARE,
     PerimeterCoord,
     Point,
     Polyline,
+    _slab_clip,
     perimeter_coordinate,
 )
 
@@ -79,31 +78,6 @@ class SignificanceGrid:
 # salient subtrajectories
 # ---------------------------------------------------------------------------
 
-def _square_clip_interval(p: Point, q: Point, center: Point, half: float):
-    """Parameter interval of segment pq inside the closed square, or None."""
-    dx, dy = q.x - p.x, q.y - p.y
-    t0, t1 = 0.0, 1.0
-    for d, start, lo, hi in (
-        (dx, p.x, center.x - half, center.x + half),
-        (dy, p.y, center.y - half, center.y + half),
-    ):
-        if abs(d) <= 1e-15:
-            if not (lo - 1e-12 <= start <= hi + 1e-12):
-                return None
-            continue
-        ta, tb = (lo - start) / d, (hi - start) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-    if t0 > t1:
-        return None
-    return (t0, t1)
-
-
-def _segment_hits_square(p: Point, q: Point, center: Point, half: float) -> bool:
-    return _square_clip_interval(p, q, center, half) is not None
-
-
 def salient_subtrajectories(
     trajectories: list[Polyline],
     p: Point,
@@ -117,8 +91,11 @@ def salient_subtrajectories(
     without crossing (trajectory endpoints, grazing vertices) are dropped.
     """
     out: list[SalientSubtrajectory] = []
-    half = 0.5
+    # the closed unit square around p and the inner square
+    xmin, ymin, xmax, ymax = p.x - 0.5, p.y - 0.5, p.x + 0.5, p.y + 0.5
     inner_half = 0.5 * inner_ratio
+    ixmin, iymin = p.x - inner_half, p.y - inner_half
+    ixmax, iymax = p.x + inner_half, p.y + inner_half
     for traj in trajectories:
         verts = traj.vertices
         last_edge = len(verts) - 2
@@ -126,7 +103,9 @@ def salient_subtrajectories(
         open_run: tuple[int, float] | None = None
         last: tuple[int, float] | None = None
         for ei, (a, b) in enumerate(traj.edges()):
-            clip = _square_clip_interval(a, b, p, half)
+            clip = _slab_clip(
+                a.x, a.y, b.x - a.x, b.y - a.y, 0.0, 1.0, xmin, ymin, xmax, ymax, True
+            )
             if clip is None:
                 if open_run is not None:
                     runs.append((open_run[0], open_run[1], last[0], last[1]))
@@ -161,8 +140,12 @@ def salient_subtrajectories(
             if len(pts) < 2:
                 continue
             if not any(
-                _segment_hits_square(pts[i], pts[i + 1], p, inner_half)
-                for i in range(len(pts) - 1)
+                _slab_clip(
+                    u.x, u.y, v.x - u.x, v.y - u.y, 0.0, 1.0,
+                    ixmin, iymin, ixmax, iymax, True,
+                )
+                is not None
+                for u, v in zip(pts, pts[1:])
             ):
                 continue
             try:

@@ -5,7 +5,9 @@ its crossings with the input primitives, measure the pieces, and look for
 pieces of length exactly the clustering granularity.  The dense scan walks a
 grid of placements and reports where a piece length crosses the target, which
 gives a resolution-accurate picture of the critical set to compare curves
-against.
+against.  The square chord clip and the perimeter maps here are this module's
+own, not shared with the construction, so that a fault in the construction's
+copies shows up as a disagreement instead of being repeated by the check.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class GapComponent:
     bound_ids: tuple[int, int] | None  # primitive ids cutting the two ends
     mid_s: float
     mid_point: Point
-    cell_key: tuple[int, ...] | None = None  # side-sign fingerprint (lines only)
 
 
 @dataclass
@@ -187,13 +188,11 @@ def _perimeter_xy(shape: str, center: Point, s: float) -> Point:
     return Point(cx - 0.5, cy + 0.5 - frac)
 
 
-def boundary_gaps(center: Point, primitives: list, shape: str,
-                  lines_for_key: list[Line] | None = None) -> GapProfile:
+def boundary_gaps(center: Point, primitives: list, shape: str) -> GapProfile:
     """All boundary components of the shape at this placement, with lengths.
 
     Components spanning a square corner are single pieces whose length is the
-    sum of the incident side parts.  For line inputs each component carries a
-    side-sign fingerprint of the cell it lies in.
+    sum of the incident side parts.
     """
     warnings: list[str] = []
     if shape == SQUARE:
@@ -205,19 +204,9 @@ def boundary_gaps(center: Point, primitives: list, shape: str,
     P = shape_perimeter(shape)
     crossings.sort()
     comps: list[GapComponent] = []
-    if lines_for_key is None:
-        lines_for_key = [p for p in primitives if isinstance(p, Line)]
-        if len(lines_for_key) != len(primitives):
-            lines_for_key = None
-
-    def key_of(pt: Point):
-        if lines_for_key is None:
-            return None
-        return tuple(1 if ln.side_of(pt) > 0.0 else -1 for ln in lines_for_key)
-
     if not crossings:
         mid = _perimeter_xy(shape, center, 0.0)
-        comps.append(GapComponent(0.0, P, None, 0.0, mid, key_of(mid)))
+        comps.append(GapComponent(0.0, P, None, 0.0, mid))
     else:
         m = len(crossings)
         for i in range(m):
@@ -230,7 +219,7 @@ def boundary_gaps(center: Point, primitives: list, shape: str,
                 length += P
             mid_s = (s0 + 0.5 * length) % P
             mid = _perimeter_xy(shape, center, mid_s)
-            comps.append(GapComponent(s0, length, (id0, id1), mid_s, mid, key_of(mid)))
+            comps.append(GapComponent(s0, length, (id0, id1), mid_s, mid))
     return GapProfile(center, shape, comps, crossings, warnings)
 
 

@@ -23,15 +23,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrangement import Arrangement, BBox, Tag, convex_decompose
+from .arrangement import (
+    Arrangement,
+    BBox,
+    Tag,
+    _count_components,
+    _point_segment_dist,
+    build_line_arrangement,
+    build_segment_arrangement,
+    convex_decompose,
+)
 from .geom import (
     CIRCLE,
     SQUARE,
     GeometryError,
     Line,
+    PerimeterCoord,
     Point,
     Segment,
+    _line_in_box,
+    _slab_clip,
+    perimeter_point,
     shape_perimeter,
+    square_corners,
 )
 from .oracle import is_epsilon_placement
 
@@ -46,25 +60,14 @@ class EpsilonTooLarge(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    """Clustering granularity; must stay below a quarter perimeter."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (self.value > 0.0 and math.isfinite(self.value)):
-            raise ValueError("granularity must be positive and finite")
-
-    def validate_for(self, shape: str) -> None:
-        if self.value >= shape_perimeter(shape) / 4.0:
-            raise ValueError(
-                f"granularity {self.value} too large for {shape} (needs < perimeter/4)"
-            )
-
-
-def _eps_value(eps) -> float:
-    return eps.value if isinstance(eps, Epsilon) else float(eps)
+def _check_eps(eps: float, shape: str) -> None:
+    """The clustering granularity must be positive and below a quarter perimeter."""
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError("granularity must be positive and finite")
+    if eps >= shape_perimeter(shape) / 4.0:
+        raise ValueError(
+            f"granularity {eps} too large for {shape} (needs < perimeter/4)"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,6 @@ class TranslationVector:
     label: str  # corner/side name for squares, angle index for circles
     s: float  # perimeter coordinate of the boundary point
 
-    def angle(self) -> float:
-        return math.atan2(self.dy, self.dx)
-
 
 @dataclass(frozen=True)
 class TranslationVectorSet:
@@ -90,23 +90,17 @@ class TranslationVectorSet:
 
 _CORNER_LABELS = {0.0: "bl", 1.0: "br", 2.0: "tr", 3.0: "tl"}
 _SIDE_OF_S = ("bottom", "right", "top", "left")
+_ORIGIN = Point(0.0, 0.0)
 
 
 def _square_vector_at(s: float) -> TranslationVector:
     side = int(s % 4.0)
     frac = (s % 4.0) - side
     if frac <= 1e-12:
-        corner = [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)][side]
-        return TranslationVector(corner[0], corner[1], "corner", _CORNER_LABELS[float(side)], float(side))
-    if side == 0:
-        dx, dy = frac - 0.5, -0.5
-    elif side == 1:
-        dx, dy = 0.5, frac - 0.5
-    elif side == 2:
-        dx, dy = 0.5 - frac, 0.5
-    else:
-        dx, dy = -0.5, 0.5 - frac
-    return TranslationVector(dx, dy, "edge", _SIDE_OF_S[side], s)
+        c = perimeter_point(PerimeterCoord(SQUARE, _ORIGIN, float(side)))
+        return TranslationVector(c.x, c.y, "corner", _CORNER_LABELS[float(side)], float(side))
+    c = perimeter_point(PerimeterCoord(SQUARE, _ORIGIN, s))
+    return TranslationVector(c.x, c.y, "edge", _SIDE_OF_S[side], s)
 
 
 def translation_vectors(shape: str, eps) -> TranslationVectorSet:
@@ -116,8 +110,8 @@ def translation_vectors(shape: str, eps) -> TranslationVectorSet:
     uniform with ceil(side/eps) intervals, so any boundary arc of length eps
     contains one or two of the points.
     """
-    e = _eps_value(eps)
-    Epsilon(e).validate_for(shape)
+    e = float(eps)
+    _check_eps(e, shape)
     vectors: list[TranslationVector] = []
     if shape == SQUARE:
         per_side = max(1, math.ceil((1.0 - 1e-12) / e))
@@ -228,9 +222,6 @@ class CriticalCurve:
     def sample_points(self, spacing: float) -> np.ndarray:
         chunks = [p.sample_by_spacing(spacing) for p in self.pieces]
         return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2))
-
-    def total_length(self) -> float:
-        return sum(p.length() for p in self.pieces)
 
 
 @dataclass
@@ -548,7 +539,7 @@ def _chain_is_convex(chain, tol: float = 1e-9) -> bool:
 
 def corner_curve(cell_id: int, regions: list[_Region], tau: TranslationVector, eps) -> list[CriticalCurve]:
     """Level-set chains for a corner vector inside one cell, in placement space."""
-    e = _eps_value(eps)
+    e = float(eps)
     look_x, look_y = _QUADRANT_LOOK[_CORNER_QUADRANT[tau.label]]
     segs = []
     for region in regions:
@@ -631,7 +622,7 @@ def edge_curve(
     warnings: list[DegenerateStrip] | None = None,
 ) -> list[CriticalCurve]:
     """Axis-aligned placement windows for a non-corner square vector."""
-    e = _eps_value(eps)
+    e = float(eps)
     horizontal = tau.label in ("top", "bottom")
     orientation = "horizontal" if horizontal else "vertical"
     solutions, degenerate = _cross_section_solutions(regions, orientation, e)
@@ -695,7 +686,7 @@ def collect_S(
     warnings: list | None = None,
 ) -> list[CriticalCurve]:
     """Union of the per-cell curves of one vector over the whole arrangement."""
-    e = _eps_value(eps)
+    e = float(eps)
     curves: list[CriticalCurve] = []
     for cell in arrangement.cells:
         if domain is not None and not _cell_reaches(arrangement, cell.id, domain, 1.0 + e):
@@ -736,18 +727,10 @@ def _clip_piece_to_box(piece: CurvePiece, box: BBox) -> list[CurvePiece]:
         x0, y0 = piece.p0
         x1, y1 = piece.p1
         dx, dy = x1 - x0, y1 - y0
-        t0, t1 = 0.0, 1.0
-        for d, p, lo, hi in ((dx, x0, box.xmin, box.xmax), (dy, y0, box.ymin, box.ymax)):
-            if abs(d) <= 1e-15:
-                if not (lo <= p <= hi):
-                    return []
-                continue
-            ta, tb = (lo - p) / d, (hi - p) / d
-            if ta > tb:
-                ta, tb = tb, ta
-            t0, t1 = max(t0, ta), min(t1, tb)
-        if t0 >= t1:
+        clip = _slab_clip(x0, y0, dx, dy, 0.0, 1.0, box.xmin, box.ymin, box.xmax, box.ymax)
+        if clip is None:
             return []
+        t0, t1 = clip
         return [seg_piece(x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy)]
     # arc: cut the parameter interval at the box-side crossings
     cuts = [piece.psi0, piece.psi1]
@@ -811,14 +794,14 @@ def contact_curves(primitives: list, shape: str, domain: BBox) -> list[CriticalC
     or a line tangent to the circle."""
     out: list[CriticalCurve] = []
     if shape == SQUARE:
-        corners = [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]
+        corners = [(c.x, c.y) for c in square_corners(_ORIGIN)]
         for k, prim in enumerate(primitives):
             if isinstance(prim, Line):
                 for vx, vy in corners:
                     shifted = Line(
                         Point(prim.p.x - vx, prim.p.y - vy), Point(prim.q.x - vx, prim.q.y - vy)
                     )
-                    piece = _line_box_piece(shifted, domain)
+                    piece = _line_piece(shifted, domain)
                     if piece is not None:
                         out.append(
                             CriticalCurve(-1, None, [piece], True, "contact", (k, (vx, vy)))
@@ -837,12 +820,8 @@ def contact_curves(primitives: list, shape: str, domain: BBox) -> list[CriticalC
                         )
                     )
                 for end in (seg.p, seg.q):
-                    ring = [
-                        seg_piece(end.x - 0.5, end.y - 0.5, end.x + 0.5, end.y - 0.5),
-                        seg_piece(end.x + 0.5, end.y - 0.5, end.x + 0.5, end.y + 0.5),
-                        seg_piece(end.x + 0.5, end.y + 0.5, end.x - 0.5, end.y + 0.5),
-                        seg_piece(end.x - 0.5, end.y + 0.5, end.x - 0.5, end.y - 0.5),
-                    ]
+                    cs = square_corners(end)
+                    ring = [seg_piece(a.x, a.y, b.x, b.y) for a, b in zip(cs, cs[1:] + cs[:1])]
                     out.append(CriticalCurve(-1, None, ring, True, "contact", (k, "endpoint")))
     else:
         for k, prim in enumerate(primitives):
@@ -853,29 +832,16 @@ def contact_curves(primitives: list, shape: str, domain: BBox) -> list[CriticalC
                     Point(prim.p.x + off * prim.a, prim.p.y + off * prim.b),
                     Point(prim.q.x + off * prim.a, prim.q.y + off * prim.b),
                 )
-                piece = _line_box_piece(shifted, domain)
+                piece = _line_piece(shifted, domain)
                 if piece is not None:
                     out.append(CriticalCurve(-1, None, [piece], True, "contact", (k, off)))
     clipped = [clip_curve_to_box(c, domain) for c in out]
     return [c for c in clipped if c]
 
 
-def _line_box_piece(line: Line, box: BBox) -> CurvePiece | None:
-    dx, dy = line.direction()
-    px, py = line.p.x, line.p.y
-    t0, t1 = -math.inf, math.inf
-    for d, p, lo, hi in ((dx, px, box.xmin, box.xmax), (dy, py, box.ymin, box.ymax)):
-        if abs(d) <= 1e-15:
-            if not (lo <= p <= hi):
-                return None
-            continue
-        ta, tb = (lo - p) / d, (hi - p) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-    if t0 >= t1:
-        return None
-    return seg_piece(px + t0 * dx, py + t0 * dy, px + t1 * dx, py + t1 * dy)
+def _line_piece(line: Line, box: BBox) -> CurvePiece | None:
+    ends = _line_in_box(line, box.xmin, box.ymin, box.xmax, box.ymax)
+    return None if ends is None else seg_piece(*ends[0], *ends[1])
 
 
 # ---------------------------------------------------------------------------
@@ -1097,19 +1063,14 @@ def _contact_holds(center: Point, primitives: list, shape: str, tol: float = 1e-
             if isinstance(prim, Line) and abs(abs(prim.side_of(center)) - 1.0) <= tol:
                 return True
         return False
-    corners = [
-        Point(center.x - 0.5, center.y - 0.5),
-        Point(center.x + 0.5, center.y - 0.5),
-        Point(center.x + 0.5, center.y + 0.5),
-        Point(center.x - 0.5, center.y + 0.5),
-    ]
+    corners = square_corners(center)
     for prim in primitives:
         if isinstance(prim, Line):
             if any(abs(prim.side_of(c)) <= tol for c in corners):
                 return True
         else:
             for c in corners:
-                if _dist_point_segment(c, prim) <= tol:
+                if _point_segment_dist(c.x, c.y, prim.p, prim.q) <= tol:
                     return True
             for end in (prim.p, prim.q):
                 if (
@@ -1119,29 +1080,33 @@ def _contact_holds(center: Point, primitives: list, shape: str, tol: float = 1e-
     return False
 
 
-def _dist_point_segment(pt: Point, seg: Segment) -> float:
-    dx, dy = seg.q.x - seg.p.x, seg.q.y - seg.p.y
-    L2 = dx * dx + dy * dy
-    t = ((pt.x - seg.p.x) * dx + (pt.y - seg.p.y) * dy) / L2
-    t = min(max(t, 0.0), 1.0)
-    return math.hypot(pt.x - seg.p.x - t * dx, pt.y - seg.p.y - t * dy)
-
-
 def default_domain(primitives: list, shape: str, eps) -> BBox:
     """Placement window: data bounding box grown by the shape diameter + eps."""
-    e = _eps_value(eps)
-    pts = []
-    for prim in primitives:
-        if isinstance(prim, Line):
-            pts.extend([(prim.p.x, prim.p.y), (prim.q.x, prim.q.y)])
-        else:
-            pts.extend([(prim.p.x, prim.p.y), (prim.q.x, prim.q.y)])
+    e = float(eps)
+    pts = [(q.x, q.y) for prim in primitives for q in (prim.p, prim.q)]
     if not pts:
         pts = [(0.0, 0.0)]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     diameter = SQRT2 if shape == SQUARE else 2.0
     return BBox(min(xs), min(ys), max(xs), max(ys)).expanded(diameter + e)
+
+
+def _placement_box(
+    primitives: list, eps: float, shape: str, domain: BBox | None = None
+) -> tuple[BBox, BBox]:
+    """The placement domain (default_domain when None) and the clip box its
+    arrangement needs, after checking the granularity.
+
+    Distances up to 1+eps beyond the domain must see real walls, not the
+    clip frame.
+    """
+    _check_eps(eps, shape)
+    if shape == CIRCLE and eps >= 1.0:
+        raise EpsilonTooLarge("circle curves are only computed for eps < 1")
+    if domain is None:
+        domain = default_domain(primitives, shape, eps)
+    return domain, domain.expanded(1.0 + eps + 0.25)
 
 
 def build_placement_arrangement(
@@ -1152,15 +1117,9 @@ def build_placement_arrangement(
     domain: BBox | None = None,
 ) -> PlacementArrangement:
     """Overlay of the curves of every vector; reports vertex/edge/face counts."""
-    e = _eps_value(eps)
-    Epsilon(e).validate_for(shape)
-    if shape == CIRCLE and e >= 1.0:
-        raise EpsilonTooLarge("circle curves are only computed for eps < 1")
-    if domain is None:
-        domain = default_domain(arrangement.primitives, shape, e)
-    # distances up to 1+eps beyond the domain must see real walls, not the
-    # clip frame; rebuild on a bigger box when the arrangement is too tight
-    needed = domain.expanded(1.0 + e + 0.25)
+    e = float(eps)
+    domain, needed = _placement_box(arrangement.primitives, e, shape, domain)
+    # rebuild on the box the domain needs when the arrangement is too tight
     b = arrangement.clip_box
     if (
         b.xmin > needed.xmin
@@ -1168,8 +1127,6 @@ def build_placement_arrangement(
         or b.xmax < needed.xmax
         or b.ymax < needed.ymax
     ):
-        from .arrangement import build_line_arrangement, build_segment_arrangement
-
         if arrangement.kind == "lines":
             arrangement = build_line_arrangement(arrangement.primitives, clip_box=needed)
         else:
@@ -1265,20 +1222,7 @@ def _overlay_counts(curves: list[CriticalCurve], domain: BBox) -> dict:
 
     V = len(coords)
     E = len(adj_edges)
-    parent = list(range(V))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in adj_edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps = len({find(u) for u in range(V)})
-    F = 1 + comps + E - V
+    F = 1 + _count_components(V, adj_edges) + E - V
     return {"vertices": V, "edges": E, "faces": F}
 
 

@@ -3,8 +3,8 @@ and junction heat grids with darkness proportional to significance."""
 
 from __future__ import annotations
 
-import math
-
+from .arrangement import bbox_of_points
+from .geom import _line_in_box
 from .sceneio import Scene, curves_from_result, fmt
 
 _MARGIN = 0.05  # fraction of the view added around the data
@@ -62,10 +62,8 @@ def render_svg(result: dict | None, scene: Scene | None = None) -> str:
         ]
         if not pts:
             pts = [(0.0, 0.0), (1.0, 1.0)]
-        xmin = min(p[0] for p in pts)
-        ymin = min(p[1] for p in pts)
-        xmax = max(p[0] for p in pts)
-        ymax = max(p[1] for p in pts)
+        b = bbox_of_points(pts)
+        xmin, ymin, xmax, ymax = b.xmin, b.ymin, b.xmax, b.ymax
     else:
         xmin, ymin, xmax, ymax = 0.0, 0.0, 1.0, 1.0
     view = _View(xmin, ymin, xmax, ymax)
@@ -88,7 +86,7 @@ def render_svg(result: dict | None, scene: Scene | None = None) -> str:
     if scene is not None:
         body.append('<g id="primitives">')
         for ln in scene.lines:
-            seg = _clip_line(ln, view)
+            seg = _line_in_box(ln, view.xmin, view.ymin, view.xmax, view.ymax)
             if seg:
                 body.append(_polyline_el(view, seg, "#222", 1.2))
         for s in scene.segments:
@@ -160,25 +158,3 @@ def _junction_layer(view, result: dict) -> str:
     out.append("</g>")
     return "\n".join(out)
 
-
-def _clip_line(ln, view) -> list[tuple[float, float]] | None:
-    dx, dy = ln.direction()
-    t0, t1 = -math.inf, math.inf
-    for d, p, lo, hi in (
-        (dx, ln.p.x, view.xmin, view.xmax),
-        (dy, ln.p.y, view.ymin, view.ymax),
-    ):
-        if abs(d) <= 1e-15:
-            if not (lo <= p <= hi):
-                return None
-            continue
-        ta, tb = (lo - p) / d, (hi - p) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-    if t0 >= t1:
-        return None
-    return [
-        (ln.p.x + t0 * dx, ln.p.y + t0 * dy),
-        (ln.p.x + t1 * dx, ln.p.y + t1 * dy),
-    ]

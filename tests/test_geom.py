@@ -5,62 +5,16 @@ import pytest
 
 from critplace.geom import (
     CIRCLE,
-    COLLINEAR,
-    LEFT,
-    RIGHT,
     SQUARE,
-    CoincidentLines,
     Line,
     NotOnBoundary,
-    ParallelLines,
     PerimeterCoord,
     Point,
-    ShapeMismatch,
-    boundary_distance,
-    intersect_lines,
-    orientation,
+    _line_in_box,
+    _slab_clip,
     perimeter_coordinate,
     perimeter_point,
 )
-
-
-def test_orientation_basic():
-    assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) == LEFT
-    assert orientation(Point(0, 0), Point(1, 0), Point(2, 0)) == COLLINEAR
-    assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) == RIGHT
-
-
-def test_orientation_antisymmetric():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        p, q, r = (Point(*rng.uniform(-5, 5, 2)) for _ in range(3))
-        o = orientation(p, q, r)
-        if o != COLLINEAR:
-            assert orientation(p, r, q) == -o
-
-
-def test_orientation_near_degenerate_uses_exact_sign():
-    # collinear within eps_geom band
-    assert orientation(Point(0, 0), Point(1, 1e-13), Point(2, 0)) == COLLINEAR
-
-
-def test_intersect_lines():
-    x_axis = Line(Point(-1, 0), Point(1, 0))
-    y_axis = Line(Point(0, -1), Point(0, 1))
-    p = intersect_lines(x_axis, y_axis)
-    assert abs(p.x) < 1e-12 and abs(p.y) < 1e-12
-
-    d1 = Line(Point(0, 0), Point(1, 1))
-    d2 = Line(Point(0, 1), Point(1, 2))
-    with pytest.raises(ParallelLines):
-        intersect_lines(d1, d2)
-    with pytest.raises(CoincidentLines):
-        intersect_lines(d1, Line(Point(2, 2), Point(5, 5)))
-
-    l1 = Line(Point(0, 0), Point(1, 2))  # y = 2x
-    l2 = Line(Point(0, 4), Point(1, 2))  # y = -2x + 4
-    p = intersect_lines(l1, l2)
-    assert abs(p.x - 1.0) < 1e-12 and abs(p.y - 2.0) < 1e-12
 
 
 def test_line_canonical_form_unique():
@@ -94,27 +48,48 @@ def test_perimeter_roundtrip_random():
             assert min(d, L - d) < 1e-9
 
 
-def test_boundary_distance():
-    c = Point(0, 0)
-    a = PerimeterCoord(SQUARE, c, 0.05)
-    b = PerimeterCoord(SQUARE, c, 3.95)
-    assert boundary_distance(a, b) == pytest.approx(0.1)
-    assert boundary_distance(a, a) == 0.0
-    assert boundary_distance(
-        PerimeterCoord(SQUARE, c, 0.0), PerimeterCoord(SQUARE, c, 2.0)
-    ) == pytest.approx(2.0)
-    with pytest.raises(ShapeMismatch):
-        boundary_distance(a, PerimeterCoord(CIRCLE, c, 1.0))
+# Boundary cases on the box [-0.5, 0.5]^2, each as end points (p, q).  The
+# expected values were recorded from the clips that `_slab_clip` replaced:
+# the strict clip of infinite lines (arrangement walls) and of segments
+# (placement curve pieces) give end points, the closed clip of segments
+# (junction detection) gives the parameter interval over [0, 1].
+CLIP_BOX = (-0.5, -0.5, 0.5, 0.5)
+CLIP_CASES = {
+    # case: (p, q, strict line, strict segment, closed segment)
+    "diagonal line through a corner": ((0.0, 1.0), (1.0, 0.0), None, None, (0.5, 0.5)),
+    "line on the top edge": (
+        (-1.0, 0.5), (1.0, 0.5),
+        ((-0.5, 0.5), (0.5, 0.5)), ((-0.5, 0.5), (0.5, 0.5)), (0.25, 0.75),
+    ),
+    "line 1e-13 above the top edge": (
+        (-1.0, 0.5 + 1e-13), (1.0, 0.5 + 1e-13), None, None, (0.25, 0.75),
+    ),
+    "segment ending on the box": (
+        (1.0, 0.0), (0.5, 0.0), ((-0.5, 0.0), (0.5, 0.0)), None, (1.0, 1.0),
+    ),
+    "segment touching a corner": (
+        (1.0, 1.0), (0.5, 0.5), ((0.5, 0.5), (-0.5, -0.5)), None, (1.0, 1.0),
+    ),
+}
 
 
-def test_boundary_distance_metric_properties():
-    rng = np.random.default_rng(11)
-    c = Point(0, 0)
-    for _ in range(300):
-        s = rng.uniform(0, 4.0, 3)
-        a, b, d = (PerimeterCoord(SQUARE, c, float(v)) for v in s)
-        assert boundary_distance(a, b) == pytest.approx(boundary_distance(b, a))
-        assert (
-            boundary_distance(a, d)
-            <= boundary_distance(a, b) + boundary_distance(b, d) + 1e-12
-        )
+@pytest.mark.parametrize("case", sorted(CLIP_CASES))
+def test_slab_clip_boundary_rules(case):
+    p, q, line_strict, seg_strict, seg_closed = CLIP_CASES[case]
+    ln = Line(Point(*p), Point(*q))
+    assert _line_in_box(ln, *CLIP_BOX) == line_strict
+    # every case touches the closed box; where the strict rule hits, both agree
+    lx, ly = ln.p.x, ln.p.y
+    ldx, ldy = ln.direction()
+    strict = _slab_clip(lx, ly, ldx, ldy, -math.inf, math.inf, *CLIP_BOX)
+    closed = _slab_clip(lx, ly, ldx, ldy, -math.inf, math.inf, *CLIP_BOX, closed=True)
+    assert closed is not None
+    assert strict is None or closed == strict
+
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    strict = _slab_clip(*p, dx, dy, 0.0, 1.0, *CLIP_BOX)
+    if strict is not None:
+        t0, t1 = strict
+        strict = ((p[0] + t0 * dx, p[1] + t0 * dy), (p[0] + t1 * dx, p[1] + t1 * dy))
+    assert strict == seg_strict
+    assert _slab_clip(*p, dx, dy, 0.0, 1.0, *CLIP_BOX, closed=True) == seg_closed

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from critplace.sceneio import (
     parse_scene,
     result_from_placement,
 )
+
+SCENES = Path(__file__).parent.parent / "demos" / "scenes"
 
 SCENE_TEXT = """\
 # two lines and one trajectory
@@ -157,6 +160,48 @@ def test_cli_bad_usage(tmp_path):
     assert main(["no-such-command"]) == 1
     assert main(["critical", "--shape", "square", "--eps", "0.25",
                  "--in", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_geometry_error_is_an_input_error(tmp_path, capsys):
+    # eps 1.2 passes the quarter-perimeter check of the circle but its
+    # curves are only computed for eps < 1
+    code = main(["critical", "--shape", "circle", "--eps", "1.2",
+                 "--in", str(SCENES / "three_lines.txt"), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("lines", "square"), ("lines", "circle"), ("segments", "square"),
+])
+def test_cli_critical_builds_the_arrangement_once(tmp_path, monkeypatch, kind, shape):
+    # both scenes need a larger clip box than the arrangement's default one
+    import critplace.arrangement
+    import critplace.cli
+    import critplace.placement
+
+    scene_text = {
+        "lines": (SCENES / "three_lines.txt").read_text(),
+        "segments": "S 0 0 1 0.3\nS 0.2 -0.5 0.6 0.8\nS -0.4 0.4 0.3 -0.2\n",
+    }[kind]
+    builds = []
+    for name in ("build_line_arrangement", "build_segment_arrangement"):
+        original = getattr(critplace.arrangement, name)
+
+        def counted(*args, _original=original, **kwargs):
+            builds.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for module in (critplace.arrangement, critplace.cli, critplace.placement):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    scene = tmp_path / "scene.txt"
+    scene.write_text(scene_text)
+    code = main(["critical", "--shape", shape, "--eps", "0.3", "--in", str(scene),
+                 "--out", str(tmp_path / "r.json"), "--include-line-translates"])
+    assert code == 0
+    assert len(builds) == 1, builds
 
 
 def test_cli_determinism(tmp_path):
