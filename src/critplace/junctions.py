@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arrangement import BBox
+from .arrangement import BBox, bbox_of_points
 from .geom import (
     SQUARE,
+    NotOnBoundary,
     PerimeterCoord,
     Point,
     Polyline,
@@ -151,7 +152,7 @@ def salient_subtrajectories(
             try:
                 entry = perimeter_coordinate(SQUARE, p, pts[0])
                 exit_ = perimeter_coordinate(SQUARE, p, pts[-1])
-            except Exception:
+            except NotOnBoundary:
                 continue
             out.append(
                 SalientSubtrajectory(traj.id, e0, e1, tuple(pts), entry, exit_)
@@ -273,19 +274,30 @@ def grid_scan(
     inner_ratio: float = INNER_RATIO,
     significance_fn=default_significance,
 ) -> SignificanceGrid:
-    """assess() on a regular grid over the box, row-major and deterministic."""
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
+    """assess() on a regular grid over the box, row-major and deterministic.
+
+    Each grid point only looks at the trajectories whose bounding box comes
+    near its unit square.
+    """
+    for name, value in (("eps", eps), ("spacing", spacing)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     nx = max(1, int(math.floor(bbox.width / spacing)) + 1)
     ny = max(1, int(math.floor(bbox.height / spacing)) + 1)
+    # a trajectory whose vertices all lie more than 1e-9 past one side of the
+    # closed square has no edge the closed clip (pad 1e-12) keeps: no salient piece
+    reach = 0.5 + 1e-9
+    boxed = [
+        (t, bbox_of_points([(v.x, v.y) for v in t.vertices])) for t in trajectories
+    ]
     cells: list[JunctionAssessment] = []
     for row in range(ny):
         y = bbox.ymin + row * spacing
+        in_row = [(t, b) for t, b in boxed if b.ymin - reach <= y <= b.ymax + reach]
         for col in range(nx):
             x = bbox.xmin + col * spacing
-            cells.append(
-                assess(Point(x, y), trajectories, eps, inner_ratio, significance_fn)
-            )
+            near = [t for t, b in in_row if b.xmin - reach <= x <= b.xmax + reach]
+            cells.append(assess(Point(x, y), near, eps, inner_ratio, significance_fn))
     return SignificanceGrid(bbox, spacing, nx, ny, cells)
 
 

@@ -155,6 +155,21 @@ def test_cli_junctions(tmp_path):
     assert 'id="junctions"' in svg.read_text()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "-1"), ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
+    ("--spacing", "nan"), ("--spacing", "inf"),
+])
+def test_cli_junctions_rejects_bad_eps_and_spacing(tmp_path, capsys, flag, value):
+    args = {"--eps": "0.3", "--spacing": "0.25", flag: value}
+    out = tmp_path / "result.json"
+    code = main(["junctions", "--eps", args["--eps"], "--spacing", args["--spacing"],
+                 "--k", "4", "--in", str(SCENES / "crossing_walks.txt"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag[2:] in err[0]
+    assert not out.exists()
+
+
 def test_cli_bad_usage(tmp_path):
     assert main(["critical", "--shape", "hexagon", "--eps", "1"]) == 1
     assert main(["no-such-command"]) == 1

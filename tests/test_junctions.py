@@ -194,6 +194,45 @@ def test_grid_scan_translation_equivariance():
     assert [a.kind for a in g1.cells] == [a.kind for a in g2.cells]
 
 
+def test_grid_scan_matches_assess_on_every_trajectory(monkeypatch):
+    # grid points sit on multiples of 0.25 over [-1, 1]^2
+    eps, bbox, spacing = 0.3, BBox(-1.0, -1.0, 1.0, 1.0), 0.25
+    trajs = cross_trajectories(4, 2, 0.05, 1) + [
+        # touches the inner square of (0, 0) at a vertex: salient there only
+        # because that square is closed
+        Polyline("touch", (Point(-1, 0.6), Point(0, 0.25), Point(1, 0.6))),
+        # on the right edge of the squares of column x = 0.25
+        Polyline("edge", (Point(0.75, -2), Point(0.75, 2))),
+        # its box covers the grid, but it misses the square of (-1, -1)
+        Polyline("zigzag", tuple(Point(x, y) for x, y in (
+            (-2.0, -1.7), (-0.9, 1.9), (0.2, -1.8), (1.3, 1.6), (2.2, -0.4),
+            (2.4, 1.9), (-1.8, 2.3),
+        ))),
+        Polyline("away", (Point(4, 4), Point(6, 5), Point(5, 7))),
+    ]
+    import critplace.junctions
+
+    passed = []
+
+    def recording_assess(p, near, *args):
+        passed.append(len(near))
+        return assess(p, near, *args)
+
+    monkeypatch.setattr(critplace.junctions, "assess", recording_assess)
+    grid = grid_scan(trajs, eps, bbox, spacing)
+    monkeypatch.undo()
+    assert min(passed) < len(trajs)
+    touched = grid.at(4, 4)
+    assert touched.point == Point(0.0, 0.0)
+    assert "touch" in {s.source_id for s in touched.subtrajectories}
+    assert "zigzag" not in {s.source_id for s in grid.at(0, 0).subtrajectories}
+    for cell in grid.cells:
+        full = assess(cell.point, trajs, eps)
+        assert cell.subtrajectories == full.subtrajectories
+        assert cell.clusters.assignment == full.clusters.assignment
+        assert (cell.kind, cell.significance) == (full.kind, full.significance)
+
+
 def test_cluster_count_changes_only_at_critical_moments():
     # along a dense placement path the cluster count may only change where
     # consecutive endpoint coordinates sit exactly eps apart or where the
