@@ -32,7 +32,6 @@ from .placement import (
     TranslationVectorSet,
     build_placement_arrangement,
     collect_S,
-    f_value,
     pair_intersections,
     translation_vectors,
 )

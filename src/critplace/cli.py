@@ -130,10 +130,7 @@ def _cmd_oracle_check(args) -> int:
     shape = doc["shape"]
     delta = args.delta if args.delta is not None else 2.0 * args.resolution
 
-    if scene.lines:
-        arr = build_line_arrangement(scene.lines)
-    else:
-        arr = build_segment_arrangement(scene.segments)
+    # the curve checks see the primitives `critical` built its arrangement from
     pa = PlacementArrangement(
         shape=shape,
         eps=args.eps,
@@ -142,7 +139,7 @@ def _cmd_oracle_check(args) -> int:
         domain=domain,
         counts=doc["counts"],
         warnings=[],
-        arrangement=arr,
+        primitives=enforce_general_position(scene.lines) if scene.lines else scene.segments,
         vectors=translation_vectors(shape, args.eps),
     )
     scan = dense_scan(prims, shape, args.eps, domain, args.resolution)

@@ -24,6 +24,8 @@ from .geom import (
 
 # Side ratio of the inner square a salient subtrajectory must reach.
 INNER_RATIO = 0.5
+# Most grid points grid_scan assesses; each keeps an assessment in memory.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -282,8 +284,16 @@ def grid_scan(
     for name, value in (("eps", eps), ("spacing", spacing)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    nx = max(1, int(math.floor(bbox.width / spacing)) + 1)
-    ny = max(1, int(math.floor(bbox.height / spacing)) + 1)
+    # capped before int(): a tiny spacing overflows the step count to inf
+    nx, ny = (
+        max(1, int(math.floor(min(side / spacing, MAX_GRID_POINTS))) + 1)
+        for side in (bbox.width, bbox.height)
+    )
+    if nx * ny > MAX_GRID_POINTS:
+        raise ValueError(
+            f"spacing {spacing} gives more than {MAX_GRID_POINTS} grid points "
+            f"over a {bbox.width:g} x {bbox.height:g} box"
+        )
     # a trajectory whose vertices all lie more than 1e-9 past one side of the
     # closed square has no edge the closed clip (pad 1e-12) keeps: no salient piece
     reach = 0.5 + 1e-9

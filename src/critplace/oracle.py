@@ -511,50 +511,6 @@ def _pair_report(compsA, compsB, eps: float, perimeter: float) -> bool:
     return False
 
 
-def dense_scan_naive(
-    primitives: list,
-    shape: str,
-    eps: float,
-    bbox: BBox,
-    resolution: float,
-) -> np.ndarray:
-    """Reference implementation of dense_scan built on boundary_gaps."""
-    nx = max(2, int(math.floor(bbox.width / resolution)) + 1)
-    ny = max(2, int(math.floor(bbox.height / resolution)) + 1)
-    P = shape_perimeter(shape)
-    profiles: dict[tuple[int, int], list] = {}
-    for i in range(nx):
-        for j in range(ny):
-            c = Point(bbox.xmin + i * resolution, bbox.ymin + j * resolution)
-            prof = boundary_gaps(c, primitives, shape)
-            profiles[(i, j)] = [
-                (
-                    c.bound_ids[0] if c.bound_ids else -1,
-                    c.bound_ids[1] if c.bound_ids else -1,
-                    c.mid_s,
-                    c.length,
-                )
-                for c in prof.components
-                if c.bound_ids is not None
-            ]
-    pts = []
-    for i in range(nx):
-        for j in range(ny):
-            for di, dj in ((1, 0), (0, 1)):
-                if i + di >= nx or j + dj >= ny:
-                    continue
-                if _pair_report(profiles[(i, j)], profiles[(i + di, j + dj)], eps, P):
-                    pts.append(
-                        (
-                            bbox.xmin + (i + 0.5 * di) * resolution,
-                            bbox.ymin + (j + 0.5 * dj) * resolution,
-                        )
-                    )
-    if not pts:
-        return np.zeros((0, 2))
-    return np.unique(np.array(pts), axis=0)
-
-
 # ---------------------------------------------------------------------------
 # cross-checking curves against the scan
 # ---------------------------------------------------------------------------

@@ -52,10 +52,6 @@ from .oracle import is_epsilon_placement
 SQRT2 = math.sqrt(2.0)
 
 
-class Unbounded(GeometryError):
-    pass
-
-
 class EpsilonTooLarge(GeometryError):
     pass
 
@@ -235,10 +231,6 @@ class DegenerateStrip:
     representative: CurvePiece
 
 
-# ---------------------------------------------------------------------------
-# the distance-sum function f
-# ---------------------------------------------------------------------------
-
 _QUADRANT_LOOK = {
     "upper_right": (-1.0, -1.0),
     "upper_left": (1.0, -1.0),
@@ -247,31 +239,6 @@ _QUADRANT_LOOK = {
 }
 
 _CORNER_QUADRANT = {"tr": "upper_right", "tl": "upper_left", "bl": "lower_left", "br": "lower_right"}
-
-
-def f_value(a: Point, lines: list[Line], quadrant: str) -> float:
-    """Sum of the nearest-wall distances along the quadrant's two axis rays.
-
-    For the upper-right quadrant this is the distance to the closest line
-    hit leftward plus the distance to the closest line hit downward; other
-    quadrants mirror the directions.  Raises Unbounded when a required
-    direction has no line.
-    """
-    look_x, look_y = _QUADRANT_LOOK[quadrant]
-    best_x = math.inf
-    best_y = math.inf
-    for ln in lines:
-        if abs(ln.a) > 1e-12:
-            t = (ln.x_at(a.y) - a.x) * look_x
-            if t > 1e-12:
-                best_x = min(best_x, t)
-        if abs(ln.b) > 1e-12:
-            t = (ln.y_at(a.x) - a.y) * look_y
-            if t > 1e-12:
-                best_y = min(best_y, t)
-    if not (math.isfinite(best_x) and math.isfinite(best_y)):
-        raise Unbounded(f"no line in a required direction from {a}")
-    return best_x + best_y
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +255,16 @@ class _ProfileStrip:
 
 @dataclass
 class _Region:
-    """Convex region plus the walls of its owning cell (rays are transparent)."""
+    """Convex region plus the walls of its owning cell (rays are transparent).
+
+    `wall_array` holds the walls as rows x0, y0, x1, y1; the regions of one
+    cell share it.
+    """
 
     cell_id: int
     polygon: np.ndarray  # (m, 2) CCW
     walls: list[tuple[Point, Point, Tag]]
+    wall_array: np.ndarray
     profiles: dict = field(default_factory=dict)
 
     def profile(self, direction: str) -> list[_ProfileStrip]:
@@ -301,14 +273,29 @@ class _Region:
         return self.profiles[direction]
 
 
-def _region_span(poly: np.ndarray, axis: int, value: float) -> tuple[float, float] | None:
+@dataclass
+class _CellRegions:
+    """The convex regions of one cell, and its side windows, which every side
+    vector of the cell reuses."""
+
+    regions: list[_Region]
+    windows: dict = field(default_factory=dict)
+
+    def side_windows(self, orientation: str, eps: float):
+        key = (orientation, eps)
+        if key not in self.windows:
+            self.windows[key] = _cross_section_solutions(self.regions, orientation, eps)
+        return self.windows[key]
+
+
+def _region_span(pts: list, axis: int, value: float) -> tuple[float, float] | None:
     """Cross-section interval of a convex polygon at axis == value."""
     other = 1 - axis
     hits: list[float] = []
-    m = len(poly)
+    m = len(pts)
     for i in range(m):
-        a = poly[i]
-        b = poly[(i + 1) % m]
+        a = pts[i]
+        b = pts[(i + 1) % m]
         va, vb = a[axis], b[axis]
         if (va > value) == (vb > value):
             continue
@@ -324,97 +311,107 @@ def _direction_profile(region: _Region, direction: str) -> list[_ProfileStrip]:
     axis = 1 if direction in ("left", "right") else 0
     vals = sorted({float(v[axis]) for v in poly})
     lo_all, hi_all = vals[0], vals[-1]
-    for p0, p1, _tag in region.walls:
-        for w in ((p0.y, p0.x), (p1.y, p1.x)) if axis == 1 else ((p0.x, p0.y), (p1.x, p1.y)):
-            if lo_all + 1e-12 < w[0] < hi_all - 1e-12:
-                vals.append(w[0])
+    ends = region.wall_array[:, [1, 3] if axis == 1 else [0, 2]].ravel()
+    vals.extend(ends[(lo_all + 1e-12 < ends) & (ends < hi_all - 1e-12)])
     vals = sorted(set(round(v, 12) for v in vals))
     sign = -1.0 if direction in ("left", "down") else 1.0
     dvec = (sign, 0.0) if axis == 1 else (0.0, sign)
 
-    strips: list[_ProfileStrip] = []
+    pts = poly.tolist()
+    bounds: list[tuple[float, float]] = []
+    origins: list[tuple[float, float]] = []
     for lo, hi in zip(vals, vals[1:]):
         if hi - lo <= 1e-12:
             continue
         mid = 0.5 * (lo + hi)
-        span = _region_span(poly, axis, mid)
+        span = _region_span(pts, axis, mid)
         if span is None:
             continue
         sx = 0.5 * (span[0] + span[1])
-        origin = (sx, mid) if axis == 1 else (mid, sx)
-        hit = _first_wall_hit(origin, dvec, region.walls)
-        if hit is None or hit[1][0] == "clip":
+        bounds.append((lo, hi))
+        origins.append((sx, mid) if axis == 1 else (mid, sx))
+    if not origins:
+        return []
+
+    strips: list[_ProfileStrip] = []
+    for (lo, hi), k in zip(bounds, _first_wall_hits(np.array(origins), dvec, region.wall_array)):
+        if k < 0 or region.walls[k][2][0] == "clip":
             strips.append(_ProfileStrip(lo, hi, True, None))
         else:
-            p0, p1 = hit[2]
+            p0, p1, _tag = region.walls[k]
             ln = Line(p0, p1)
             strips.append(_ProfileStrip(lo, hi, False, (ln.a, ln.b, ln.c)))
     return strips
 
 
-def _first_wall_hit(origin, dvec, walls):
-    ox, oy = origin
+def _first_wall_hits(origins: np.ndarray, dvec, walls: np.ndarray) -> list[int]:
+    """Index of the wall each ray origins[i] + t*dvec (t > 0) meets first, or
+    -1; of walls met at the same t the first in the array wins."""
     dx, dy = dvec
-    best = None
-    for p0, p1, tag in walls:
-        ex, ey = p1.x - p0.x, p1.y - p0.y
-        det = dx * ey - dy * ex
-        if abs(det) <= 1e-14:
-            continue
-        rx, ry = p0.x - ox, p0.y - oy
+    ex = walls[:, 2] - walls[:, 0]
+    ey = walls[:, 3] - walls[:, 1]
+    det = dx * ey - dy * ex
+    rx = walls[:, 0] - origins[:, :1]
+    ry = walls[:, 1] - origins[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
         t = (rx * ey - ry * ex) / det
         u = (dy * rx - dx * ry) / det
-        if t > 1e-12 and -1e-9 <= u <= 1.0 + 1e-9:
-            if best is None or t < best[0]:
-                best = (t, tag, (p0, p1))
-    return best
+    ok = (np.abs(det) > 1e-14) & (t > 1e-12) & (-1e-9 <= u) & (u <= 1.0 + 1e-9)
+    t = np.where(ok, t, np.inf)
+    first = np.argmin(t, axis=1)
+    return np.where(ok[np.arange(len(first)), first], first, -1).tolist()
 
 
 # ---------------------------------------------------------------------------
 # corner-vector level chains
 # ---------------------------------------------------------------------------
 
-def _clip_convex(poly: np.ndarray, axis: int, lo: float, hi: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon to a coordinate slab."""
-    def clip_half(pts, keep):
-        out = []
-        m = len(pts)
-        for i in range(m):
-            a, b = pts[i], pts[(i + 1) % m]
-            ka, kb = keep(a), keep(b)
-            if ka >= -1e-12:
-                out.append(a)
-            if (ka > 1e-12 and kb < -1e-12) or (ka < -1e-12 and kb > 1e-12):
-                t = ka / (ka - kb)
-                out.append(a + t * (b - a))
-        return out
+def _clip_half(pts: list, k: list) -> list:
+    """The part of a convex polygon where k >= 0, k given at each vertex."""
+    if min(k) >= -1e-12:
+        return pts
+    out = []
+    m = len(pts)
+    for i in range(m):
+        ka, kb = k[i], k[(i + 1) % m]
+        if ka >= -1e-12:
+            out.append(pts[i])
+        if (ka > 1e-12 and kb < -1e-12) or (ka < -1e-12 and kb > 1e-12):
+            (ax, ay), (bx, by) = pts[i], pts[(i + 1) % m]
+            t = ka / (ka - kb)
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+    return out
 
-    pts = [np.asarray(p, dtype=float) for p in poly]
-    pts = clip_half(pts, lambda p: p[axis] - lo)
+
+def _clip_convex(pts: list, axis: int, lo: float, hi: float) -> list:
+    """Sutherland-Hodgman clip of a convex polygon (a list of (x, y)) to a
+    coordinate slab; fewer than three points means empty."""
+    pts = _clip_half(pts, [p[axis] - lo for p in pts])
     if len(pts) < 3:
-        return np.zeros((0, 2))
-    pts = clip_half(pts, lambda p: hi - p[axis])
-    if len(pts) < 3:
-        return np.zeros((0, 2))
-    return np.array(pts)
+        return []
+    pts = _clip_half(pts, [hi - p[axis] for p in pts])
+    return pts if len(pts) >= 3 else []
 
 
-def _level_segment_in_poly(poly: np.ndarray, P: float, Q: float, R: float, level: float):
+def _level_segment_in_poly(poly: list, P: float, Q: float, R: float, level: float):
     """Clip the line P*x + Q*y + R = level to a convex polygon."""
-    g = P * poly[:, 0] + Q * poly[:, 1] + R - level
-    pts: list[np.ndarray] = []
+    pts = []
     m = len(poly)
+    g = [P * x + Q * y + R - level for x, y in poly]
     for i in range(m):
         gi, gj = g[i], g[(i + 1) % m]
         if abs(gi) <= 1e-12:
             pts.append(poly[i])
         if (gi > 1e-12 and gj < -1e-12) or (gi < -1e-12 and gj > 1e-12):
             t = gi / (gi - gj)
-            pts.append(poly[i] + t * (poly[(i + 1) % m] - poly[i]))
+            (ax, ay), (bx, by) = poly[i], poly[(i + 1) % m]
+            pts.append((ax + t * (bx - ax), ay + t * (by - ay)))
     if len(pts) < 2:
         return None
     arr = np.array(pts)
     d = np.array([-Q, P])
+    # numpy's product rounds differently from x*(-Q) + y*P, and it picks the
+    # ends that are kept, so it stays a numpy product
     proj = arr @ d
     i0, i1 = int(np.argmin(proj)), int(np.argmax(proj))
     if proj[i1] - proj[i0] <= 1e-12 * max(1.0, abs(proj[i0])):
@@ -423,11 +420,25 @@ def _level_segment_in_poly(poly: np.ndarray, P: float, Q: float, R: float, level
 
 
 def _corner_level_segments(region: _Region, look_x: float, look_y: float, eps: float):
-    """Exact level-set segments of the distance-sum inside one region."""
-    ph = region.profile("left" if look_x < 0 else "right")
-    pv = region.profile("down" if look_y < 0 else "up")
+    """Exact level-set segments of the distance-sum inside one region.
+
+    Each horizontal profile strip is clipped to its y-band once; the band is
+    then clipped to the vertical strips that reach its x-range.  A strip more
+    than 1e-12 past the band's x-range would clip it to nothing.
+    """
+    verticals = []
+    for sv in region.profile("down" if look_y < 0 else "up"):
+        if sv.open_side:
+            continue
+        a2, b2, c2 = sv.line
+        if abs(b2) <= 1e-12:
+            continue
+        verticals.append((sv.lo, sv.hi, -look_y * a2 / b2, -look_y, look_y * c2 / b2))
+    if not verticals:
+        return []
+    poly = region.polygon.tolist()
     segs = []
-    for sh in ph:
+    for sh in region.profile("left" if look_x < 0 else "right"):
         if sh.open_side:
             continue
         a1, b1, c1 = sh.line
@@ -437,22 +448,18 @@ def _corner_level_segments(region: _Region, look_x: float, look_y: float, eps: f
         hP = -look_x
         hQ = -look_x * b1 / a1
         hR = look_x * c1 / a1
-        for sv in pv:
-            if sv.open_side:
+        band = _clip_convex(poly, 1, sh.lo, sh.hi)
+        if not band:
+            continue
+        xmin = min(p[0] for p in band)
+        xmax = max(p[0] for p in band)
+        for lo, hi, vP, vQ, vR in verticals:
+            if xmax - lo < -1e-12 or hi - xmin < -1e-12:
                 continue
-            a2, b2, c2 = sv.line
-            if abs(b2) <= 1e-12:
+            piece = _clip_convex(band, 0, lo, hi)
+            if not piece:
                 continue
-            vP = -look_y * a2 / b2
-            vQ = -look_y
-            vR = look_y * c2 / b2
-            band = _clip_convex(region.polygon, 1, sh.lo, sh.hi)
-            if len(band) < 3:
-                continue
-            band = _clip_convex(band, 0, sv.lo, sv.hi)
-            if len(band) < 3:
-                continue
-            hit = _level_segment_in_poly(band, hP + vP, hQ + vQ, hR + vR, eps)
+            hit = _level_segment_in_poly(piece, hP + vP, hQ + vQ, hR + vR, eps)
             if hit is not None:
                 segs.append(hit)
     return segs
@@ -537,12 +544,12 @@ def _chain_is_convex(chain, tol: float = 1e-9) -> bool:
     return True
 
 
-def corner_curve(cell_id: int, regions: list[_Region], tau: TranslationVector, eps) -> list[CriticalCurve]:
+def corner_curve(cell_id: int, cell: _CellRegions, tau: TranslationVector, eps) -> list[CriticalCurve]:
     """Level-set chains for a corner vector inside one cell, in placement space."""
     e = float(eps)
     look_x, look_y = _QUADRANT_LOOK[_CORNER_QUADRANT[tau.label]]
     segs = []
-    for region in regions:
+    for region in cell.regions:
         segs.extend(_corner_level_segments(region, look_x, look_y, e))
     curves = []
     for chain in _stitch_chains(segs):
@@ -616,7 +623,7 @@ def _cross_section_solutions(regions: list[_Region], orientation: str, eps: floa
 
 def edge_curve(
     cell_id: int,
-    regions: list[_Region],
+    cell: _CellRegions,
     tau: TranslationVector,
     eps,
     warnings: list[DegenerateStrip] | None = None,
@@ -625,7 +632,7 @@ def edge_curve(
     e = float(eps)
     horizontal = tau.label in ("top", "bottom")
     orientation = "horizontal" if horizontal else "vertical"
-    solutions, degenerate = _cross_section_solutions(regions, orientation, e)
+    solutions, degenerate = cell.side_windows(orientation, e)
     if warnings is not None:
         for lo, hi in degenerate:
             mid = 0.5 * (lo + hi)
@@ -658,13 +665,15 @@ def edge_curve(
 # per-cell regions and the union over cells
 # ---------------------------------------------------------------------------
 
-def cell_regions(arrangement: Arrangement, cell_id: int) -> list[_Region]:
+def cell_regions(arrangement: Arrangement, cell_id: int) -> _CellRegions:
     cell = arrangement.cells[cell_id]
     walls = arrangement.cell_walls(cell_id)
+    wall_array = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _tag in walls], dtype=float)
     if arrangement.kind == "lines" or (cell.convex and not cell.holes):
-        return [_Region(cell_id, arrangement.cell_polygon(cell_id), walls)]
-    subs = convex_decompose(cell, arrangement)
-    return [_Region(cell_id, s.polygon, walls) for s in subs]
+        polygons = [arrangement.cell_polygon(cell_id)]
+    else:
+        polygons = [s.polygon for s in convex_decompose(cell, arrangement)]
+    return _CellRegions([_Region(cell_id, poly, walls, wall_array) for poly in polygons])
 
 
 def _cell_reaches(arrangement: Arrangement, cell_id: int, domain: BBox, reach: float) -> bool:
@@ -1018,8 +1027,9 @@ class PlacementArrangement:
     domain: BBox
     counts: dict
     warnings: list
-    arrangement: Arrangement
+    primitives: list
     vectors: TranslationVectorSet
+    arrangement: Arrangement | None = None  # None when the curves were read back from a file
 
     @property
     def complexity(self) -> int:
@@ -1042,7 +1052,7 @@ class PlacementArrangement:
         the curve's own fixed boundary point (which pins the witness to the
         owning cell); contact curves need their contact condition.
         """
-        prims = self.arrangement.primitives
+        prims = self.primitives
         if curve.kind == "contact":
             return _contact_holds(center, prims, self.shape)
         ok, witnesses = is_epsilon_placement(center, prims, self.shape, self.eps)
@@ -1146,7 +1156,8 @@ def build_placement_arrangement(
     )
     counts = _overlay_counts(curves + translates, domain)
     return PlacementArrangement(
-        shape, e, curves, translates, domain, counts, warnings, arrangement, vectors
+        shape, e, curves, translates, domain, counts, warnings, arrangement.primitives, vectors,
+        arrangement,
     )
 
 

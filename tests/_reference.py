@@ -1,0 +1,329 @@
+"""Reference implementations that tests compare the program against.
+
+* `f_value`: the distance sum of the corner-vector level sets, evaluated
+  directly from the lines.
+* `dense_scan_naive`: the dense placement scan built on `boundary_gaps`.
+* The square's curve construction as it was before the program clipped each
+  profile strip once and cast its wall rays in numpy: profiles cast one ray
+  per strip in a loop over the walls, and every (horizontal strip, vertical
+  strip) pair clips the region anew.  `reference_collect` returns what
+  `collect_S` returns for square vectors, and must return it bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from critplace.arrangement import Arrangement, BBox, convex_decompose
+from critplace.geom import GeometryError, Line, Point, shape_perimeter
+from critplace.oracle import _pair_report, boundary_gaps
+from critplace.placement import (
+    _CORNER_QUADRANT,
+    _QUADRANT_LOOK,
+    CriticalCurve,
+    TranslationVector,
+    _CellRegions,
+    _cell_reaches,
+    _chain_is_convex,
+    _ProfileStrip,
+    _stitch_chains,
+    clip_curve_to_box,
+    edge_curve,
+    seg_piece,
+)
+
+
+class Unbounded(GeometryError):
+    pass
+
+
+def f_value(a: Point, lines: list[Line], quadrant: str) -> float:
+    """Sum of the nearest-wall distances along the quadrant's two axis rays.
+
+    For the upper-right quadrant this is the distance to the closest line
+    hit leftward plus the distance to the closest line hit downward; other
+    quadrants mirror the directions.  Raises Unbounded when a required
+    direction has no line.
+    """
+    look_x, look_y = _QUADRANT_LOOK[quadrant]
+    best_x = math.inf
+    best_y = math.inf
+    for ln in lines:
+        if abs(ln.a) > 1e-12:
+            t = (ln.x_at(a.y) - a.x) * look_x
+            if t > 1e-12:
+                best_x = min(best_x, t)
+        if abs(ln.b) > 1e-12:
+            t = (ln.y_at(a.x) - a.y) * look_y
+            if t > 1e-12:
+                best_y = min(best_y, t)
+    if not (math.isfinite(best_x) and math.isfinite(best_y)):
+        raise Unbounded(f"no line in a required direction from {a}")
+    return best_x + best_y
+
+
+def dense_scan_naive(
+    primitives: list,
+    shape: str,
+    eps: float,
+    bbox: BBox,
+    resolution: float,
+) -> np.ndarray:
+    """Reference implementation of dense_scan built on boundary_gaps."""
+    nx = max(2, int(math.floor(bbox.width / resolution)) + 1)
+    ny = max(2, int(math.floor(bbox.height / resolution)) + 1)
+    P = shape_perimeter(shape)
+    profiles: dict[tuple[int, int], list] = {}
+    for i in range(nx):
+        for j in range(ny):
+            c = Point(bbox.xmin + i * resolution, bbox.ymin + j * resolution)
+            prof = boundary_gaps(c, primitives, shape)
+            profiles[(i, j)] = [
+                (
+                    c.bound_ids[0] if c.bound_ids else -1,
+                    c.bound_ids[1] if c.bound_ids else -1,
+                    c.mid_s,
+                    c.length,
+                )
+                for c in prof.components
+                if c.bound_ids is not None
+            ]
+    pts = []
+    for i in range(nx):
+        for j in range(ny):
+            for di, dj in ((1, 0), (0, 1)):
+                if i + di >= nx or j + dj >= ny:
+                    continue
+                if _pair_report(profiles[(i, j)], profiles[(i + di, j + dj)], eps, P):
+                    pts.append(
+                        (
+                            bbox.xmin + (i + 0.5 * di) * resolution,
+                            bbox.ymin + (j + 0.5 * dj) * resolution,
+                        )
+                    )
+    if not pts:
+        return np.zeros((0, 2))
+    return np.unique(np.array(pts), axis=0)
+
+
+# ---------------------------------------------------------------------------
+# square curves, one ray and one region clip at a time
+# ---------------------------------------------------------------------------
+
+class ReferenceRegion:
+    """Convex region plus the walls of its owning cell, profiled by loops."""
+
+    def __init__(self, cell_id: int, polygon: np.ndarray, walls):
+        self.cell_id = cell_id
+        self.polygon = polygon
+        self.walls = walls
+        self.profiles: dict = {}
+
+    def profile(self, direction: str) -> list[_ProfileStrip]:
+        if direction not in self.profiles:
+            self.profiles[direction] = _direction_profile(self, direction)
+        return self.profiles[direction]
+
+
+def reference_regions(arrangement: Arrangement, cell_id: int) -> list[ReferenceRegion]:
+    cell = arrangement.cells[cell_id]
+    walls = arrangement.cell_walls(cell_id)
+    if arrangement.kind == "lines" or (cell.convex and not cell.holes):
+        return [ReferenceRegion(cell_id, arrangement.cell_polygon(cell_id), walls)]
+    return [ReferenceRegion(cell_id, s.polygon, walls) for s in convex_decompose(cell, arrangement)]
+
+
+def _region_span(poly: np.ndarray, axis: int, value: float) -> tuple[float, float] | None:
+    """Cross-section interval of a convex polygon at axis == value."""
+    other = 1 - axis
+    hits: list[float] = []
+    m = len(poly)
+    for i in range(m):
+        a = poly[i]
+        b = poly[(i + 1) % m]
+        va, vb = a[axis], b[axis]
+        if (va > value) == (vb > value):
+            continue
+        t = (value - va) / (vb - va)
+        hits.append(a[other] + t * (b[other] - a[other]))
+    if len(hits) < 2:
+        return None
+    return (min(hits), max(hits))
+
+
+def _direction_profile(region: ReferenceRegion, direction: str) -> list[_ProfileStrip]:
+    poly = region.polygon
+    axis = 1 if direction in ("left", "right") else 0
+    vals = sorted({float(v[axis]) for v in poly})
+    lo_all, hi_all = vals[0], vals[-1]
+    for p0, p1, _tag in region.walls:
+        for w in ((p0.y, p0.x), (p1.y, p1.x)) if axis == 1 else ((p0.x, p0.y), (p1.x, p1.y)):
+            if lo_all + 1e-12 < w[0] < hi_all - 1e-12:
+                vals.append(w[0])
+    vals = sorted(set(round(v, 12) for v in vals))
+    sign = -1.0 if direction in ("left", "down") else 1.0
+    dvec = (sign, 0.0) if axis == 1 else (0.0, sign)
+
+    strips: list[_ProfileStrip] = []
+    for lo, hi in zip(vals, vals[1:]):
+        if hi - lo <= 1e-12:
+            continue
+        mid = 0.5 * (lo + hi)
+        span = _region_span(poly, axis, mid)
+        if span is None:
+            continue
+        sx = 0.5 * (span[0] + span[1])
+        origin = (sx, mid) if axis == 1 else (mid, sx)
+        hit = _first_wall_hit(origin, dvec, region.walls)
+        if hit is None or hit[1][0] == "clip":
+            strips.append(_ProfileStrip(lo, hi, True, None))
+        else:
+            p0, p1 = hit[2]
+            ln = Line(p0, p1)
+            strips.append(_ProfileStrip(lo, hi, False, (ln.a, ln.b, ln.c)))
+    return strips
+
+
+def _first_wall_hit(origin, dvec, walls):
+    ox, oy = origin
+    dx, dy = dvec
+    best = None
+    for p0, p1, tag in walls:
+        ex, ey = p1.x - p0.x, p1.y - p0.y
+        det = dx * ey - dy * ex
+        if abs(det) <= 1e-14:
+            continue
+        rx, ry = p0.x - ox, p0.y - oy
+        t = (rx * ey - ry * ex) / det
+        u = (dy * rx - dx * ry) / det
+        if t > 1e-12 and -1e-9 <= u <= 1.0 + 1e-9:
+            if best is None or t < best[0]:
+                best = (t, tag, (p0, p1))
+    return best
+
+
+def _clip_convex(poly: np.ndarray, axis: int, lo: float, hi: float) -> np.ndarray:
+    """Sutherland-Hodgman clip of a convex polygon to a coordinate slab."""
+    def clip_half(pts, keep):
+        out = []
+        m = len(pts)
+        for i in range(m):
+            a, b = pts[i], pts[(i + 1) % m]
+            ka, kb = keep(a), keep(b)
+            if ka >= -1e-12:
+                out.append(a)
+            if (ka > 1e-12 and kb < -1e-12) or (ka < -1e-12 and kb > 1e-12):
+                t = ka / (ka - kb)
+                out.append(a + t * (b - a))
+        return out
+
+    pts = [np.asarray(p, dtype=float) for p in poly]
+    pts = clip_half(pts, lambda p: p[axis] - lo)
+    if len(pts) < 3:
+        return np.zeros((0, 2))
+    pts = clip_half(pts, lambda p: hi - p[axis])
+    if len(pts) < 3:
+        return np.zeros((0, 2))
+    return np.array(pts)
+
+
+def _level_segment_in_poly(poly: np.ndarray, P: float, Q: float, R: float, level: float):
+    """Clip the line P*x + Q*y + R = level to a convex polygon."""
+    g = P * poly[:, 0] + Q * poly[:, 1] + R - level
+    pts: list[np.ndarray] = []
+    m = len(poly)
+    for i in range(m):
+        gi, gj = g[i], g[(i + 1) % m]
+        if abs(gi) <= 1e-12:
+            pts.append(poly[i])
+        if (gi > 1e-12 and gj < -1e-12) or (gi < -1e-12 and gj > 1e-12):
+            t = gi / (gi - gj)
+            pts.append(poly[i] + t * (poly[(i + 1) % m] - poly[i]))
+    if len(pts) < 2:
+        return None
+    arr = np.array(pts)
+    d = np.array([-Q, P])
+    proj = arr @ d
+    i0, i1 = int(np.argmin(proj)), int(np.argmax(proj))
+    if proj[i1] - proj[i0] <= 1e-12 * max(1.0, abs(proj[i0])):
+        return None
+    return (arr[i0], arr[i1])
+
+
+def _corner_level_segments(region: ReferenceRegion, look_x: float, look_y: float, eps: float):
+    """Exact level-set segments of the distance-sum inside one region."""
+    ph = region.profile("left" if look_x < 0 else "right")
+    pv = region.profile("down" if look_y < 0 else "up")
+    segs = []
+    for sh in ph:
+        if sh.open_side:
+            continue
+        a1, b1, c1 = sh.line
+        # horizontal wall distance: look left => x - (c1 - b1*y)/a1
+        if abs(a1) <= 1e-12:
+            continue
+        hP = -look_x
+        hQ = -look_x * b1 / a1
+        hR = look_x * c1 / a1
+        for sv in pv:
+            if sv.open_side:
+                continue
+            a2, b2, c2 = sv.line
+            if abs(b2) <= 1e-12:
+                continue
+            vP = -look_y * a2 / b2
+            vQ = -look_y
+            vR = look_y * c2 / b2
+            band = _clip_convex(region.polygon, 1, sh.lo, sh.hi)
+            if len(band) < 3:
+                continue
+            band = _clip_convex(band, 0, sv.lo, sv.hi)
+            if len(band) < 3:
+                continue
+            hit = _level_segment_in_poly(band, hP + vP, hQ + vQ, hR + vR, eps)
+            if hit is not None:
+                segs.append(hit)
+    return segs
+
+
+def corner_curve(cell_id: int, regions: list[ReferenceRegion], tau: TranslationVector, eps) -> list[CriticalCurve]:
+    """Level-set chains for a corner vector inside one cell, in placement space."""
+    e = float(eps)
+    look_x, look_y = _QUADRANT_LOOK[_CORNER_QUADRANT[tau.label]]
+    segs = []
+    for region in regions:
+        segs.extend(_corner_level_segments(region, look_x, look_y, e))
+    curves = []
+    for chain in _stitch_chains(segs):
+        pieces = [
+            seg_piece(a[0] - tau.dx, a[1] - tau.dy, b[0] - tau.dx, b[1] - tau.dy)
+            for a, b in zip(chain, chain[1:])
+            if math.hypot(b[0] - a[0], b[1] - a[1]) > 1e-12
+        ]
+        if pieces:
+            curves.append(CriticalCurve(cell_id, tau, pieces, _chain_is_convex(chain)))
+    return curves
+
+
+def reference_collect(
+    tau: TranslationVector,
+    arrangement: Arrangement,
+    eps: float,
+    domain: BBox | None = None,
+    warnings: list | None = None,
+) -> list[CriticalCurve]:
+    """`collect_S` for a square vector, with nothing cached between vectors."""
+    curves: list[CriticalCurve] = []
+    for cell in arrangement.cells:
+        if domain is not None and not _cell_reaches(arrangement, cell.id, domain, 1.0 + eps):
+            continue
+        regions = reference_regions(arrangement, cell.id)
+        if tau.kind == "corner":
+            curves.extend(corner_curve(cell.id, regions, tau, eps))
+        else:
+            curves.extend(edge_curve(cell.id, _CellRegions(regions), tau, eps, warnings))
+    if domain is not None:
+        curves = [c for c in (clip_curve_to_box(c, domain) for c in curves) if c]
+    return curves

@@ -23,12 +23,7 @@ from critplace.generators import cross_trajectories, lower_bound_lines, random_l
 from critplace.geom import CIRCLE, SQUARE, Line, Point, Segment
 from critplace.junctions import assess, grid_scan, top_k
 from critplace.oracle import boundary_gaps, dense_scan, is_epsilon_placement, verify
-from critplace.placement import (
-    Unbounded,
-    build_placement_arrangement,
-    f_value,
-    pair_intersections,
-)
+from critplace.placement import build_placement_arrangement, pair_intersections
 from critplace.sceneio import (
     Scene,
     emit_result,
@@ -37,6 +32,8 @@ from critplace.sceneio import (
     result_from_junctions,
     result_from_placement,
 )
+
+from _reference import Unbounded, f_value
 
 EPS_VERIFY = 1e-6
 

@@ -158,6 +158,7 @@ def test_cli_junctions(tmp_path):
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "-1"), ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
     ("--spacing", "nan"), ("--spacing", "inf"),
+    ("--spacing", "1e-5"),  # 2.5e11 grid points, above the cap
 ])
 def test_cli_junctions_rejects_bad_eps_and_spacing(tmp_path, capsys, flag, value):
     args = {"--eps": "0.3", "--spacing": "0.25", flag: value}

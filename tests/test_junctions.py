@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
 from critplace.arrangement import BBox
 from critplace.generators import cross_trajectories
 from critplace.geom import SQUARE, PerimeterCoord, Point, Polyline
+import critplace.junctions
 from critplace.junctions import (
     assess,
     epsilon_cluster,
@@ -177,6 +179,20 @@ def test_grid_scan_blob_and_decay():
         if dropped:
             assert v <= peak
     assert sig[-1] <= sig[0]
+
+
+def test_grid_scan_refuses_a_grid_above_the_cap(monkeypatch):
+    def no_assessment(*_args, **_kwargs):
+        raise AssertionError("a refused grid assesses no point")
+
+    monkeypatch.setattr(critplace.junctions, "MAX_GRID_POINTS", 12)
+    box = BBox(0.0, 0.0, 0.75, 1.0)  # 4 x 5 points at spacing 0.25
+    grid = grid_scan([], 0.3, BBox(0.0, 0.0, 0.5, 0.75), 0.25)  # 3 x 4: at the cap
+    assert grid.nx * grid.ny == 12
+    monkeypatch.setattr(critplace.junctions, "assess", no_assessment)
+    for spacing in (0.25, 1e-5, 1e-320):
+        with pytest.raises(ValueError, match="spacing"):
+            grid_scan([], 0.3, box, spacing)
 
 
 def test_grid_scan_translation_equivariance():

@@ -9,11 +9,12 @@ from critplace.geom import CIRCLE, SQUARE, Line, Point
 from critplace.oracle import (
     boundary_gaps,
     dense_scan,
-    dense_scan_naive,
     is_epsilon_placement,
     verify,
 )
 from critplace.placement import build_placement_arrangement
+
+from _reference import dense_scan_naive
 
 
 V_LINE = Line(Point(0, -1), Point(0, 1))

@@ -8,12 +8,22 @@ from critplace.generators import random_lines
 from critplace.geom import SQUARE, Line, Point, Segment
 from critplace.oracle import dense_scan, is_epsilon_placement, verify
 from critplace.placement import (
-    Unbounded,
+    _QUADRANT_LOOK,
+    _first_wall_hits,
     build_placement_arrangement,
+    cell_regions,
     collect_S,
-    f_value,
     pair_intersections,
     translation_vectors,
+)
+
+from _reference import (
+    Unbounded,
+    _clip_convex,
+    _first_wall_hit,
+    f_value,
+    reference_collect,
+    reference_regions,
 )
 
 X_AXIS = Line(Point(-1, 0), Point(1, 0))
@@ -267,6 +277,103 @@ def test_level_set_soundness_samples():
                 )
                 n_checked += 1
     assert n_checked > 50
+
+
+def _random_segments(n, seed, half=1.2):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        x0, y0 = rng.uniform(-half, half, 2)
+        length, ang = rng.uniform(0.3, 1.2), rng.uniform(0.0, 2.0 * math.pi)
+        x1, y1 = x0 + length * math.cos(ang), y0 + length * math.sin(ang)
+        if abs(x1) <= half and abs(y1) <= half:
+            out.append(Segment(Point(x0, y0), Point(x1, y1)))
+    return out
+
+
+def _disjoint_strip_pairs(arr) -> int:
+    """(horizontal, vertical) profile strip pairs of the corner chains where
+    the vertical strip lies outside the x-range of the horizontal strip's band."""
+    count = 0
+    for cell in arr.cells:
+        for region in reference_regions(arr, cell.id):
+            for look_x, look_y in _QUADRANT_LOOK.values():
+                verticals = [
+                    s for s in region.profile("down" if look_y < 0 else "up")
+                    if not s.open_side and abs(s.line[1]) > 1e-12
+                ]
+                for sh in region.profile("left" if look_x < 0 else "right"):
+                    if sh.open_side or abs(sh.line[0]) <= 1e-12:
+                        continue
+                    band = _clip_convex(region.polygon, 1, sh.lo, sh.hi)
+                    if len(band) >= 3:
+                        xs = band[:, 0]
+                        count += sum(xs.max() < s.lo or xs.min() > s.hi for s in verticals)
+    return count
+
+
+@pytest.mark.parametrize("prims, eps", [
+    # the outer cell has the segments as holes: convex_decompose splits it
+    (_random_segments(8, 3), 0.3),
+    (random_lines(5, 12), 0.3),
+    # a horizontal and a vertical line: walls parallel to profile rays
+    (random_lines(3, 4) + [Line(Point(-1, 0.1), Point(1, 0.1)), Line(Point(-0.2, -1), Point(-0.2, 1))], 0.25),
+    # a line of slope 1e10: vertical profile strips 1e-10 wide beside it,
+    # which a band must not be pruned against
+    (random_lines(3, 4) + [Line(Point(0.05, -1), Point(0.05 + 2e-10, 1))], 0.25),
+], ids=["segments-with-holes", "lines", "axis-parallel-lines", "steep-line"])
+def test_square_curves_equal_the_per_pair_reference(prims, eps):
+    if isinstance(prims[0], Segment):
+        arr = build_segment_arrangement(prims)
+        assert any(cell.holes for cell in arr.cells)
+    else:
+        arr = build_line_arrangement(prims)
+    pa = build_placement_arrangement(arr, eps, SQUARE, include_line_translates=True)
+    arr = pa.arrangement
+    assert _disjoint_strip_pairs(arr) > 0
+    for cell in arr.cells:
+        regions = cell_regions(arr, cell.id).regions
+        for new, ref in zip(regions, reference_regions(arr, cell.id), strict=True):
+            for direction in ("left", "right", "down", "up"):
+                assert new.profile(direction) == ref.profile(direction)
+    warnings = []
+    ref_curves = [
+        c for tau in pa.vectors.vectors
+        for c in reference_collect(tau, arr, eps, pa.domain, warnings)
+    ]
+    assert {c.vector.kind for c in ref_curves} == {"corner", "edge"}
+    # exact float equality of every piece, in the same order
+    assert pa.curves == ref_curves
+    assert pa.warnings == warnings
+
+
+def test_wall_rays_equal_the_looped_reference():
+    rng = np.random.default_rng(5)
+    ends = [Point(*p) for p in rng.uniform(-1.0, 1.0, (30, 2))]
+    walls = [(ends[i], ends[i + 1], ("w", i)) for i in range(29)]
+    walls += [
+        # a wall along the rays, and two pairs of walls that a ray through
+        # (0.3, 0.2) or (-0.4, 0.2) meets at one t: the first in order wins
+        (Point(-1.0, 0.2), Point(1.0, 0.2), ("w", 29)),
+        (Point(0.3, 0.2), Point(0.6, 0.9), ("w", 30)),
+        (Point(0.3, 0.2), Point(0.1, -0.7), ("w", 31)),
+        (Point(-0.4, -0.5), Point(-0.4, 0.8), ("w", 32)),
+        (Point(-0.4, 0.8), Point(-0.4, -0.5), ("w", 33)),
+    ]
+    array = np.array([(a.x, a.y, b.x, b.y) for a, b, _tag in walls])
+    # the last origin's ray passes 5e-10 above the end (-0.4, 0.8) of walls 32 and 33
+    origins = np.vstack(
+        [rng.uniform(-1.0, 1.0, (200, 2)), [(0.0, 0.2), (-0.1, 0.2), (0.0, 0.8 + 5e-10)]]
+    )
+    for dvec in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+        expected = []
+        for origin in origins.tolist():
+            hit = _first_wall_hit(origin, dvec, walls)
+            expected.append(-1 if hit is None else hit[1][1])
+        assert _first_wall_hits(origins, dvec, array) == expected
+    ties = array[29:]
+    assert _first_wall_hits(origins[-3:-1], (1.0, 0.0), ties) == [1, 1]
+    assert _first_wall_hits(origins[-3:], (-1.0, 0.0), ties) == [3, 3, 3]
 
 
 def test_pair_intersections_disjoint():
