@@ -99,6 +99,8 @@ class Arrangement:
     kind: str  # "lines" | "segments"
     primitives: list
     n_components: int = 1
+    # per cell: its boundary steps as (p0, p1, None) walls, built on first use
+    _walls_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic counts ------------------------------------------------------
 
@@ -176,7 +178,7 @@ class Arrangement:
         """A point strictly inside the cell (scanline midpoint, robust to holes)."""
         poly = self.cell_polygon(cell_id)
         ys = sorted(set(float(v[1]) for v in poly))
-        steps = [(a, b, None) for a, b in self.cell_boundary_steps(cell_id)]
+        steps = self._step_walls(cell_id)
         for frac in (0.5, 0.37, 0.61, 0.23, 0.79):
             for k in range(len(ys) - 1):
                 y = ys[k] + frac * (ys[k + 1] - ys[k])
@@ -187,9 +189,15 @@ class Arrangement:
                         return Point(x, y)
         raise GeometryError(f"no interior point found for cell {cell_id}")
 
+    def _step_walls(self, cell_id: int) -> list[tuple[Point, Point, None]]:
+        walls = self._walls_cache.get(cell_id)
+        if walls is None:
+            walls = [(a, b, None) for a, b in self.cell_boundary_steps(cell_id)]
+            self._walls_cache[cell_id] = walls
+        return walls
+
     def point_in_cell(self, pt: Point, cell_id: int, slack: float = 0.0) -> bool:
-        steps = [(a, b, None) for a, b in self.cell_boundary_steps(cell_id)]
-        return _point_in_walls(steps, pt.x, pt.y, slack=slack)
+        return _point_in_walls(self._step_walls(cell_id), pt.x, pt.y, slack=slack)
 
     def cell_area(self, cell_id: int) -> float:
         cell = self.cells[cell_id]

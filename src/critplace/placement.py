@@ -51,6 +51,21 @@ from .oracle import is_epsilon_placement
 
 SQRT2 = math.sqrt(2.0)
 
+# Tolerances of the arc-arc kernel, each with its reason.
+# One arc substituted into the other's implicit form with every coefficient
+# below this share of their scale lies within about 1e-9 of that ellipse,
+# far under the 1e-7 vertex snap: the two arcs share one ellipse.
+SAME_ELLIPSE_RTOL = 1e-9
+# A crossing may lie this far (in radians) outside an arc's parameter range,
+# the slack the segment kernels allow along their own parameter.
+ARC_PARAM_SLACK = 1e-9
+# Longest parameter stretch solved as one quartic in tan(phi/2): within one
+# radian |t| <= tan(1/4), where the substitution is well conditioned.
+ARC_CHUNK = 1.0
+# Bisection halvings of a root bracket: from |t| <= tan(1/4) this reaches
+# the spacing of doubles near 1.
+ROOT_BISECTIONS = 52
+
 
 class EpsilonTooLarge(GeometryError):
     pass
@@ -408,14 +423,15 @@ def _level_segment_in_poly(poly: list, P: float, Q: float, R: float, level: floa
             pts.append((ax + t * (bx - ax), ay + t * (by - ay)))
     if len(pts) < 2:
         return None
-    arr = np.array(pts)
-    d = np.array([-Q, P])
-    # numpy's product rounds differently from x*(-Q) + y*P, and it picks the
-    # ends that are kept, so it stays a numpy product
-    proj = arr @ d
-    i0, i1 = int(np.argmin(proj)), int(np.argmax(proj))
+    # two rounded products and a sum: a numpy product may go through BLAS,
+    # whose kernel (and rounding) depends on the machine, and the projection
+    # picks the ends that are kept
+    proj = [x * -Q + y * P for x, y in pts]
+    i0 = min(range(len(proj)), key=proj.__getitem__)
+    i1 = max(range(len(proj)), key=proj.__getitem__)
     if proj[i1] - proj[i0] <= 1e-12 * max(1.0, abs(proj[i0])):
         return None
+    arr = np.array(pts)
     return (arr[i0], arr[i1])
 
 
@@ -858,12 +874,31 @@ def _line_piece(line: Line, box: BBox) -> CurvePiece | None:
 # ---------------------------------------------------------------------------
 
 def _piece_bbox(piece: CurvePiece) -> tuple[float, float, float, float]:
-    pts = piece.sample(9) if piece.kind == "arc" else np.array([piece.p0, piece.p1])
+    """Bounding box of a piece: its ends, and for an arc also the points
+    inside [psi0, psi1] where x or y is extremal on its ellipse."""
+    if piece.kind == "seg":
+        pts = [piece.p0, piece.p1]
+    else:
+        psis = [piece.psi0, piece.psi1]
+        for k in (0, 1):
+            # d/dpsi of a coordinate: vec_a[k] cos(psi) - vec_b[k] sin(psi)
+            psis.extend(
+                _sinusoid_roots(-piece.vec_b[k], piece.vec_a[k], 0.0, piece.psi0, piece.psi1)
+            )
+        pts = [piece.arc_point(psi) for psi in psis]
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def _boxes_meet(boxes: np.ndarray, box) -> np.ndarray:
+    """Mask of the rows of an (n, 4) box array that come within 1e-9 of one box."""
+    x0, y0, x1, y1 = box
     return (
-        float(pts[:, 0].min()),
-        float(pts[:, 1].min()),
-        float(pts[:, 0].max()),
-        float(pts[:, 1].max()),
+        (boxes[:, 0] <= x1 + 1e-9)
+        & (boxes[:, 2] >= x0 - 1e-9)
+        & (boxes[:, 1] <= y1 + 1e-9)
+        & (boxes[:, 3] >= y0 - 1e-9)
     )
 
 
@@ -922,43 +957,124 @@ def _seg_arc_points(seg: CurvePiece, arc: CurvePiece):
     return pts
 
 
-def _arc_implicit(arc: CurvePiece):
-    """Implicit form g(x, y) = u^2 + v^2 - 1 in the arc's own frame."""
+def _arc_coords(arc: CurvePiece, vx: float, vy: float):
+    """(s, c) with s*vec_a + c*vec_b = (vx, vy); None for a flat arc."""
     ax, ay = arc.vec_a
     bx, by = arc.vec_b
     det = ax * by - ay * bx
-
-    def g(x: float, y: float) -> float:
-        rx, ry = x - arc.center[0], y - arc.center[1]
-        if abs(det) <= 1e-15:
-            return math.hypot(rx, ry)
-        s = (rx * by - ry * bx) / det
-        c = (ax * ry - ay * rx) / det
-        return s * s + c * c - 1.0
-
-    return g
+    if abs(det) <= 1e-15:
+        return None
+    return ((vx * by - vy * bx) / det, (ax * vy - ay * vx) / det)
 
 
-def _arc_arc_points(a1: CurvePiece, a2: CurvePiece, samples: int = 96):
-    g = _arc_implicit(a2)
-    psis = np.linspace(a1.psi0, a1.psi1, samples)
-    vals = np.array([g(*a1.arc_point(p)) for p in psis])
+def _arc_param(arc: CurvePiece, x: float, y: float):
+    """The arc's parameter of a point on its ellipse, clamped to [psi0, psi1];
+    None when the point lies more than ARC_PARAM_SLACK outside the range."""
+    sc = _arc_coords(arc, x - arc.center[0], y - arc.center[1])
+    if sc is None:
+        return None
+    lo = arc.psi0 - ARC_PARAM_SLACK
+    d = (math.atan2(*sc) - lo) % (2.0 * math.pi)
+    if d > arc.psi1 + ARC_PARAM_SLACK - lo:
+        return None
+    return min(max(lo + d, arc.psi0), arc.psi1)
+
+
+def _arc_arc_points(p: CurvePiece, q: CurvePiece):
+    """Points where two elliptic arcs cross, each within both ranges.
+
+    Arc p put into q's implicit form |M_q^-1 (x - c_q)|^2 - 1 gives
+    C0 + a1 cos(psi) + b1 sin(psi) + a2 cos(2 psi) + b2 sin(2 psi) in p's
+    parameter.  When that vanishes the arcs share an ellipse: they do not
+    cross, and each arc's ends that lie on the other arc split it, so a
+    shared stretch yields the same edges from both.  Otherwise each stretch
+    of p of at most ARC_CHUNK becomes a quartic in t = tan(phi/2), phi taken
+    from the stretch's middle; its roots whose points lie in q's range are
+    the crossings.
+    """
+    if _arc_coords(q, 1.0, 0.0) is None:  # a flat q has no implicit form
+        p, q = q, p
+    rel = _arc_coords(q, p.center[0] - q.center[0], p.center[1] - q.center[1])
+    if rel is None:
+        return []
+    Ds, Dc = rel
+    Us, Uc = _arc_coords(q, *p.vec_a)
+    Ws, Wc = _arc_coords(q, *p.vec_b)
+    uu, ww = Us * Us + Uc * Uc, Ws * Ws + Wc * Wc
+    C0 = Ds * Ds + Dc * Dc + 0.5 * (uu + ww) - 1.0
+    a1, b1 = 2.0 * (Ds * Ws + Dc * Wc), 2.0 * (Ds * Us + Dc * Uc)
+    a2, b2 = 0.5 * (ww - uu), Us * Ws + Uc * Wc
+    r1, r2 = math.hypot(a1, b1), math.hypot(a2, b2)
+    scale = 1.0 + Ds * Ds + Dc * Dc + uu + ww
+    if max(abs(C0), r1, r2) <= SAME_ELLIPSE_RTOL * scale:
+        pts = [e for e in p.endpoints() if _arc_param(q, *e) is not None]
+        return pts + [e for e in q.endpoints() if _arc_param(p, *e) is not None]
+    if abs(C0) > r1 + r2:
+        return []
+    lo, hi = p.psi0 - ARC_PARAM_SLACK, p.psi1 + ARC_PARAM_SLACK
+    n = max(1, math.ceil((hi - lo) / ARC_CHUNK))
     pts = []
-    for i in range(len(psis) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if not (np.isfinite(va) and np.isfinite(vb)) or va * vb > 0.0:
-            continue
-        lo, hi = psis[i], psis[i + 1]
-        flo = va
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = g(*a1.arc_point(mid))
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        pts.append(a1.arc_point(0.5 * (lo + hi)))
+    for k in range(n):
+        m = lo + (hi - lo) * (k + 0.5) / n
+        T = math.tan(0.25 * (hi - lo) / n)
+        cm, sm = math.cos(m), math.sin(m)
+        c2m, s2m = cm * cm - sm * sm, 2.0 * sm * cm
+        # the same polynomial in phi = psi - m
+        A1, B1 = a1 * cm + b1 * sm, b1 * cm - a1 * sm
+        A2, B2 = a2 * c2m + b2 * s2m, b2 * c2m - a2 * s2m
+        quartic = (
+            C0 + A1 + A2,
+            2.0 * B1 + 4.0 * B2,
+            2.0 * C0 - 6.0 * A2,
+            2.0 * B1 - 4.0 * B2,
+            C0 - A1 + A2,
+        )
+        for t in _poly_roots(quartic, -T, T):
+            x, y = p.arc_point(m + 2.0 * math.atan(t))
+            if _arc_param(q, x, y) is not None:
+                pts.append((x, y))
     return pts
+
+
+def _poly_eval(coeffs, t: float) -> float:
+    v = 0.0
+    for c in reversed(coeffs):
+        v = v * t + c
+    return v
+
+
+def _poly_roots(coeffs, lo: float, hi: float) -> list[float]:
+    """Real roots in [lo, hi] of sum coeffs[k] t^k.
+
+    The roots of the derivative cut the range into pieces on which the
+    polynomial is monotone; each piece whose ends differ in sign holds one
+    root, found by bisection.  A root where the polynomial only touches
+    zero (a tangency) is found only when it evaluates to exactly zero.
+    """
+    if len(coeffs) < 2:
+        return []
+    deriv = [k * coeffs[k] for k in range(1, len(coeffs))]
+    cuts = [lo] + _poly_roots(deriv, lo, hi) + [hi]
+    vals = [_poly_eval(coeffs, t) for t in cuts]
+    roots = []
+    for k in range(len(cuts)):
+        if vals[k] == 0.0:
+            roots.append(cuts[k])
+        if k + 1 == len(cuts) or vals[k] * vals[k + 1] >= 0.0:
+            continue
+        a, b, fa = cuts[k], cuts[k + 1], vals[k]
+        for _ in range(ROOT_BISECTIONS):
+            mid = 0.5 * (a + b)
+            fm = _poly_eval(coeffs, mid)
+            if fm == 0.0:
+                a = b = mid
+                break
+            if (fm < 0.0) == (fa < 0.0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    return roots
 
 
 def _piece_intersections(p: CurvePiece, q: CurvePiece):
@@ -982,14 +1098,7 @@ def _family_intersections(pieces_a: list[CurvePiece], pieces_b: list[CurvePiece]
     points: list[tuple[float, float]] = []
     shared: list[tuple[int, int]] = []
     for i, pa in enumerate(pieces_a):
-        x0, y0, x1, y1 = _piece_bbox(pa)
-        mask = (
-            (boxes_b[:, 0] <= x1 + 1e-9)
-            & (boxes_b[:, 2] >= x0 - 1e-9)
-            & (boxes_b[:, 1] <= y1 + 1e-9)
-            & (boxes_b[:, 3] >= y0 - 1e-9)
-        )
-        for j in np.nonzero(mask)[0]:
+        for j in np.nonzero(_boxes_meet(boxes_b, _piece_bbox(pa)))[0]:
             pts, is_shared = _piece_intersections(pa, pieces_b[int(j)])
             if is_shared:
                 shared.append((i, int(j)))
@@ -1201,8 +1310,11 @@ def _overlay_counts(curves: list[CriticalCurve], domain: BBox) -> dict:
             per_piece_points[segs_idx[a_i]].append((x, y))
             per_piece_points[segs_idx[b_i]].append((x, y))
 
-    for ai in arcs_idx:
-        for j in segs_idx + [k for k in arcs_idx if k > ai]:
+    if arcs_idx:
+        boxes = np.array([_piece_bbox(p) for p in pieces])
+    for n, ai in enumerate(arcs_idx):
+        cand = np.array(segs_idx + arcs_idx[n + 1 :], dtype=int)
+        for j in cand[_boxes_meet(boxes[cand], boxes[ai])].tolist():
             pts, _shared = _piece_intersections(pieces[ai], pieces[j])
             for x, y in pts:
                 per_piece_points[ai].append((x, y))
@@ -1245,20 +1357,8 @@ def _piece_param(piece: CurvePiece, x: float, y: float) -> float:
             return 0.0
         t = ((x - piece.p0[0]) * dx + (y - piece.p0[1]) * dy) / L2
         return min(max(t, 0.0), 1.0)
-    ax, ay = piece.vec_a
-    bx, by = piece.vec_b
-    det = ax * by - ay * bx
-    rx, ry = x - piece.center[0], y - piece.center[1]
-    if abs(det) <= 1e-15:
-        return piece.psi0
-    s = (rx * by - ry * bx) / det
-    c = (ax * ry - ay * rx) / det
-    psi = math.atan2(s, c)
-    for k in (-1, 0, 1):
-        cand = psi + 2.0 * math.pi * k
-        if piece.psi0 - 1e-9 <= cand <= piece.psi1 + 1e-9:
-            return min(max(cand, piece.psi0), piece.psi1)
-    return min(max(psi, piece.psi0), piece.psi1)
+    psi = _arc_param(piece, x, y)
+    return piece.psi0 if psi is None else psi
 
 
 def _piece_eval(piece: CurvePiece, t: float):

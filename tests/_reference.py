@@ -243,13 +243,12 @@ def _level_segment_in_poly(poly: np.ndarray, P: float, Q: float, R: float, level
             pts.append(poly[i] + t * (poly[(i + 1) % m] - poly[i]))
     if len(pts) < 2:
         return None
-    arr = np.array(pts)
-    d = np.array([-Q, P])
-    proj = arr @ d
-    i0, i1 = int(np.argmin(proj)), int(np.argmax(proj))
+    proj = [float(x) * -Q + float(y) * P for x, y in pts]
+    i0 = min(range(len(proj)), key=proj.__getitem__)
+    i1 = max(range(len(proj)), key=proj.__getitem__)
     if proj[i1] - proj[i0] <= 1e-12 * max(1.0, abs(proj[i0])):
         return None
-    return (arr[i0], arr[i1])
+    return (pts[i0], pts[i1])
 
 
 def _corner_level_segments(region: ReferenceRegion, look_x: float, look_y: float, eps: float):

@@ -237,3 +237,25 @@ def test_circle_scan_equivalence():
     pa = build_placement_arrangement(arr, EPS, CIRCLE, include_line_translates=True)
     scan = dense_scan(lines, CIRCLE, EPS, pa.domain, EPS / 20)
     assert verify(pa, scan, delta=EPS / 10).empty()
+
+
+def _variants(lines):
+    yield lines
+    yield [Line(Point(l.p.x + 0.37, l.p.y - 0.21), Point(l.q.x + 0.37, l.q.y - 0.21)) for l in lines]
+    yield lines[::-1]
+    yield [Line(Point(l.p.x, -l.p.y), Point(l.q.x, -l.q.y)) for l in lines]
+
+
+@pytest.mark.parametrize(
+    "n, seed, eps, counts",
+    [(2, 3, 0.7, (96, 124, 30)), (3, 5, 0.5, (258, 351, 95)), (4, 3, 0.4, (590, 792, 206))],
+)
+def test_circle_counts_invariant(n, seed, eps, counts):
+    # the same scene shifted by (0.37, -0.21), with its lines reversed, and
+    # mirrored in the x-axis has the same placement arrangement size
+    for lines in _variants(random_lines(n, seed)):
+        pa = build_placement_arrangement(
+            build_line_arrangement(lines), eps, CIRCLE, include_line_translates=True
+        )
+        c = pa.counts
+        assert (c["vertices"], c["edges"], c["faces"]) == counts

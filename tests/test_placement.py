@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from critplace.arrangement import OnBoundary, build_line_arrangement, build_segment_arrangement, locate
+from critplace.arrangement import BBox, OnBoundary, build_line_arrangement, build_segment_arrangement, locate
 from critplace.generators import random_lines
 from critplace.geom import SQUARE, Line, Point, Segment
 from critplace.oracle import dense_scan, is_epsilon_placement, verify
 from critplace.placement import (
     _QUADRANT_LOOK,
+    CriticalCurve,
+    CurvePiece,
+    _arc_arc_points,
     _first_wall_hits,
+    _level_segment_in_poly,
+    _overlay_counts,
+    _piece_bbox,
     build_placement_arrangement,
     cell_regions,
     collect_S,
@@ -446,3 +452,166 @@ def test_segment_scene_oracle_equivalence():
     scan = dense_scan(segs, SQUARE, eps, pa.domain, eps / 20)
     rep = verify(pa, scan, delta=eps / 10)
     assert rep.empty()
+
+
+def test_level_segment_ends_use_scalar_projection():
+    # the line runs through two clusters of vertices a few ulps apart; which
+    # vertex of a cluster ends the segment is decided by the projection onto
+    # (-Q, P) computed as x * -Q + y * P in doubles, whatever BLAS numpy has
+    rng = np.random.default_rng(11)
+    ties = 0
+    for _ in range(2000):
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        P, Q = math.cos(ang), math.sin(ang)
+        R, level = rng.uniform(-1.0, 1.0, 2)
+        x0, y0 = P * (level - R), Q * (level - R)
+
+        def on_line(s):
+            return (x0 - s * Q, y0 + s * P)
+
+        def nudge(pt):
+            x, y = pt
+            for _ in range(int(rng.integers(1, 4))):
+                x = float(np.nextafter(x, rng.choice((-np.inf, np.inf))))
+                y = float(np.nextafter(y, rng.choice((-np.inf, np.inf))))
+            return (x, y)
+
+        a = on_line(rng.uniform(-2.0, -0.5))
+        b = on_line(rng.uniform(0.5, 2.0))
+        # one vertex on each side of the line, a unit step off its middle
+        c = (0.5 * (a[0] + b[0]) + P, 0.5 * (a[1] + b[1]) + Q)
+        d = (0.5 * (a[0] + b[0]) - P, 0.5 * (a[1] + b[1]) - Q)
+        a2, b2 = nudge(a), nudge(b)
+        poly = [a, a2, c, b, b2, d]
+        pts = [a, a2, b, b2]
+        proj = [x * -Q + y * P for x, y in pts]
+        ties += proj[0] == proj[1] or proj[2] == proj[3]
+        i0 = min(range(4), key=proj.__getitem__)
+        i1 = max(range(4), key=proj.__getitem__)
+        lo, hi = _level_segment_in_poly(poly, P, Q, R, level)
+        assert (tuple(lo.tolist()), tuple(hi.tolist())) == (pts[i0], pts[i1])
+    assert ties > 0
+
+
+# ---------------------------------------------------------------------------
+# arc-arc crossings
+# ---------------------------------------------------------------------------
+
+def _random_arc(rng, center, max_len):
+    return CurvePiece(
+        "arc",
+        center=tuple(float(v) for v in center),
+        vec_a=tuple(float(v) for v in rng.uniform(-1.2, 1.2, 2)),
+        vec_b=tuple(float(v) for v in rng.uniform(-1.2, 1.2, 2)),
+        psi0=(psi0 := float(rng.uniform(-7.0, 7.0))),
+        psi1=psi0 + float(rng.uniform(0.05, max_len)),
+    )
+
+
+def _implicit(arc, x, y):
+    """(|M^-1 (p - c)|^2 - 1, psi) in the arc's own frame; x, y may be arrays."""
+    (ax, ay), (bx, by) = arc.vec_a, arc.vec_b
+    det = ax * by - ay * bx
+    rx, ry = x - arc.center[0], y - arc.center[1]
+    s, c = (rx * by - ry * bx) / det, (ax * ry - ay * rx) / det
+    return s * s + c * c - 1.0, np.arctan2(s, c)
+
+
+def _range_gap(arc, psi):
+    """How far psi lies outside the arc's range modulo 2 pi (<= 0 inside)."""
+    d = (psi - arc.psi0) % (2.0 * math.pi)
+    return min(d - (arc.psi1 - arc.psi0), 2.0 * math.pi - d)
+
+
+def _arc_pairs(n, seed=5):
+    """Arc pairs near one another; the first arc's range may pass 2 pi, which
+    the kernel solves in several stretches."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < n:
+        c = rng.uniform(-0.5, 0.5, 2)
+        p = _random_arc(rng, c, 7.0)
+        q = _random_arc(rng, c + rng.uniform(-0.2, 0.2, 2), 4.0)
+        dets = [abs(a.vec_a[0] * a.vec_b[1] - a.vec_a[1] * a.vec_b[0]) for a in (p, q)]
+        if min(dets) > 0.05:
+            pairs.append((p, q))
+    return pairs
+
+
+def test_arc_crossings_lie_on_both_arcs():
+    found = 0
+    for p, q in _arc_pairs(400):
+        for x, y in _arc_arc_points(p, q):
+            for arc in (p, q):
+                g, psi = _implicit(arc, x, y)
+                assert abs(g) <= 1e-9
+                assert _range_gap(arc, psi) <= 1e-9
+            found += 1
+    assert found > 100
+
+
+def test_arc_crossings_match_a_dense_scan():
+    # away from tangency the kernel finds every sign change of q's implicit
+    # form along p that a 20,000-step scan finds inside q's range, and no more
+    checked = crossings = 0
+    for p, q in _arc_pairs(400, seed=6):
+        psi = np.linspace(p.psi0, p.psi1, 20001)
+        pts = p.sample(20001)
+        vals, qpsi = _implicit(q, pts[:, 0], pts[:, 1])
+        turns = np.nonzero(np.diff(np.sign(np.diff(vals))))[0] + 1
+        if np.abs(vals[turns]).min(initial=np.inf) < 1e-3:
+            continue
+        changes = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
+        gaps = [_range_gap(q, qpsi[k]) for k in changes]
+        if any(abs(g) < 1e-3 for g in gaps) or any(
+            min(psi[k] - p.psi0, p.psi1 - psi[k]) < 1e-3 for k in changes
+        ):
+            continue
+        expected = sum(1 for g in gaps if g <= 0.0)
+        assert len(_arc_arc_points(p, q)) == expected
+        checked += 1
+        crossings += expected
+    assert checked > 300 and crossings > 100
+
+
+def test_arc_box_is_exact():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        arc = _random_arc(rng, (0.0, 0.0), 6.0)
+        pts = arc.sample(20001)
+        box = np.array(_piece_bbox(arc))
+        dense = np.array([pts[:, 0].min(), pts[:, 1].min(), pts[:, 0].max(), pts[:, 1].max()])
+        assert np.all(box[:2] <= dense[:2] + 1e-12) and np.all(box[2:] >= dense[2:] - 1e-12)
+        assert np.abs(box - dense).max() <= 1e-6
+
+
+@pytest.mark.parametrize("sign, shift", [(1.0, 0.0), (-1.0, math.pi)])
+def test_arcs_on_one_ellipse_share_their_overlap(sign, shift):
+    # [0, 1] and [0.5, 1.5] on one ellipse, the second also given as the
+    # opposite branch (negated vectors, parameter shifted by pi): the shared
+    # stretch [0.5, 1] is one edge, so the arcs add 4 vertices and 3 edges
+    first = CurvePiece("arc", center=(0.1, -0.2), vec_a=(0.3, 0.4), vec_b=(-0.8, 0.6), psi0=0.0, psi1=1.0)
+    second = CurvePiece(
+        "arc",
+        center=(0.1, -0.2),
+        vec_a=(sign * 0.3, sign * 0.4),
+        vec_b=(sign * -0.8, sign * 0.6),
+        psi0=0.5 + shift,
+        psi1=1.5 + shift,
+    )
+    # no crossings, only the ends that lie on the other arc
+    assert len(_arc_arc_points(first, second)) == 2
+    curves = [CriticalCurve(-1, None, [first]), CriticalCurve(-1, None, [second])]
+    counts = _overlay_counts(curves, BBox(-3.0, -3.0, 3.0, 3.0))
+    assert counts["vertices"] == 4 + 4 and counts["edges"] == 4 + 3
+
+
+def test_arc_box_pruning_keeps_counts(monkeypatch):
+    lines = random_lines(3, 5)
+    arr = build_line_arrangement(lines)
+    pa = build_placement_arrangement(arr, 0.5, "circle", include_line_translates=True)
+    curves = pa.all_curves()
+    monkeypatch.setattr(
+        "critplace.placement._piece_bbox", lambda piece: (-np.inf, -np.inf, np.inf, np.inf)
+    )
+    assert _overlay_counts(curves, pa.domain) == pa.counts
