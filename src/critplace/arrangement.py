@@ -101,6 +101,8 @@ class Arrangement:
     n_components: int = 1
     # per cell: its boundary steps as (p0, p1, None) walls, built on first use
     _walls_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # per (cell, eps): the cell's trimmed circle ring pieces, built on first use
+    _ring_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic counts ------------------------------------------------------
 

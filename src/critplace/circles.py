@@ -5,291 +5,300 @@ convex cell pins the two crossing points to two cell edges.  The chord
 between the crossings has fixed length 2*sin(eps/2) and the center rides at
 distance cos(eps/2) from its midpoint, so the center traces an ellipse in the
 frame spanned by the edge pair's angular bisector (a straight offset segment
-when both crossings ride the same line).  Parameter intervals are validated
-against the definition-level gap profile, which also trims the portions where
-a third line would cut the arc.
+when both crossings ride the same line).
+
+Each such ring piece is valid where both crossings lie on their cell edges,
+no line crosses the open arc between them and the arc's midpoint lies in the
+cell.  That changes only where a crossing reaches an end of its edge, a line
+passes through a crossing or touches the circle, or the midpoint crosses a
+wall's line: each a root of A sin(psi) + B cos(psi) + C (linear when
+straight).  Between consecutive roots validity is decided once, in closed
+form, at the middle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arrangement import Arrangement
-from .geom import CIRCLE, Line, Point
-from .oracle import boundary_gaps
+from .geom import Line, Point
+from .placement import CriticalCurve, CurvePiece, EpsilonTooLarge, _sinusoid_roots
 
 TWO_PI = 2.0 * math.pi
 
+# Tolerances, each with its reason.
+# Normals, bisectors or half-angle cosines this small leave no apex or frame.
+DEGENERATE_TOL = 1e-12
+# A half-angle sine or a semi-axis below this is flat (criterion 6 asks 1e-9).
+FLAT_TOL = 1e-9
+# Events this close are one; a stretch this short is not decided on its own.
+EVENT_TOL = 1e-12
+# The arc's midpoint may lie this far outside its cell: on a wall is inside.
+WALL_SLACK = 1e-9
+# A window cut of a valid run shorter than this is not emitted as a piece.
+MIN_PIECE = 1e-10
+# Piece ends this close are one chain vertex.
+CHAIN_KEY = 1e-6
+# A piece whose sampled turn sums below this is straight and joins any chain.
+TURN_TOL = 1e-12
 
-def _wrap(theta: float) -> float:
-    return theta % TWO_PI
+
+@dataclass(frozen=True)
+class _Path:
+    """A point moving with a ring piece's parameter: p0 + t*v on a straight
+    piece, p0 + sin(psi)*v + cos(psi)*w on an elliptic one."""
+
+    p0: tuple[float, float]
+    v: tuple[float, float]
+    w: tuple[float, float] | None = None
+
+    def at(self, t: float) -> tuple[float, float]:
+        if self.w is None:
+            return (self.p0[0] + t * self.v[0], self.p0[1] + t * self.v[1])
+        s, c = math.sin(t), math.cos(t)
+        return (
+            self.p0[0] + s * self.v[0] + c * self.w[0],
+            self.p0[1] + s * self.v[1] + c * self.w[1],
+        )
+
+    def level_roots(self, a: float, b: float, c: float, lo: float, hi: float) -> list[float]:
+        """Parameters in [lo, hi] where a*x + b*y = c on the path."""
+        A = a * self.v[0] + b * self.v[1]
+        C = a * self.p0[0] + b * self.p0[1] - c
+        if self.w is not None:
+            return _sinusoid_roots(A, a * self.w[0] + b * self.w[1], C, lo, hi)
+        if abs(A) <= DEGENERATE_TOL:
+            return []
+        t = -C / A
+        return [t] if lo <= t <= hi else []
 
 
-def _cyclic_contains(start: float, length: float, theta: float) -> bool:
-    return (theta - start) % TWO_PI <= length
+@dataclass(frozen=True)
+class _End:
+    """A tracked crossing: its path, the line it rides, and its cell edge as
+    the levels lo <= ray . x <= hi along that line."""
+
+    path: _Path
+    lid: int
+    ray: tuple[float, float]
+    lo: float
+    hi: float
+
+
+def _end(path: _Path, lid: int, ray, edge_pts) -> _End:
+    levels = [p.x * ray[0] + p.y * ray[1] for p in edge_pts]
+    return _End(path, lid, ray, min(levels), max(levels))
 
 
 @dataclass
 class _RingPiece:
-    kind: str  # "straight" | "ellipse"
-    bounds: frozenset
-    # straight: p(t) = base + t*u + h*n
-    base: tuple[float, float] | None = None
-    u: tuple[float, float] | None = None
-    n: tuple[float, float] | None = None
-    # ellipse: p(psi) = O + A_s sin(psi) xhat + B cos(psi) yhat; the center
-    # rides on either side of the sliding chord, one ellipse per branch
-    O: tuple[float, float] | None = None
-    xhat: tuple[float, float] | None = None
-    yhat: tuple[float, float] | None = None
-    A_s: float = 0.0
-    B: float = 0.0
-    branch: int = 1
-    intervals: list[tuple[float, float]] | None = None  # validated param ranges
+    """One curve piece of a cell, for every vector at once: the center's path
+    over the piece parameter (psi on an ellipse, t along a straight offset),
+    the path of the tracked arc's midpoint, and the valid parameter runs.
 
-    def point(self, t: float) -> tuple[float, float]:
-        if self.kind == "straight":
-            h = self._h
-            return (
-                self.base[0] + t * self.u[0] + h * self.n[0],
-                self.base[1] + t * self.u[1] + h * self.n[1],
-            )
-        sa, ca = math.sin(t), math.cos(t)
-        return (
-            self.O[0] + self.A_s * sa * self.xhat[0] + self.B * ca * self.yhat[0],
-            self.O[1] + self.A_s * sa * self.xhat[1] + self.B * ca * self.yhat[1],
-        )
+    On an ellipse the direction from the center to the arc's midpoint is
+    psi + shift, and a run may wrap past 2*pi (hi > 2*pi).
+    """
+
+    bounds: frozenset
+    center: _Path
+    mid: _Path
+    shift: float = 0.0
+    concave: bool = False
+    intervals: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def straight(self) -> bool:
+        return self.center.w is None
 
     def mid_angle(self, t: float) -> float:
         """World direction from the center to the middle of the tracked arc."""
-        if self.kind == "straight":
-            return math.atan2(-self.n[1], -self.n[0])
-        frame = math.atan2(self.xhat[1], self.xhat[0])
-        return _wrap(frame + t - self.branch * 0.5 * math.pi)
-
-    _h: float = 0.0
+        (px, py), (mx, my) = self.center.at(t), self.mid.at(t)
+        return math.atan2(my - py, mx - px)
 
 
-def _cell_line_edges(arrangement: Arrangement, cell_id: int):
-    """Per supporting line: the cell's edge extent, as params along the edge."""
-    walls = arrangement.cell_walls(cell_id)
-    per_line: dict[int, list[Point]] = {}
-    for p0, p1, tag in walls:
-        if tag[0] != "line":
+def _arc_clear(lines: list[Line], ends: tuple[_End, _End], p, m, cos_half: float) -> bool:
+    """No line crosses the open arc of the unit circle at p whose points q have
+    (q - p) . m > cos_half; the tracked crossings are its ends."""
+    px, py = p
+    mx, my = m
+    for k, ln in enumerate(lines):
+        pinned = (ends[0].lid == k) + (ends[1].lid == k)
+        if pinned == 2:  # both crossings of the line are the arc's ends
             continue
-        per_line.setdefault(int(tag[1]), []).extend([p0, p1])
-    return per_line
+        d = ln.a * px + ln.b * py - ln.c
+        # the chord midpoint of the line projects to -d (n . m); its crossings
+        # sit symmetric about it, one of them at cos_half when pinned
+        reach = -d * (ln.a * mx + ln.b * my)
+        if pinned == 1:
+            if reach > cos_half:
+                return False
+        elif abs(d) < 1.0:
+            if reach + math.sqrt(1.0 - d * d) * abs(ln.a * my - ln.b * mx) > cos_half:
+                return False
+    return True
 
 
-def _piece_checker(arrangement: Arrangement, cell_id: int, eps: float, bounds: frozenset):
-    lines = arrangement.primitives
+def _trim(arrangement: Arrangement, cell_id: int, eps: float, piece: _RingPiece,
+          ends: tuple[_End, _End], lo: float, hi: float) -> list[tuple[float, float]]:
+    """Maximal runs of [lo, hi] where the piece is valid, from its events."""
+    lines: list[Line] = arrangement.primitives
+    events = []
+    for end in ends:  # a crossing reaches an end of its edge
+        events += end.path.level_roots(*end.ray, end.lo, lo, hi)
+        events += end.path.level_roots(*end.ray, end.hi, lo, hi)
+    for k, ln in enumerate(lines):
+        for end in ends:  # a line passes through a crossing
+            if end.lid != k:
+                events += end.path.level_roots(ln.a, ln.b, ln.c, lo, hi)
+        for touch in (-1.0, 1.0):  # a line touches the circle
+            events += piece.center.level_roots(ln.a, ln.b, ln.c + touch, lo, hi)
+    for p0, p1, _tag in arrangement.cell_walls(cell_id):  # the midpoint meets a wall
+        norm = p0.dist(p1)
+        a, b = (p0.y - p1.y) / norm, (p1.x - p0.x) / norm
+        events += piece.mid.level_roots(a, b, a * p0.x + b * p0.y, lo, hi)
 
-    def ok(piece: _RingPiece, t: float) -> bool:
-        px, py = piece.point(t)
-        prof = boundary_gaps(Point(px, py), lines, CIRCLE)
-        theta = piece.mid_angle(t)
-        for comp in prof.components:
-            if comp.bound_ids is None:
-                continue
-            if _cyclic_contains(comp.start, comp.length, theta):
-                if abs(comp.length - eps) > 1e-6:
-                    return False
-                if frozenset(comp.bound_ids) != bounds:
-                    return False
-                return arrangement.point_in_cell(comp.mid_point, cell_id, slack=1e-9)
-        return False
+    cos_half = math.cos(0.5 * eps)
 
-    return ok
+    def valid(t: float) -> bool:
+        for end in ends:
+            x, y = end.path.at(t)
+            if not end.lo <= x * end.ray[0] + y * end.ray[1] <= end.hi:
+                return False
+        (px, py), (mx, my) = piece.center.at(t), piece.mid.at(t)
+        return _arc_clear(lines, ends, (px, py), (mx - px, my - py), cos_half) and (
+            arrangement.point_in_cell(Point(mx, my), cell_id, slack=WALL_SLACK)
+        )
 
-
-def _refine_edge(piece, ok, t_in: float, t_out: float, iters: int = 48) -> float:
-    for _ in range(iters):
-        mid = 0.5 * (t_in + t_out)
-        if ok(piece, mid):
-            t_in = mid
+    cuts = sorted({lo, hi, *(t for t in events if lo < t < hi)})
+    runs: list[tuple[float, float]] = []
+    for a, b in zip(cuts, cuts[1:]):
+        if b - a <= EVENT_TOL or not valid(0.5 * (a + b)):
+            continue
+        if runs and a - runs[-1][1] <= EVENT_TOL:
+            runs[-1] = (runs[-1][0], b)
         else:
-            t_out = mid
-    return t_in
-
-
-def _validated_intervals(piece: _RingPiece, candidates, ok, min_samples: int = 24):
-    out = []
-    for lo, hi in candidates:
-        if hi - lo <= 1e-12:
-            continue
-        n = max(min_samples, int((hi - lo) / 0.005))
-        ts = [lo + (hi - lo) * (k + 0.5) / n for k in range(n)]
-        flags = [ok(piece, t) for t in ts]
-        k = 0
-        while k < n:
-            if not flags[k]:
-                k += 1
-                continue
-            j = k
-            while j + 1 < n and flags[j + 1]:
-                j += 1
-            t0 = ts[k] if k == 0 else _refine_edge(piece, ok, ts[k], ts[k - 1])
-            t1 = ts[j] if j == n - 1 else _refine_edge(piece, ok, ts[j], ts[j + 1])
-            if k == 0 and ok(piece, lo + 1e-12):
-                t0 = lo
-            if j == n - 1 and ok(piece, hi - 1e-12):
-                t1 = hi
-            if t1 - t0 > 1e-10:
-                out.append((t0, t1))
-            k = j + 1
-    return out
+            runs.append((a, b))
+    # an elliptic run through psi = 0 is one run that wraps past 2*pi
+    if not piece.straight and len(runs) > 1 and runs[0][0] == lo and hi - runs[-1][1] <= EVENT_TOL:
+        first = runs.pop(0)
+        runs[-1] = (runs[-1][0], first[1] + TWO_PI)
+    return runs
 
 
 def _ring_pieces(arrangement: Arrangement, cell_id: int, eps: float) -> list[_RingPiece]:
-    """All validated curve pieces of one cell, independent of the vector."""
-    cache = getattr(arrangement, "_ring_cache", None)
-    if cache is None:
-        cache = {}
-        arrangement._ring_cache = cache
+    """All curve pieces of one cell, independent of the vector, trimmed."""
     key = (cell_id, round(eps, 12))
+    cache = arrangement._ring_cache
     if key in cache:
         return cache[key]
 
     lines: list[Line] = arrangement.primitives
-    per_line = _cell_line_edges(arrangement, cell_id)
+    per_line: dict[int, list[Point]] = {}  # the cell's edge ends on each line
+    for p0, p1, tag in arrangement.cell_walls(cell_id):
+        if tag[0] == "line":
+            per_line.setdefault(int(tag[1]), []).extend([p0, p1])
     centroid = arrangement.cell_interior_point(cell_id)
-    h = math.cos(0.5 * eps)
-    w = 2.0 * math.sin(0.5 * eps)
+    h, hw = math.cos(0.5 * eps), math.sin(0.5 * eps)
     pieces: list[_RingPiece] = []
 
     # straight offsets: both crossings on the same line; the eps-long cap
-    # pokes into the cell, so the center rides on the far side of the line
+    # pokes into the cell, so the center rides on the far side of the line.
+    # t is the chord midpoint's coordinate along the line from the foot of
+    # the origin.
     for lid, pts in per_line.items():
         ln = lines[lid]
-        ux, uy = ln.direction()
+        u = ln.direction()
         side = 1.0 if ln.side_of(centroid) > 0.0 else -1.0
         nx, ny = -side * ln.a, -side * ln.b
-        base = Point(pts[0].x, pts[0].y)
-        params = [ (p.x - base.x) * ux + (p.y - base.y) * uy for p in pts ]
-        t_lo, t_hi = min(params) + 0.5 * w, max(params) - 0.5 * w
-        if t_hi - t_lo <= 1e-12:
+        fx, fy = ln.c * ln.a, ln.c * ln.b
+        ends = tuple(
+            _end(_Path((fx + off * u[0], fy + off * u[1]), u), lid, u, pts) for off in (-hw, hw)
+        )
+        if ends[0].hi - ends[0].lo - 2.0 * hw <= EVENT_TOL:
             continue
         piece = _RingPiece(
-            "straight", frozenset({lid}), base=(base.x, base.y), u=(ux, uy), n=(nx, ny)
+            frozenset({lid}),
+            center=_Path((fx + h * nx, fy + h * ny), u),
+            mid=_Path((fx - (1.0 - h) * nx, fy - (1.0 - h) * ny), u),
         )
-        piece._h = h
-        ok = _piece_checker(arrangement, cell_id, eps, frozenset({lid}))
-        piece.intervals = _validated_intervals(piece, [(t_lo, t_hi)], ok)
-        if piece.intervals:
-            pieces.append(piece)
+        piece.intervals = _trim(
+            arrangement, cell_id, eps, piece, ends, ends[0].lo + hw, ends[0].hi - hw
+        )
+        pieces.append(piece)
 
     # elliptic arcs: crossings on two different lines, both chord sides
-    lids = sorted(per_line)
-    for ii in range(len(lids)):
-        for jj in range(ii + 1, len(lids)):
-            for branch in (1, -1):
-                piece = _ellipse_piece(
-                    arrangement, cell_id, lids[ii], lids[jj], per_line, centroid,
-                    eps, branch,
-                )
-                if piece is not None and piece.intervals:
-                    pieces.append(piece)
+    for lid1, lid2 in itertools.combinations(sorted(per_line), 2):
+        for branch in (1, -1):
+            piece = _ellipse_piece(
+                arrangement, cell_id, lid1, lid2, per_line, centroid, eps, branch
+            )
+            if piece is not None:
+                pieces.append(piece)
 
     cache[key] = pieces
     return pieces
 
 
-def _ellipse_piece(arrangement, cell_id, lid1, lid2, per_line, centroid, eps, branch=1):
+def _ellipse_piece(arrangement, cell_id, lid1, lid2, per_line, centroid, eps, branch):
     lines: list[Line] = arrangement.primitives
     l1, l2 = lines[lid1], lines[lid2]
     det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) <= 1e-12:
+    if abs(det) <= DEGENERATE_TOL:
         return None
     ox = (l1.c * l2.b - l2.c * l1.b) / det
     oy = (l1.a * l2.c - l2.a * l1.c) / det
 
-    def wedge_ray(ln: Line, other: Line):
+    def wedge_ray(ln: Line, other: Line):  # along ln from the apex, to the cell's side of other
         ux, uy = ln.direction()
-        want = other.side_of(centroid) > 0.0
-        got = other.side_of(Point(ox + ux, oy + uy)) - other.side_of(Point(ox, oy)) > 0.0
-        return (ux, uy) if want == got else (-ux, -uy)
+        if (other.side_of(centroid) > 0.0) == (other.a * ux + other.b * uy > 0.0):
+            return (ux, uy)
+        return (-ux, -uy)
 
     r1 = wedge_ray(l1, l2)
     r2 = wedge_ray(l2, l1)
     bx, by = r1[0] + r2[0], r1[1] + r2[1]
     norm = math.hypot(bx, by)
-    if norm <= 1e-12:
+    if norm <= DEGENERATE_TOL:
         return None
     xh = (bx / norm, by / norm)
     yh = (-xh[1], xh[0])
     cosa = max(-1.0, min(1.0, r1[0] * xh[0] + r1[1] * xh[1]))
     sina = abs(r1[0] * yh[0] + r1[1] * yh[1])
-    if sina <= 1e-9 or cosa <= 1e-12:
+    if sina <= FLAT_TOL or cosa <= DEGENERATE_TOL:
         return None
     a = sina / cosa
-    if branch == 1:
-        A_s = (math.sin(0.5 * eps) - a * math.cos(0.5 * eps)) / a
-        B = a * math.sin(0.5 * eps) + math.cos(0.5 * eps)
-    else:
-        A_s = (math.sin(0.5 * eps) + a * math.cos(0.5 * eps)) / a
-        B = a * math.sin(0.5 * eps) - math.cos(0.5 * eps)
+    hw, h = math.sin(0.5 * eps), math.cos(0.5 * eps)
+    # semi-axes along the bisector (A_s) and across it (B)
+    A_s = (hw - branch * a * h) / a
+    B = a * hw + branch * h
 
-    up_is_1 = (r1[0] * yh[0] + r1[1] * yh[1]) > 0.0
-    r_up, lid_up = (r1, lid1) if up_is_1 else (r2, lid2)
-    r_lo, lid_lo = (r2, lid2) if up_is_1 else (r1, lid1)
+    # a crossing rides its ray from the apex at hw*(sin(psi)/sina -+ cos(psi)/cosa),
+    # minus on the ray below the bisector
+    ends = []
+    for lid, ray in ((lid1, r1), (lid2, r2)):
+        ks, kc = hw / sina, math.copysign(hw / cosa, ray[0] * yh[0] + ray[1] * yh[1])
+        path = _Path((ox, oy), (ks * ray[0], ks * ray[1]), (kc * ray[0], kc * ray[1]))
+        ends.append(_end(path, lid, ray, per_line[lid]))
 
-    def extent(lid, ray):
-        pts = per_line[lid]
-        params = [(p.x - ox) * ray[0] + (p.y - oy) * ray[1] for p in pts]
-        return min(params), max(params)
-
-    up_lo, up_hi = extent(lid_up, r_up)
-    lo_lo, lo_hi = extent(lid_lo, r_lo)
-
-    w = 2.0 * math.sin(0.5 * eps)
-    sin_a, cos_a = sina, cosa
-
-    def s_of(psi):  # crossing param along the lower ray
-        return 0.5 * w * (math.sin(psi) / sin_a - math.cos(psi) / cos_a)
-
-    def t_of(psi):  # crossing param along the upper ray
-        return 0.5 * w * (math.sin(psi) / sin_a + math.cos(psi) / cos_a)
-
+    # the arc's midpoint sits 1 beyond the center, branch * (sin, -cos) in frame
     piece = _RingPiece(
-        "ellipse",
         frozenset({lid1, lid2}),
-        O=(ox, oy),
-        xhat=xh,
-        yhat=yh,
-        A_s=A_s,
-        B=B,
-        branch=branch,
+        center=_Path((ox, oy), (A_s * xh[0], A_s * xh[1]), (B * yh[0], B * yh[1])),
+        mid=_Path(
+            (ox, oy),
+            ((A_s + branch) * xh[0], (A_s + branch) * xh[1]),
+            ((B - branch) * yh[0], (B - branch) * yh[1]),
+        ),
+        shift=math.atan2(xh[1], xh[0]) - branch * 0.5 * math.pi,
+        # apex-side arcs of a cell vertex sharper than the granularity run on
+        # the concave side and are split off (a < tan(eps/2))
+        concave=branch == 1 and A_s > FLAT_TOL,
     )
-
-    n_grid = 720
-    slack = 1e-9
-    mask = []
-    for k in range(n_grid):
-        psi = TWO_PI * k / n_grid
-        s, t = s_of(psi), t_of(psi)
-        mask.append(lo_lo - slack <= s <= lo_hi + slack and up_lo - slack <= t <= up_hi + slack)
-    candidates = _mask_runs(mask, n_grid)
-    ok = _piece_checker(arrangement, cell_id, eps, frozenset({lid1, lid2}))
-    piece.intervals = _validated_intervals(piece, candidates, ok)
+    piece.intervals = _trim(arrangement, cell_id, eps, piece, tuple(ends), 0.0, TWO_PI)
     return piece
-
-
-def _mask_runs(mask: list[bool], n: int):
-    """Maximal cyclic true runs, padded one grid step, as parameter intervals."""
-    step = TWO_PI / n
-    if all(mask):
-        return [(0.0, TWO_PI)]
-    if not any(mask):
-        return []
-    runs = []
-    for k in range(n):
-        if mask[k] and not mask[(k - 1) % n]:
-            m = 1
-            while mask[(k + m) % n]:
-                m += 1
-            runs.append(((k - 1) * step, (k + m) * step))
-    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -302,126 +311,92 @@ def circle_cell_curves(cell_id: int, arrangement: Arrangement, tau, eps: float):
     Pieces are grouped into convex chains; arcs traced on the concave side
     (cell vertex sharper than the granularity) are split off on their own.
     """
-    from .placement import CriticalCurve, CurvePiece, EpsilonTooLarge
-
     if eps >= 1.0:
         raise EpsilonTooLarge("circle curves are only computed for eps < 1")
     theta_tau = math.atan2(tau.dy, tau.dx)
     half = 0.5 * eps
     out_pieces: list[tuple[CurvePiece, bool]] = []  # (piece, concave flag)
     for rp in _ring_pieces(arrangement, cell_id, eps):
-        if rp.kind == "straight":
-            mid = rp.mid_angle(0.0)
-            d = abs((theta_tau - mid + math.pi) % TWO_PI - math.pi)
-            if d >= half:
+        if rp.straight:
+            if abs((theta_tau - rp.mid_angle(0.0) + math.pi) % TWO_PI - math.pi) >= half:
                 continue
             for t0, t1 in rp.intervals:
-                x0, y0 = rp.point(t0)
-                x1, y1 = rp.point(t1)
-                out_pieces.append(
-                    (CurvePiece("seg", p0=(x0, y0), p1=(x1, y1)), False)
-                )
-        else:
-            frame = math.atan2(rp.xhat[1], rp.xhat[0])
-            center_psi = _wrap(theta_tau - frame + rp.branch * 0.5 * math.pi)
-            window = (center_psi - half, center_psi + half)
-            # apex-side arcs of a cell vertex sharper than the granularity
-            # run on the concave side and are split off (a < tan(eps/2))
-            concave = rp.branch == 1 and rp.A_s > 1e-9
-            for lo, hi in rp.intervals:
-                for w0, w1 in _cyclic_interval_intersection((lo, hi), window):
-                    if w1 - w0 <= 1e-10:
-                        continue
-                    out_pieces.append(
-                        (
-                            CurvePiece(
-                                "arc",
-                                center=rp.O,
-                                vec_a=(rp.A_s * rp.xhat[0], rp.A_s * rp.xhat[1]),
-                                vec_b=(rp.B * rp.yhat[0], rp.B * rp.yhat[1]),
-                                psi0=w0,
-                                psi1=w1,
-                            ),
-                            concave,
-                        )
+                seg = CurvePiece("seg", p0=rp.center.at(t0), p1=rp.center.at(t1))
+                out_pieces.append((seg, False))
+            continue
+        center_psi = (theta_tau - rp.shift) % TWO_PI
+        for lo, hi in rp.intervals:
+            for k in (-TWO_PI, 0.0, TWO_PI):  # the window, modulo 2*pi
+                w0, w1 = max(lo, center_psi - half + k), min(hi, center_psi + half + k)
+                if w1 - w0 > MIN_PIECE:
+                    piece = CurvePiece(
+                        "arc", center=rp.center.p0, vec_a=rp.center.v, vec_b=rp.center.w,
+                        psi0=w0, psi1=w1,
                     )
+                    out_pieces.append((piece, rp.concave))
 
-    return _assemble_chains(cell_id, tau, out_pieces, CriticalCurve)
-
-
-def _cyclic_interval_intersection(interval, window):
-    """Intersect two angle intervals, the window considered modulo 2*pi."""
-    lo, hi = interval
-    out = []
-    for shift in (-TWO_PI, 0.0, TWO_PI):
-        w0, w1 = window[0] + shift, window[1] + shift
-        a, b = max(lo, w0), min(hi, w1)
-        if b - a > 1e-12:
-            out.append((a, b))
-    return out
+    return _assemble_chains(cell_id, tau, out_pieces)
 
 
-def _assemble_chains(cell_id, tau, flagged_pieces, CriticalCurve):
-    curves = []
-    convex_pieces = [p for p, concave in flagged_pieces if not concave]
-    for p, concave in flagged_pieces:
-        if concave:
-            curves.append(CriticalCurve(cell_id, tau, [p], False))
-    tol = 1e-6
+def _assemble_chains(cell_id, tau, flagged_pieces):
+    """Concave pieces alone, the rest joined at shared ends into chains.
 
-    def key(pt):
-        return (round(pt[0] / tol), round(pt[1] / tol))
-
+    A piece joins a chain by either end, so each chain entry carries whether
+    the chain runs along the piece's parameter (True) or against it.
+    """
+    curves = [CriticalCurve(cell_id, tau, [p], False) for p, concave in flagged_pieces if concave]
+    pieces = [p for p, concave in flagged_pieces if not concave]
+    ends = [
+        tuple((round(x / CHAIN_KEY), round(y / CHAIN_KEY)) for x, y in p.endpoints())
+        for p in pieces
+    ]
     adj: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(convex_pieces):
-        a, b = p.endpoints()
-        adj.setdefault(key(a), []).append(i)
-        adj.setdefault(key(b), []).append(i)
-    used = [False] * len(convex_pieces)
-    for start in range(len(convex_pieces)):
+    for i, (a, b) in enumerate(ends):
+        adj.setdefault(a, []).append(i)
+        adj.setdefault(b, []).append(i)
+    used = [False] * len(pieces)
+    for start in range(len(pieces)):
         if used[start]:
             continue
         used[start] = True
-        chain = [convex_pieces[start]]
-        for head in (True, False):
+        chain = [(start, True)]
+        for at_head in (True, False):
             while True:
-                ref = chain[-1].endpoints()[1] if head else chain[0].endpoints()[0]
-                nxt = None
-                for i in adj.get(key(ref), []):
-                    if not used[i]:
-                        nxt = i
-                        break
+                i, forward = chain[-1] if at_head else chain[0]
+                free = ends[i][1 if forward == at_head else 0]
+                nxt = next((j for j in adj[free] if not used[j]), None)
                 if nxt is None:
                     break
                 used[nxt] = True
-                if head:
-                    chain.append(convex_pieces[nxt])
+                # the next piece starts at the free end past the head, ends
+                # there before the tail
+                entry = (nxt, ends[nxt][0 if at_head else 1] == free)
+                if at_head:
+                    chain.append(entry)
                 else:
-                    chain.insert(0, convex_pieces[nxt])
-        for run in _split_convex_runs(chain):
+                    chain.insert(0, entry)
+        for run in _split_convex_runs([(pieces[i], forward) for i, forward in chain]):
             curves.append(CriticalCurve(cell_id, tau, run, True))
     return curves
 
 
 def _split_convex_runs(chain):
-    """Split a piece chain at turning-direction flips of its sampled trace."""
-    if len(chain) <= 1:
-        return [chain]
+    """Split an oriented piece chain at turning-direction flips of its
+    sampled trace; returns the runs' pieces."""
     signs = []
-    for piece in chain:
+    for piece, forward in chain:
         samp = piece.sample(8)
         s = 0.0
         for a, b, c in zip(samp, samp[1:], samp[2:]):
             s += (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        signs.append(1 if s > 1e-12 else (-1 if s < -1e-12 else 0))
-    runs = [[chain[0]]]
+        s = s if forward else -s
+        signs.append(1 if s > TURN_TOL else (-1 if s < -TURN_TOL else 0))
+    runs = [[chain[0][0]]]
     run_sign = signs[0]
-    for piece, s in zip(chain[1:], signs[1:]):
-        if s != 0 and run_sign != 0 and s != run_sign:
+    for (piece, _forward), s in zip(chain[1:], signs[1:]):
+        if s * run_sign < 0:  # the turn flips: a new run
             runs.append([piece])
-            run_sign = s
         else:
             runs[-1].append(piece)
-            if run_sign == 0:
-                run_sign = s
+        run_sign = s or run_sign
     return runs

@@ -139,7 +139,8 @@ def _crossings_circle(center: Point, primitives: list, warnings: list[str]):
             d = prim.side_of(center)
             if abs(abs(d) - 1.0) <= TOL.eps_geom:
                 warnings.append(f"tangency: primitive {k} tangent to the circle")
-                continue
+            # a line that still crosses keeps both crossings, however close:
+            # dropping it would merge the pieces on either side of them
             if abs(d) >= 1.0:
                 continue
             half = math.sqrt(1.0 - d * d)

@@ -65,6 +65,10 @@ ARC_CHUNK = 1.0
 # Bisection halvings of a root bracket: from |t| <= tan(1/4) this reaches
 # the spacing of doubles near 1.
 ROOT_BISECTIONS = 52
+# A sinusoid whose peak comes this close to zero, relative to its offset,
+# touches zero (a circle curve ending on a tangency): its double root is the
+# peak, where rounding would split it into two roots about 1e-8 apart or none.
+TOUCH_TOL = 1e-12
 
 
 class EpsilonTooLarge(GeometryError):
@@ -790,10 +794,16 @@ def _clip_piece_to_box(piece: CurvePiece, box: BBox) -> list[CurvePiece]:
 
 
 def _sinusoid_roots(A: float, B: float, C: float, lo: float, hi: float) -> list[float]:
-    """Roots of A sin(psi) + B cos(psi) + C = 0 within [lo, hi]."""
+    """Roots of A sin(psi) + B cos(psi) + C = 0 within [lo, hi].
+
+    A touching (double) root, |C| within TOUCH_TOL of the amplitude, is the
+    sinusoid's peak, whichever side of zero rounding put it.
+    """
     R = math.hypot(A, B)
     if R <= 1e-15:
         return []
+    if abs(abs(C) - R) <= TOUCH_TOL * (1.0 + abs(C)):
+        C = math.copysign(R, C)
     if abs(C) > R:
         return []
     phi = math.atan2(B, A)
@@ -969,15 +979,26 @@ def _arc_coords(arc: CurvePiece, vx: float, vy: float):
 
 def _arc_param(arc: CurvePiece, x: float, y: float):
     """The arc's parameter of a point on its ellipse, clamped to [psi0, psi1];
-    None when the point lies more than ARC_PARAM_SLACK outside the range."""
-    sc = _arc_coords(arc, x - arc.center[0], y - arc.center[1])
-    if sc is None:
-        return None
+    None when the point lies more than ARC_PARAM_SLACK outside the range.
+
+    A flat arc runs to and fro along its one nonzero axis, so a point there
+    has two parameters; the one inside the range is taken.
+    """
+    vx, vy = x - arc.center[0], y - arc.center[1]
     lo = arc.psi0 - ARC_PARAM_SLACK
-    d = (math.atan2(*sc) - lo) % (2.0 * math.pi)
-    if d > arc.psi1 + ARC_PARAM_SLACK - lo:
-        return None
-    return min(max(lo + d, arc.psi0), arc.psi1)
+    sc = _arc_coords(arc, vx, vy)
+    if sc is not None:
+        cands = [math.atan2(*sc)]
+    else:  # along the axis the arc runs at (vec_a . axis) sin + (vec_b . axis) cos
+        ax, ay = max(arc.vec_a, arc.vec_b, key=lambda v: math.hypot(*v))
+        A = arc.vec_a[0] * ax + arc.vec_a[1] * ay
+        B = arc.vec_b[0] * ax + arc.vec_b[1] * ay
+        cands = _sinusoid_roots(A, B, -(vx * ax + vy * ay), lo, lo + 2.0 * math.pi)
+    for psi in cands:
+        d = (psi - lo) % (2.0 * math.pi)
+        if d <= arc.psi1 + ARC_PARAM_SLACK - lo:
+            return min(max(lo + d, arc.psi0), arc.psi1)
+    return None
 
 
 def _arc_arc_points(p: CurvePiece, q: CurvePiece):

@@ -3,6 +3,9 @@
 * `f_value`: the distance sum of the corner-vector level sets, evaluated
   directly from the lines.
 * `dense_scan_naive`: the dense placement scan built on `boundary_gaps`.
+* `reference_ring_ok`: the validity of a circle ring piece at one parameter,
+  judged from the gap profile, as the circle curves were once trimmed by
+  sampling it.
 * The square's curve construction as it was before the program clipped each
   profile strip once and cast its wall rays in numpy: profiles cast one ray
   per strip in a loop over the walls, and every (horizontal strip, vertical
@@ -17,7 +20,7 @@ import math
 import numpy as np
 
 from critplace.arrangement import Arrangement, BBox, convex_decompose
-from critplace.geom import GeometryError, Line, Point, shape_perimeter
+from critplace.geom import CIRCLE, GeometryError, Line, Point, shape_perimeter
 from critplace.oracle import _pair_report, boundary_gaps
 from critplace.placement import (
     _CORNER_QUADRANT,
@@ -106,6 +109,32 @@ def dense_scan_naive(
     if not pts:
         return np.zeros((0, 2))
     return np.unique(np.array(pts), axis=0)
+
+
+def reference_ring_ok(arrangement: Arrangement, cell_id: int, eps: float, piece, t: float) -> bool:
+    """Is the circle ring piece valid at parameter t, by the gap profile?
+
+    The boundary component around the tracked arc's midpoint direction must
+    have length eps, be cut by the piece's own lines and have its midpoint in
+    the cell, and both ends of the tracked arc must lie in the closed cell.
+    """
+    px, py = piece.center.at(t)
+    theta = piece.mid_angle(t)
+    for s in (theta - 0.5 * eps, theta + 0.5 * eps):
+        end = Point(px + math.cos(s), py + math.sin(s))
+        if not arrangement.point_in_cell(end, cell_id, slack=1e-9):
+            return False
+    prof = boundary_gaps(Point(px, py), arrangement.primitives, CIRCLE)
+    for comp in prof.components:
+        if comp.bound_ids is None:
+            continue
+        if (theta - comp.start) % (2.0 * math.pi) <= comp.length:
+            if abs(comp.length - eps) > 1e-6:
+                return False
+            if frozenset(comp.bound_ids) != piece.bounds:
+                return False
+            return arrangement.point_in_cell(comp.mid_point, cell_id, slack=1e-9)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from critplace.arrangement import build_line_arrangement, locate
+from critplace.circles import _ring_pieces
 from critplace.generators import random_lines
 from critplace.geom import CIRCLE, Line, Point
 from critplace.oracle import boundary_gaps
 from critplace.placement import (
+    CriticalCurve,
     EpsilonTooLarge,
+    _overlay_counts,
     build_placement_arrangement,
     collect_S,
+    seg_piece,
     translation_vectors,
 )
+
+from _reference import reference_ring_ok
 
 EPS = 0.5
 
@@ -248,7 +254,7 @@ def _variants(lines):
 
 @pytest.mark.parametrize(
     "n, seed, eps, counts",
-    [(2, 3, 0.7, (96, 124, 30)), (3, 5, 0.5, (258, 351, 95)), (4, 3, 0.4, (590, 792, 206))],
+    [(2, 3, 0.7, (92, 132, 42)), (3, 5, 0.5, (258, 368, 112)), (4, 3, 0.4, (573, 822, 251))],
 )
 def test_circle_counts_invariant(n, seed, eps, counts):
     # the same scene shifted by (0.37, -0.21), with its lines reversed, and
@@ -259,3 +265,119 @@ def test_circle_counts_invariant(n, seed, eps, counts):
         )
         c = pa.counts
         assert (c["vertices"], c["edges"], c["faces"]) == counts
+
+
+# ---------------------------------------------------------------------------
+# closed-form trimming of the ring pieces against the gap-profile judge
+# ---------------------------------------------------------------------------
+
+TWO_PI = 2.0 * math.pi
+
+
+def _in_runs(runs, t, straight):
+    shifts = (0.0,) if straight else (0.0, TWO_PI)
+    return any(lo <= t + k <= hi for lo, hi in runs for k in shifts)
+
+
+def _near_end(runs, t, straight, tol):
+    shifts = (0.0,) if straight else (-TWO_PI, 0.0, TWO_PI)
+    return any(abs(t - e - k) <= tol for run in runs for e in run for k in shifts)
+
+
+def _search_range(arr, rp):
+    """Parameters a valid placement of the piece can have: psi anywhere on an
+    ellipse; t where the center lies within 1 of the clip box when straight."""
+    if not rp.straight:
+        return 0.0, TWO_PI
+    b = arr.clip_box.expanded(1.0)
+    (x0, y0), (vx, vy) = rp.center.p0, rp.center.v
+    ts = [(x - x0) * vx + (y - y0) * vy for x in (b.xmin, b.xmax) for y in (b.ymin, b.ymax)]
+    return min(ts), max(ts)
+
+
+def _placement_cell_pieces(n, seed, eps, cell_id, bounds):
+    """The arrangement the placement builds, and one cell's pieces on the lines."""
+    lines = random_lines(n, seed)
+    arr = build_placement_arrangement(build_line_arrangement(lines), eps, CIRCLE).arrangement
+    return arr, [rp for rp in _ring_pieces(arr, cell_id, eps) if rp.bounds == frozenset(bounds)]
+
+
+@pytest.mark.parametrize(
+    "n, seed, eps", [(2, 3, 0.7), (2, 31, 0.5), (3, 5, 0.5), (3, 31, 0.8), (4, 3, 0.4)]
+)
+def test_ring_pieces_agree_with_gap_profile_judge(n, seed, eps):
+    # every ring piece of every cell, on a 2,000-step grid of its parameter:
+    # away from the ends of its runs, the closed-form runs and the gap
+    # profile give the same verdict
+    arr = build_line_arrangement(random_lines(n, seed))
+    steps = 2000
+    agree_valid = 0
+    for cell in arr.cells:
+        for rp in _ring_pieces(arr, cell.id, eps):
+            lo, hi = _search_range(arr, rp)
+            for k in range(steps):
+                t = lo + (hi - lo) * (k + 0.5) / steps
+                if _near_end(rp.intervals, t, rp.straight, 1e-4):
+                    continue
+                got = _in_runs(rp.intervals, t, rp.straight)
+                assert got == reference_ring_ok(arr, cell.id, eps, rp, t), (cell.id, rp.bounds, t)
+                agree_valid += got
+    assert agree_valid >= 100
+
+
+def test_run_starts_where_the_judge_starts_holding():
+    # a run used to start at the first passing sample, 1.15444, when the
+    # sample just past the candidate's start failed; the judge holds from
+    # 1.15194 on
+    arr, pieces = _placement_cell_pieces(3, 31, 0.8, 5, {1, 2})
+    starts = [lo for rp in pieces for lo, _hi in rp.intervals if 1.150 < lo < 1.155]
+    assert len(starts) == 1 and 1.1519 < starts[0] < 1.1520
+    rp = next(rp for rp in pieces if any(lo == starts[0] for lo, _hi in rp.intervals))
+    for t in (1.1521, 1.1530, 1.1540):
+        assert reference_ring_ok(arr, 5, 0.8, rp, t)
+    assert not reference_ring_ok(arr, 5, 0.8, rp, 1.1518)
+
+
+def test_run_narrower_than_a_sample_step_is_kept():
+    # about 4.4e-4 wide, under the old 0.005 sample step, which lost it
+    arr, pieces = _placement_cell_pieces(3, 31, 0.8, 0, {0, 2})
+    runs = [(rp, lo, hi) for rp in pieces for lo, hi in rp.intervals if lo < 1.5708 < hi]
+    assert len(runs) == 1
+    rp, lo, hi = runs[0]
+    assert hi - lo < 0.005
+    for t in (1.5706, 1.5708, 1.5710):
+        assert reference_ring_ok(arr, 0, 0.8, rp, t)
+
+
+def test_run_ends_at_the_touching_root():
+    # line 0 touches the circle at psi ~ 0.88359 and the run starts there;
+    # the oracle used to drop that line as tangent up to 0.88364
+    arr, pieces = _placement_cell_pieces(2, 3, 0.7, 3, {0, 1})
+    line = arr.primitives[0]
+    runs = [(rp, lo) for rp in pieces for lo, _hi in rp.intervals if 0.8830 < lo < 0.8840]
+    assert len(runs) == 1
+    rp, lo = runs[0]
+    assert lo < 0.88362
+    assert abs(abs(line.side_of(Point(*rp.center.at(lo)))) - 1.0) < 1e-12
+    for t in (lo + 1e-5, lo + 3e-5):
+        assert reference_ring_ok(arr, 3, 0.7, rp, t)
+
+
+def test_flat_arcs_count_as_their_segments():
+    # half-angle tangent tan(eps/2): the apex-side ellipse is flat; its arcs
+    # must split and count like the straight segments they trace
+    eps = 0.5
+    pa = build_placement_arrangement(build_line_arrangement(_wedge_lines(math.tan(eps / 2))), eps, CIRCLE)
+    as_segments = []
+    flat = 0
+    for c in pa.curves:
+        pieces = []
+        for p in c.pieces:
+            if p.kind == "arc" and math.hypot(*p.vec_a) < 1e-9:
+                flat += 1
+                (x0, y0), (x1, y1) = p.endpoints()
+                p = seg_piece(x0, y0, x1, y1)
+            pieces.append(p)
+        as_segments.append(CriticalCurve(c.cell_id, c.vector, pieces, c.convex_flag))
+    assert flat > 0
+    assert pa.counts == _overlay_counts(as_segments, pa.domain)
