@@ -31,7 +31,7 @@ def complexity(n: int, eps: float) -> tuple[int, int, float]:
     edge = [c for c in pa.curves if c.vector.kind == "edge"]
     horizontal = [c for c in edge if c.vector.label in ("top", "bottom")]
     vertical = [c for c in edge if c.vector.label in ("left", "right")]
-    crossings, _shared = pair_intersections(horizontal, vertical)
+    crossings = pair_intersections(horizontal, vertical)
     return pa.complexity, len(crossings), dt
 
 

@@ -2,8 +2,10 @@
 
 The subdivision is stored half-edge style: undirected edges carry the id of
 the supporting primitive, faces are traced by walking twin/rotation order at
-every vertex.  Nonconvex cells of segment arrangements can be partitioned
-into convex subcells by shooting axis-parallel rays from reflex vertices.
+every vertex.  Walls are split at the crossings `_segment_crossings` finds,
+the x-sweep the placement overlay uses for its straight pieces too.
+Nonconvex cells of segment arrangements can be partitioned into convex
+subcells by shooting axis-parallel rays from reflex vertices.
 """
 
 from __future__ import annotations
@@ -20,14 +22,24 @@ from .geom import (
     Point,
     Segment,
     _line_in_box,
-    segment_intersection,
 )
 
 # Edge tags: ("line", i) / ("segment", i) for input primitives, ("clip", side)
 # for the clip box frame, ("ray", k) for convex-decomposition rays.
 Tag = tuple[str, int | str]
 
+# Vertices this close in both coordinates are one.
 SNAP = 1e-9
+# A crossing may lie this far outside either segment's parameter range (and
+# a box this far from another's) and still count: ends that touch within
+# rounding meet.
+CROSS_SLACK = 1e-9
+# Segments whose direction cross product is at most this are parallel: they
+# share no single crossing, and dividing by it would amplify rounding.
+PARALLEL_DET = 1e-13
+# Perturbation rounds before the lines are declared degenerate; each doubles
+# the offset, so the last is 128 times the first.
+GENERAL_POSITION_ROUNDS = 8
 
 
 class DegenerateInput(GeometryError):
@@ -224,18 +236,17 @@ def _snap_key(x: float, y: float, grid: float) -> tuple[int, int]:
 
 
 class _VertexPool:
-    def __init__(self, snap: float):
-        self.snap = snap
+    def __init__(self):
         self.points: list[tuple[float, float]] = []
         self.buckets: dict[tuple[int, int], list[int]] = {}
 
     def add(self, x: float, y: float) -> int:
-        kx, ky = _snap_key(x, y, self.snap * 4.0)
+        kx, ky = _snap_key(x, y, SNAP * 4.0)
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for idx in self.buckets.get((kx + dx, ky + dy), ()):
                     px, py = self.points[idx]
-                    if abs(px - x) <= self.snap and abs(py - y) <= self.snap:
+                    if abs(px - x) <= SNAP and abs(py - y) <= SNAP:
                         return idx
         idx = len(self.points)
         self.points.append((x, y))
@@ -309,33 +320,66 @@ def _count_components(n: int, pairs) -> int:
     return len({find(i) for i in range(n)})
 
 
+def _segment_crossings(P0: np.ndarray, P1: np.ndarray) -> list[tuple[int, int, float, float]]:
+    """Every pair of segments P0[k]-P1[k] that cross or touch, as (i, j, x, y)
+    with i < j, sorted by (i, j).
+
+    An x-sweep over the segments sorted by left end pairs each segment with
+    the ones that start before it ends and share its y-range.  The point lies
+    on segment i, at its parameter clamped to [0, 1].  Parallel segments,
+    collinear overlaps included, never cross.
+    """
+    D = P1 - P0
+    xmin = np.minimum(P0[:, 0], P1[:, 0])
+    xmax = np.maximum(P0[:, 0], P1[:, 0])
+    ymin = np.minimum(P0[:, 1], P1[:, 1])
+    ymax = np.maximum(P0[:, 1], P1[:, 1])
+    order = np.argsort(xmin, kind="stable")
+    # sweep position of the first segment that starts past each one's end
+    stops = np.searchsorted(xmin[order], xmax[order] + CROSS_SLACK, side="right").tolist()
+    out = []
+    # a parallel pair may divide by zero; its ok entry is false
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pos, k in enumerate(order.tolist()):
+            if stops[pos] <= pos + 1:
+                continue
+            js = order[pos + 1 : stops[pos]]
+            js = js[(ymin[js] <= ymax[k] + CROSS_SLACK) & (ymax[js] >= ymin[k] - CROSS_SLACK)]
+            if js.size == 0:
+                continue
+            a, b = np.minimum(js, k), np.maximum(js, k)
+            det = D[a, 0] * D[b, 1] - D[a, 1] * D[b, 0]
+            ex = P0[b, 0] - P0[a, 0]
+            ey = P0[b, 1] - P0[a, 1]
+            t = (ex * D[b, 1] - ey * D[b, 0]) / det
+            u = (ex * D[a, 1] - ey * D[a, 0]) / det
+            ok = np.abs(det) > PARALLEL_DET
+            ok &= (t >= -CROSS_SLACK) & (t <= 1.0 + CROSS_SLACK)
+            ok &= (u >= -CROSS_SLACK) & (u <= 1.0 + CROSS_SLACK)
+            a, t = a[ok], np.minimum(np.maximum(t[ok], 0.0), 1.0)
+            x = P0[a, 0] + t * D[a, 0]
+            y = P0[a, 1] + t * D[a, 1]
+            out.extend(zip(a.tolist(), b[ok].tolist(), x.tolist(), y.tolist()))
+    out.sort()
+    return out
+
+
 def build_subdivision(
     walls: list[tuple[Point, Point, Tag]],
     clip_box: BBox,
     kind: str,
     primitives: list,
-    snap: float = SNAP,
 ) -> Arrangement:
     """Planar subdivision of a tagged wall soup (clip frame must be included)."""
-    pool = _VertexPool(snap)
+    pool = _VertexPool()
     wall_pts = [(pool.add(p0.x, p0.y), pool.add(p1.x, p1.y)) for p0, p1, _ in walls]
 
-    # pairwise proper intersections
+    ends = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _ in walls], dtype=float)
     extra: dict[int, list[int]] = {i: [] for i in range(len(walls))}
-    for i in range(len(walls)):
-        p0, p1, _ = walls[i]
-        for j in range(i + 1, len(walls)):
-            q0, q1, _ = walls[j]
-            if max(p0.x, p1.x) < min(q0.x, q1.x) - snap or max(q0.x, q1.x) < min(p0.x, p1.x) - snap:
-                continue
-            if max(p0.y, p1.y) < min(q0.y, q1.y) - snap or max(q0.y, q1.y) < min(p0.y, p1.y) - snap:
-                continue
-            hit = segment_intersection(p0, p1, q0, q1, tol=1e-12)
-            if hit is None:
-                continue
-            vid = pool.add(hit[2].x, hit[2].y)
-            extra[i].append(vid)
-            extra[j].append(vid)
+    for i, j, x, y in _segment_crossings(ends[:, :2], ends[:, 2:]):
+        vid = pool.add(x, y)
+        extra[i].append(vid)
+        extra[j].append(vid)
 
     pts = np.array(pool.points, dtype=float)
 
@@ -351,7 +395,7 @@ def build_subdivision(
             if vid in on_ids:
                 continue
             x, y = pts[vid]
-            if _point_segment_dist(x, y, p0, p1) <= 2.0 * snap:
+            if _point_segment_dist(x, y, p0, p1) <= 2.0 * SNAP:
                 on_ids.add(vid)
         params = sorted(
             (((pts[vid][0] - p0.x) * dx + (pts[vid][1] - p0.y) * dy) / L2, vid)
@@ -510,11 +554,11 @@ def _perturbed(line: Line, k: int, magnitude: float) -> Line:
     )
 
 
-def enforce_general_position(lines: list[Line], rounds: int = 8) -> list[Line]:
+def enforce_general_position(lines: list[Line]) -> list[Line]:
     """Perturb duplicate or concurrent lines by deterministic offsets."""
     work = list(lines)
     mag = 10.0 * TOL.eps_geom
-    for _attempt in range(rounds):
+    for _attempt in range(GENERAL_POSITION_ROUNDS):
         bad = set()
         for i in range(len(work)):
             for j in range(i + 1, len(work)):

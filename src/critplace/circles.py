@@ -7,13 +7,16 @@ distance cos(eps/2) from its midpoint, so the center traces an ellipse in the
 frame spanned by the edge pair's angular bisector (a straight offset segment
 when both crossings ride the same line).
 
-Each such ring piece is valid where both crossings lie on their cell edges,
-no line crosses the open arc between them and the arc's midpoint lies in the
-cell.  That changes only where a crossing reaches an end of its edge, a line
-passes through a crossing or touches the circle, or the midpoint crosses a
-wall's line: each a root of A sin(psi) + B cos(psi) + C (linear when
-straight).  Between consecutive roots validity is decided once, in closed
-form, at the middle.
+Each such ring piece is valid where both crossings lie on their cell edges
+and no line crosses the open arc between them; such an arc lies in the cell
+(a frame wall, which no line supports, could cut it only far outside every
+placement domain).  That changes only where a crossing reaches an end of its
+edge, a line passes through a crossing or a line touches the circle: each a
+root of A sin(psi) + B cos(psi) + C (linear when straight).  Between
+consecutive roots validity is decided once, in closed form, at the
+middle.  (Inside a convex cell a line meets a crossing's edge only at the
+edge's end, so a line through a crossing repeats an edge-end root up to
+rounding, and a run's ends may take the repeat's bits.)
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ DEGENERATE_TOL = 1e-12
 FLAT_TOL = 1e-9
 # Events this close are one; a stretch this short is not decided on its own.
 EVENT_TOL = 1e-12
-# The arc's midpoint may lie this far outside its cell: on a wall is inside.
-WALL_SLACK = 1e-9
 # A window cut of a valid run shorter than this is not emitted as a piece.
 MIN_PIECE = 1e-10
 # Piece ends this close are one chain vertex.
@@ -141,10 +142,9 @@ def _arc_clear(lines: list[Line], ends: tuple[_End, _End], p, m, cos_half: float
     return True
 
 
-def _trim(arrangement: Arrangement, cell_id: int, eps: float, piece: _RingPiece,
+def _trim(lines: list[Line], eps: float, piece: _RingPiece,
           ends: tuple[_End, _End], lo: float, hi: float) -> list[tuple[float, float]]:
     """Maximal runs of [lo, hi] where the piece is valid, from its events."""
-    lines: list[Line] = arrangement.primitives
     events = []
     for end in ends:  # a crossing reaches an end of its edge
         events += end.path.level_roots(*end.ray, end.lo, lo, hi)
@@ -155,10 +155,6 @@ def _trim(arrangement: Arrangement, cell_id: int, eps: float, piece: _RingPiece,
                 events += end.path.level_roots(ln.a, ln.b, ln.c, lo, hi)
         for touch in (-1.0, 1.0):  # a line touches the circle
             events += piece.center.level_roots(ln.a, ln.b, ln.c + touch, lo, hi)
-    for p0, p1, _tag in arrangement.cell_walls(cell_id):  # the midpoint meets a wall
-        norm = p0.dist(p1)
-        a, b = (p0.y - p1.y) / norm, (p1.x - p0.x) / norm
-        events += piece.mid.level_roots(a, b, a * p0.x + b * p0.y, lo, hi)
 
     cos_half = math.cos(0.5 * eps)
 
@@ -168,9 +164,7 @@ def _trim(arrangement: Arrangement, cell_id: int, eps: float, piece: _RingPiece,
             if not end.lo <= x * end.ray[0] + y * end.ray[1] <= end.hi:
                 return False
         (px, py), (mx, my) = piece.center.at(t), piece.mid.at(t)
-        return _arc_clear(lines, ends, (px, py), (mx - px, my - py), cos_half) and (
-            arrangement.point_in_cell(Point(mx, my), cell_id, slack=WALL_SLACK)
-        )
+        return _arc_clear(lines, ends, (px, py), (mx - px, my - py), cos_half)
 
     cuts = sorted({lo, hi, *(t for t in events if lo < t < hi)})
     runs: list[tuple[float, float]] = []
@@ -224,9 +218,7 @@ def _ring_pieces(arrangement: Arrangement, cell_id: int, eps: float) -> list[_Ri
             center=_Path((fx + h * nx, fy + h * ny), u),
             mid=_Path((fx - (1.0 - h) * nx, fy - (1.0 - h) * ny), u),
         )
-        piece.intervals = _trim(
-            arrangement, cell_id, eps, piece, ends, ends[0].lo + hw, ends[0].hi - hw
-        )
+        piece.intervals = _trim(lines, eps, piece, ends, ends[0].lo + hw, ends[0].hi - hw)
         pieces.append(piece)
 
     # elliptic arcs: crossings on two different lines, both chord sides
@@ -297,7 +289,7 @@ def _ellipse_piece(arrangement, cell_id, lid1, lid2, per_line, centroid, eps, br
         # the concave side and are split off (a < tan(eps/2))
         concave=branch == 1 and A_s > FLAT_TOL,
     )
-    piece.intervals = _trim(arrangement, cell_id, eps, piece, tuple(ends), 0.0, TWO_PI)
+    piece.intervals = _trim(lines, eps, piece, tuple(ends), 0.0, TWO_PI)
     return piece
 
 

@@ -151,31 +151,6 @@ class Polyline:
         return list(zip(self.vertices, self.vertices[1:]))
 
 
-def segment_intersection(
-    a0: Point, a1: Point, b0: Point, b1: Point, tol: float = 1e-12
-) -> tuple[float, float, Point] | None:
-    """Proper intersection of segments a and b.
-
-    Returns (t, u, point) with t, u in [0, 1] such that
-    point = a0 + t*(a1-a0) = b0 + u*(b1-b0), or None when the segments are
-    parallel or miss each other.  Endpoint touches within tol count as hits.
-    """
-    dax, day = a1.x - a0.x, a1.y - a0.y
-    dbx, dby = b1.x - b0.x, b1.y - b0.y
-    det = dax * dby - day * dbx
-    scale = max(abs(dax), abs(day), abs(dbx), abs(dby), 1.0)
-    if abs(det) <= 1e-14 * scale * scale:
-        return None
-    rx, ry = b0.x - a0.x, b0.y - a0.y
-    t = (rx * dby - ry * dbx) / det
-    u = (rx * day - ry * dax) / det
-    if -tol <= t <= 1.0 + tol and -tol <= u <= 1.0 + tol:
-        t = min(max(t, 0.0), 1.0)
-        u = min(max(u, 0.0), 1.0)
-        return (t, u, Point(a0.x + t * dax, a0.y + t * day))
-    return None
-
-
 def _slab_clip(
     px: float, py: float, dx: float, dy: float, t0: float, t1: float,
     xmin: float, ymin: float, xmax: float, ymax: float, closed: bool = False,

@@ -29,6 +29,7 @@ from .arrangement import (
     Tag,
     _count_components,
     _point_segment_dist,
+    _segment_crossings,
     build_line_arrangement,
     build_segment_arrangement,
     convex_decompose,
@@ -912,44 +913,6 @@ def _boxes_meet(boxes: np.ndarray, box) -> np.ndarray:
     )
 
 
-def _seg_seg_point(p, q):
-    ax, ay = p.p0
-    bx, by = p.p1
-    cx, cy = q.p0
-    dx, dy = q.p1
-    r1x, r1y = bx - ax, by - ay
-    r2x, r2y = dx - cx, dy - cy
-    det = r1x * r2y - r1y * r2x
-    scale = max(abs(r1x), abs(r1y), abs(r2x), abs(r2y), 1.0)
-    if abs(det) <= 1e-13 * scale * scale:
-        return None
-    ex, ey = cx - ax, cy - ay
-    t = (ex * r2y - ey * r2x) / det
-    u = (ex * r1y - ey * r1x) / det
-    if -1e-9 <= t <= 1.0 + 1e-9 and -1e-9 <= u <= 1.0 + 1e-9:
-        return (ax + t * r1x, ay + t * r1y)
-    return None
-
-
-def _segs_collinear_overlap(p, q, tol: float = 1e-9) -> bool:
-    ax, ay = p.p0
-    bx, by = p.p1
-    cx, cy = q.p0
-    dx, dy = q.p1
-    r1x, r1y = bx - ax, by - ay
-    L = math.hypot(r1x, r1y)
-    if L <= tol:
-        return False
-    cr1 = abs(r1x * (cy - ay) - r1y * (cx - ax)) / L
-    cr2 = abs(r1x * (dy - ay) - r1y * (dx - ax)) / L
-    if cr1 > tol or cr2 > tol:
-        return False
-    t1 = ((cx - ax) * r1x + (cy - ay) * r1y) / (L * L)
-    t2 = ((dx - ax) * r1x + (dy - ay) * r1y) / (L * L)
-    lo, hi = min(t1, t2), max(t1, t2)
-    return min(hi, 1.0) - max(lo, 0.0) > tol / L
-
-
 def _seg_arc_points(seg: CurvePiece, arc: CurvePiece):
     ax, ay = seg.p0
     bx, by = seg.p1
@@ -1098,45 +1061,35 @@ def _poly_roots(coeffs, lo: float, hi: float) -> list[float]:
     return roots
 
 
-def _piece_intersections(p: CurvePiece, q: CurvePiece):
-    if p.kind == "seg" and q.kind == "seg":
-        if _segs_collinear_overlap(p, q):
-            return [], True
-        hit = _seg_seg_point(p, q)
-        return ([hit] if hit is not None else []), False
-    if p.kind == "seg":
-        return _seg_arc_points(p, q), False
-    if q.kind == "seg":
-        return _seg_arc_points(q, p), False
-    return _arc_arc_points(p, q), False
+def _piece_crossings(pieces: list[CurvePiece]) -> list[tuple[int, int, float, float]]:
+    """Every crossing of two pieces as (i, j, x, y) with i < j.
 
-
-def _family_intersections(pieces_a: list[CurvePiece], pieces_b: list[CurvePiece]):
-    """All intersection points between two piece families (bbox-pruned)."""
-    if not pieces_a or not pieces_b:
-        return [], []
-    boxes_b = np.array([_piece_bbox(p) for p in pieces_b])
-    points: list[tuple[float, float]] = []
-    shared: list[tuple[int, int]] = []
-    for i, pa in enumerate(pieces_a):
-        for j in np.nonzero(_boxes_meet(boxes_b, _piece_bbox(pa)))[0]:
-            pts, is_shared = _piece_intersections(pa, pieces_b[int(j)])
-            if is_shared:
-                shared.append((i, int(j)))
-            points.extend(pts)
-    return points, shared
-
-
-def pair_intersections(curves_a: list[CriticalCurve], curves_b: list[CriticalCurve]):
-    """Transversal intersection points between the curve sets of two vectors.
-
-    Returns (points, shared) where shared lists overlapping collinear piece
-    pairs, which general position rules out for honest inputs.
+    Segment pairs go through the arrangement's x-sweep; pairs with an arc
+    are pruned by exact bounding boxes and solved in closed form.
     """
-    pieces_a = [p for c in curves_a for p in c.pieces]
-    pieces_b = [p for c in curves_b for p in c.pieces]
-    points, shared = _family_intersections(pieces_a, pieces_b)
-    return _dedupe_points(points), shared
+    segs = [i for i, p in enumerate(pieces) if p.kind == "seg"]
+    arcs = [i for i, p in enumerate(pieces) if p.kind == "arc"]
+    ends = np.array([(*pieces[i].p0, *pieces[i].p1) for i in segs], dtype=float).reshape(-1, 4)
+    out = [(segs[a], segs[b], x, y) for a, b, x, y in _segment_crossings(ends[:, :2], ends[:, 2:])]
+    if arcs:
+        boxes = np.array([_piece_bbox(p) for p in pieces])
+    for n, i in enumerate(arcs):
+        cand = np.array(segs + arcs[n + 1 :], dtype=int)
+        for j in cand[_boxes_meet(boxes[cand], boxes[i])].tolist():
+            q = pieces[j]
+            pts = _seg_arc_points(q, pieces[i]) if q.kind == "seg" else _arc_arc_points(pieces[i], q)
+            out.extend((min(i, j), max(i, j), x, y) for x, y in pts)
+    return out
+
+
+def pair_intersections(curves_a: list[CriticalCurve], curves_b: list[CriticalCurve]) -> list[Point]:
+    """Sorted, deduplicated points where a piece of one curve set crosses a
+    piece of the other; collinear overlaps count as no crossing."""
+    pieces = [p for c in curves_a for p in c.pieces]
+    na = len(pieces)
+    pieces += [p for c in curves_b for p in c.pieces]
+    hits = _piece_crossings(pieces)
+    return _dedupe_points((x, y) for i, j, x, y in hits if i < na <= j)
 
 
 def _dedupe_points(points, tol: float = 1e-7):
@@ -1315,31 +1268,10 @@ def _overlay_counts(curves: list[CriticalCurve], domain: BBox) -> dict:
         coords.append((x, y))
         return idx
 
-    per_piece_points: list[list[tuple[float, float]]] = [[] for _ in pieces]
-    for i, piece in enumerate(pieces):
-        a, b = piece.endpoints()
-        per_piece_points[i].extend([a, b])
-
-    segs_idx = [i for i, p in enumerate(pieces) if p.kind == "seg"]
-    arcs_idx = [i for i, p in enumerate(pieces) if p.kind == "arc"]
-
-    if segs_idx:
-        P0 = np.array([pieces[i].p0 for i in segs_idx])
-        P1 = np.array([pieces[i].p1 for i in segs_idx])
-        hits = _batch_seg_intersections(P0, P1)
-        for a_i, b_i, x, y in hits:
-            per_piece_points[segs_idx[a_i]].append((x, y))
-            per_piece_points[segs_idx[b_i]].append((x, y))
-
-    if arcs_idx:
-        boxes = np.array([_piece_bbox(p) for p in pieces])
-    for n, ai in enumerate(arcs_idx):
-        cand = np.array(segs_idx + arcs_idx[n + 1 :], dtype=int)
-        for j in cand[_boxes_meet(boxes[cand], boxes[ai])].tolist():
-            pts, _shared = _piece_intersections(pieces[ai], pieces[j])
-            for x, y in pts:
-                per_piece_points[ai].append((x, y))
-                per_piece_points[j].append((x, y))
+    per_piece_points: list[list[tuple[float, float]]] = [list(p.endpoints()) for p in pieces]
+    for i, j, x, y in _piece_crossings(pieces):
+        per_piece_points[i].append((x, y))
+        per_piece_points[j].append((x, y))
 
     edge_keys: set[tuple] = set()
     adj_edges: list[tuple[int, int]] = []
@@ -1389,41 +1321,3 @@ def _piece_eval(piece: CurvePiece, t: float):
             piece.p0[1] + t * (piece.p1[1] - piece.p0[1]),
         )
     return piece.arc_point(t)
-
-
-def _batch_seg_intersections(P0: np.ndarray, P1: np.ndarray):
-    """Pairwise proper intersections among segments, x-interval pruned."""
-    n = P0.shape[0]
-    if n == 0:
-        return []
-    xmin = np.minimum(P0[:, 0], P1[:, 0])
-    xmax = np.maximum(P0[:, 0], P1[:, 0])
-    ymin = np.minimum(P0[:, 1], P1[:, 1])
-    ymax = np.maximum(P0[:, 1], P1[:, 1])
-    order = np.argsort(xmin, kind="stable")
-    xmin_s = xmin[order]
-    out = []
-    D = P1 - P0
-    for pos in range(n):
-        i = int(order[pos])
-        hi = int(np.searchsorted(xmin_s, xmax[i] + 1e-9, side="right"))
-        js = order[pos + 1 : hi]
-        if js.size == 0:
-            continue
-        js = js[(ymin[js] <= ymax[i] + 1e-9) & (ymax[js] >= ymin[i] - 1e-9)]
-        if js.size == 0:
-            continue
-        det = D[i, 0] * D[js, 1] - D[i, 1] * D[js, 0]
-        ok = np.abs(det) > 1e-13
-        ex = P0[js, 0] - P0[i, 0]
-        ey = P0[js, 1] - P0[i, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (ex * D[js, 1] - ey * D[js, 0]) / det
-            u = (ex * D[i, 1] - ey * D[i, 0]) / det
-        ok &= (t >= -1e-9) & (t <= 1.0 + 1e-9) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-        for idx in np.nonzero(ok)[0]:
-            j = int(js[idx])
-            x = P0[i, 0] + t[idx] * D[i, 0]
-            y = P0[i, 1] + t[idx] * D[i, 1]
-            out.append((i, j, float(x), float(y)))
-    return out

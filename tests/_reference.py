@@ -1,5 +1,8 @@
 """Reference implementations that tests compare the program against.
 
+* `segment_intersection`: one segment pair's crossing, and
+  `pairwise_segment_crossings`, the O(n^2) loop over it that split the
+  arrangement's walls before the x-sweep did.
 * `f_value`: the distance sum of the corner-vector level sets, evaluated
   directly from the lines.
 * `dense_scan_naive`: the dense placement scan built on `boundary_gaps`.
@@ -36,6 +39,49 @@ from critplace.placement import (
     edge_curve,
     seg_piece,
 )
+
+
+def segment_intersection(
+    a0: Point, a1: Point, b0: Point, b1: Point, tol: float = 1e-12
+) -> tuple[float, float, Point] | None:
+    """Proper intersection of segments a and b.
+
+    Returns (t, u, point) with t, u in [0, 1] such that
+    point = a0 + t*(a1-a0) = b0 + u*(b1-b0), or None when the segments are
+    parallel or miss each other.  Endpoint touches within tol count as hits.
+    """
+    dax, day = a1.x - a0.x, a1.y - a0.y
+    dbx, dby = b1.x - b0.x, b1.y - b0.y
+    det = dax * dby - day * dbx
+    scale = max(abs(dax), abs(day), abs(dbx), abs(dby), 1.0)
+    if abs(det) <= 1e-14 * scale * scale:
+        return None
+    rx, ry = b0.x - a0.x, b0.y - a0.y
+    t = (rx * dby - ry * dbx) / det
+    u = (rx * day - ry * dax) / det
+    if -tol <= t <= 1.0 + tol and -tol <= u <= 1.0 + tol:
+        t = min(max(t, 0.0), 1.0)
+        u = min(max(u, 0.0), 1.0)
+        return (t, u, Point(a0.x + t * dax, a0.y + t * day))
+    return None
+
+
+def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, slack: float = 1e-9):
+    """What `arrangement._segment_crossings` returns, from a loop over every
+    pair whose boxes come within slack of each other."""
+    segs = [(Point(*a), Point(*b)) for a, b in zip(P0.tolist(), P1.tolist())]
+    out = []
+    for i, (p0, p1) in enumerate(segs):
+        for j in range(i + 1, len(segs)):
+            q0, q1 = segs[j]
+            if max(p0.x, p1.x) < min(q0.x, q1.x) - slack or max(q0.x, q1.x) < min(p0.x, p1.x) - slack:
+                continue
+            if max(p0.y, p1.y) < min(q0.y, q1.y) - slack or max(q0.y, q1.y) < min(p0.y, p1.y) - slack:
+                continue
+            hit = segment_intersection(p0, p1, q0, q1, tol=1e-12)
+            if hit is not None:
+                out.append((i, j, hit[2].x, hit[2].y))
+    return out
 
 
 class Unbounded(GeometryError):

@@ -226,7 +226,7 @@ def _side_crossings(pa) -> int:
     edge = [c for c in pa.curves if c.vector.kind == "edge"]
     horizontal = [c for c in edge if c.vector.label in ("top", "bottom")]
     vertical = [c for c in edge if c.vector.label in ("left", "right")]
-    points, _shared = pair_intersections(horizontal, vertical)
+    points = pair_intersections(horizontal, vertical)
     return len(points)
 
 
@@ -277,7 +277,7 @@ def test_criterion_5_pair_intersection_bound(lb_suite):
         best = 0
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
-                pts, _shared = pair_intersections(families[keys[i]], families[keys[j]])
+                pts = pair_intersections(families[keys[i]], families[keys[j]])
                 best = max(best, len(pts))
         ratios[n] = best / (n * n)
     ok = ratios[8] > 0 and ratios[32] <= 1.5 * ratios[8]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import critplace.arrangement
+from _reference import pairwise_segment_crossings, segment_intersection
 from critplace.arrangement import (
     OnBoundary,
     build_line_arrangement,
@@ -101,8 +103,6 @@ def test_random_segments_vertex_count():
         if p.dist(q) > 0.3:
             segs.append(Segment(p, q))
     crossings = 0
-    from critplace.geom import segment_intersection
-
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             hit = segment_intersection(segs[i].p, segs[i].q, segs[j].p, segs[j].q)
@@ -111,6 +111,46 @@ def test_random_segments_vertex_count():
     arr = build_segment_arrangement(segs)
     assert len(arr.interior_vertex_ids()) == 2 * len(segs) + crossings
     assert arr.euler_ok()
+
+
+def _subdivision(arr):
+    cells = [(c.outer, c.outer_tags, c.holes, c.convex) for c in arr.cells]
+    return arr.verts.tobytes(), arr.edges, cells, arr.n_components
+
+
+def test_subdivision_matches_the_pairwise_reference(monkeypatch):
+    soup = [
+        Segment(Point(0, 0), Point(2, 0)),
+        Segment(Point(2, 0), Point(2, 2)),  # shares an end with its neighbours
+        Segment(Point(2, 2), Point(0, 0)),
+        Segment(Point(1, -1), Point(1, 0)),  # T-touches the first
+        Segment(Point(3.1, 1.3), Point(2, 1)),  # T-touches the second
+        Segment(Point(-1, 0), Point(0.5, 0)),  # overlaps the first
+        Segment(Point(-1, 3), Point(3, 3 + 4e-6)),  # crosses the next at 1.5e-6 rad
+        Segment(Point(-1, 3 + 2e-6), Point(3, 3)),
+        Segment(Point(0.3, -0.7), Point(1.7, 2.9)),
+        Segment(Point(-0.6, 2.2), Point(2.9, -0.4)),
+    ]
+    room = [
+        Segment(Point(0, 0), Point(4, 0)),
+        Segment(Point(4, 0), Point(4, 4)),
+        Segment(Point(4, 4), Point(0, 4)),
+        Segment(Point(0, 4), Point(0, 0)),
+        Segment(Point(0, 2), Point(2.3, 2.7)),
+    ]
+
+    def scenes():
+        soup_arr = build_segment_arrangement(soup)
+        room_arr = build_segment_arrangement(room)
+        cell = next(c for c in room_arr.cells if c.holes or not c.convex)
+        polys = [sub.polygon.tobytes() for sub in convex_decompose(cell, room_arr)]
+        lines_arr = build_line_arrangement(random_lines(6, 1))
+        return _subdivision(soup_arr), _subdivision(lines_arr), polys
+
+    swept = scenes()
+    monkeypatch.setattr(critplace.arrangement, "_segment_crossings", pairwise_segment_crossings)
+    assert swept == scenes()
+    assert len(swept[2]) > 1
 
 
 def test_locate():

@@ -387,8 +387,7 @@ def test_pair_intersections_disjoint():
     vs = translation_vectors(SQUARE, 0.25)
     a = collect_S(_corner(vs, "tr"), arr, 0.25)
     b = collect_S(_corner(vs, "bl"), arr, 0.25)
-    pts, shared = pair_intersections(a, b)
-    assert pts == [] and shared == []
+    assert pair_intersections(a, b) == []
 
 
 def test_pair_intersections_are_double_placements():
@@ -403,7 +402,7 @@ def test_pair_intersections_are_double_placements():
     found = 0
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
-            pts, _ = pair_intersections(families[keys[i]], families[keys[j]])
+            pts = pair_intersections(families[keys[i]], families[keys[j]])
             for p in pts:
                 ok, wit = is_epsilon_placement(p, lines, SQUARE, 0.4, tol=1e-6)
                 assert ok
