@@ -8,7 +8,6 @@ the curves against the definition-level dense scan, and draws the picture.
 
 from pathlib import Path
 
-from critplace.arrangement import build_line_arrangement
 from critplace.generators import random_lines
 from critplace.oracle import dense_scan, verify
 from critplace.placement import build_placement_arrangement
@@ -22,10 +21,9 @@ EPS = 0.4
 lines = random_lines(4, seed=7)
 print(f"{len(lines)} random lines, granularity eps = {EPS}")
 
-arr = build_line_arrangement(lines)
+pa = build_placement_arrangement(lines, EPS, "square", include_line_translates=True)
+arr = pa.arrangement
 print(f"arrangement: {len(arr.cells)} cells, {arr.n_vertices} vertices")
-
-pa = build_placement_arrangement(arr, EPS, "square", include_line_translates=True)
 print(
     f"curves: {len(pa.curves)} chains "
     f"(complexity k = {pa.complexity}: V={pa.counts['vertices']} "

@@ -10,7 +10,6 @@ emitted arcs and checks the chord law |uv|^2 = 2 - 2 cos(eps) at samples.
 import math
 from pathlib import Path
 
-from critplace.arrangement import build_line_arrangement
 from critplace.geom import CIRCLE, Line, Point
 from critplace.oracle import boundary_gaps
 from critplace.placement import build_placement_arrangement
@@ -27,8 +26,7 @@ print(f"lines y = +-{a}x, eps = {EPS}")
 print(f"expected semi-axes: {abs(math.sin(EPS/2) - a*math.cos(EPS/2))/a:.6f} "
       f"and {a*math.sin(EPS/2) + math.cos(EPS/2):.6f}")
 
-arr = build_line_arrangement(lines)
-pa = build_placement_arrangement(arr, EPS, CIRCLE)
+pa = build_placement_arrangement(lines, EPS, CIRCLE)
 
 axes = set()
 worst_chord = 0.0

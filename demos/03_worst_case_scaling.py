@@ -17,7 +17,6 @@ import time
 
 import numpy as np
 
-from critplace.arrangement import build_line_arrangement
 from critplace.generators import lower_bound_lines
 from critplace.placement import build_placement_arrangement, pair_intersections
 
@@ -25,8 +24,7 @@ from critplace.placement import build_placement_arrangement, pair_intersections
 def complexity(n: int, eps: float) -> tuple[int, int, float]:
     t0 = time.perf_counter()
     lines = lower_bound_lines(n, eps)
-    arr = build_line_arrangement(lines)
-    pa = build_placement_arrangement(arr, eps, "square")
+    pa = build_placement_arrangement(lines, eps, "square")
     dt = time.perf_counter() - t0
     edge = [c for c in pa.curves if c.vector.kind == "edge"]
     horizontal = [c for c in edge if c.vector.label in ("top", "bottom")]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from critplace.arrangement import build_segment_arrangement, convex_decompose
+from critplace.arrangement import convex_decompose
 from critplace.geom import Point, Segment
 from critplace.oracle import dense_scan, verify
 from critplace.placement import build_placement_arrangement
@@ -32,7 +32,8 @@ while len(segments) < 5:
         segments.append(Segment(p, q))
 print(f"{len(segments)} segments, eps = {EPS}")
 
-arr = build_segment_arrangement(segments)
+pa = build_placement_arrangement(segments, EPS, "square", include_line_translates=True)
+arr = pa.arrangement
 n_sub = 0
 for cell in arr.cells:
     subs = convex_decompose(cell, arr)
@@ -40,8 +41,6 @@ for cell in arr.cells:
     tag = "convex" if cell.convex else f"split into {len(subs)} convex subcells"
     print(f"  cell {cell.id}: area {arr.cell_area(cell.id):8.3f}, {tag}")
 print(f"{len(arr.cells)} cells -> {n_sub} convex subcells")
-
-pa = build_placement_arrangement(arr, EPS, "square", include_line_translates=True)
 print(f"curves: {len(pa.curves)}, contact curves: {len(pa.line_translates)}")
 
 scan = dense_scan(segments, "square", EPS, pa.domain, EPS / 20)

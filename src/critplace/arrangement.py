@@ -37,6 +37,9 @@ CROSS_SLACK = 1e-9
 # Segments whose direction cross product is at most this are parallel: they
 # share no single crossing, and dividing by it would amplify rounding.
 PARALLEL_DET = 1e-13
+# A walk turning right by a cross product above this (relative to its
+# squared coordinate scale) is not convex.
+CONVEX_TURN_TOL = 1e-9
 # Perturbation rounds before the lines are declared degenerate; each doubles
 # the offset, so the last is 128 times the first.
 GENERAL_POSITION_ROUNDS = 8
@@ -525,7 +528,7 @@ def _cycle_probe(pts: np.ndarray, vids: list[int]) -> tuple[float, float]:
     )
 
 
-def _is_convex_walk(pts: np.ndarray, vids: list[int], tol: float = 1e-9) -> bool:
+def _is_convex_walk(pts: np.ndarray, vids: list[int]) -> bool:
     m = len(vids)
     if len(set(vids)) != m:
         return False  # repeated vertex: antenna
@@ -535,7 +538,7 @@ def _is_convex_walk(pts: np.ndarray, vids: list[int], tol: float = 1e-9) -> bool
         x1, y1 = pts[vids[(k + 1) % m]]
         x2, y2 = pts[vids[(k + 2) % m]]
         cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
-        if cross < -tol * scale * scale:
+        if cross < -CONVEX_TURN_TOL * scale * scale:
             return False
     return True
 
@@ -562,7 +565,7 @@ def enforce_general_position(lines: list[Line]) -> list[Line]:
         bad = set()
         for i in range(len(work)):
             for j in range(i + 1, len(work)):
-                if work[i].same_line(work[j], tol=TOL.eps_geom):
+                if work[i].same_line(work[j]):
                     bad.add(j)
         pts = {}
         for i in range(len(work)):

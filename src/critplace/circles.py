@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .arrangement import Arrangement
 from .geom import Line, Point
-from .placement import CriticalCurve, CurvePiece, EpsilonTooLarge, _sinusoid_roots
+from .placement import CriticalCurve, CurvePiece, EpsilonTooLarge, _sinusoid_roots, _walk_chains
 
 TWO_PI = 2.0 * math.pi
 
@@ -331,42 +331,14 @@ def circle_cell_curves(cell_id: int, arrangement: Arrangement, tau, eps: float):
 
 
 def _assemble_chains(cell_id, tau, flagged_pieces):
-    """Concave pieces alone, the rest joined at shared ends into chains.
-
-    A piece joins a chain by either end, so each chain entry carries whether
-    the chain runs along the piece's parameter (True) or against it.
-    """
+    """Concave pieces alone, the rest joined at shared ends into chains."""
     curves = [CriticalCurve(cell_id, tau, [p], False) for p, concave in flagged_pieces if concave]
     pieces = [p for p, concave in flagged_pieces if not concave]
     ends = [
         tuple((round(x / CHAIN_KEY), round(y / CHAIN_KEY)) for x, y in p.endpoints())
         for p in pieces
     ]
-    adj: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b) in enumerate(ends):
-        adj.setdefault(a, []).append(i)
-        adj.setdefault(b, []).append(i)
-    used = [False] * len(pieces)
-    for start in range(len(pieces)):
-        if used[start]:
-            continue
-        used[start] = True
-        chain = [(start, True)]
-        for at_head in (True, False):
-            while True:
-                i, forward = chain[-1] if at_head else chain[0]
-                free = ends[i][1 if forward == at_head else 0]
-                nxt = next((j for j in adj[free] if not used[j]), None)
-                if nxt is None:
-                    break
-                used[nxt] = True
-                # the next piece starts at the free end past the head, ends
-                # there before the tail
-                entry = (nxt, ends[nxt][0 if at_head else 1] == free)
-                if at_head:
-                    chain.append(entry)
-                else:
-                    chain.insert(0, entry)
+    for chain in _walk_chains(ends):
         for run in _split_convex_runs([(pieces[i], forward) for i, forward in chain]):
             curves.append(CriticalCurve(cell_id, tau, run, True))
     return curves

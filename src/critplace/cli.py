@@ -12,20 +12,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .arrangement import (
-    bbox_of_points,
-    build_line_arrangement,
-    build_segment_arrangement,
-    enforce_general_position,
-)
+from .arrangement import bbox_of_points
 from .generators import lower_bound_lines
 from .geom import CIRCLE, SQUARE, GeometryError
 from .junctions import grid_scan, top_k
 from .oracle import dense_scan, verify
 from .placement import (
     PlacementArrangement,
-    _placement_box,
     build_placement_arrangement,
+    placement_primitives,
     translation_vectors,
 )
 from .render import render_svg
@@ -96,22 +91,11 @@ def _read(path: str) -> str:
 
 def _cmd_critical(args) -> int:
     scene = parse_scene(_read(args.scene))
-    if args.shape == CIRCLE and scene.segments:
-        print("circle placements are only computed over lines", file=sys.stderr)
-        return 1
-    # one build, on the clip box the placement needs; the box comes from the
-    # lines after the general-position perturbation, which the build then keeps
-    if scene.lines:
-        prims, build = enforce_general_position(scene.lines), build_line_arrangement
-    else:
-        prims, build = scene.segments, build_segment_arrangement
-    domain, box = _placement_box(prims, args.eps, args.shape)
     pa = build_placement_arrangement(
-        build(prims, clip_box=box),
+        scene.primitives(),
         args.eps,
         args.shape,
         include_line_translates=args.include_line_translates,
-        domain=domain,
     )
     Path(args.out).write_text(emit_result(result_from_placement(pa)))
     print(
@@ -139,7 +123,7 @@ def _cmd_oracle_check(args) -> int:
         domain=domain,
         counts=doc["counts"],
         warnings=[],
-        primitives=enforce_general_position(scene.lines) if scene.lines else scene.segments,
+        primitives=placement_primitives(prims),
         vectors=translation_vectors(shape, args.eps),
     )
     scan = dense_scan(prims, shape, args.eps, domain, args.resolution)

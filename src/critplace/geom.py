@@ -114,7 +114,9 @@ class Line:
             raise GeometryError("vertical line has no unique y at x")
         return (self.c - self.a * x) / self.b
 
-    def same_line(self, other: "Line", tol: float = 1e-9) -> bool:
+    def same_line(self, other: "Line") -> bool:
+        """Canonical coefficients equal within eps_geom."""
+        tol = TOL.eps_geom
         return (
             abs(self.a - other.a) <= tol
             and abs(self.b - other.b) <= tol
@@ -268,9 +270,7 @@ def perimeter_point(coord: PerimeterCoord) -> Point:
     return Point(cx - 0.5, cy + 0.5 - frac)  # left, top to bottom
 
 
-def perimeter_coordinate(
-    shape: str, center: Point, boundary_point: Point, tol: ToleranceConfig = TOL
-) -> PerimeterCoord:
+def perimeter_coordinate(shape: str, center: Point, boundary_point: Point) -> PerimeterCoord:
     """Perimeter coordinate of a point that lies on the shape boundary.
 
     Raises NotOnBoundary when the point is farther than eps_geom from it.
@@ -279,23 +279,23 @@ def perimeter_coordinate(
     dy = boundary_point.y - center.y
     if shape == CIRCLE:
         r = math.hypot(dx, dy)
-        if abs(r - 1.0) > tol.eps_geom:
+        if abs(r - 1.0) > TOL.eps_geom:
             raise NotOnBoundary(f"point {boundary_point} not on unit circle")
         s = math.atan2(dy, dx) % CIRCLE_PERIMETER
         return PerimeterCoord(CIRCLE, center, min(s, CIRCLE_PERIMETER - 1e-15))
     if shape != SQUARE:
         raise ValueError(f"unknown shape {shape!r}")
-    if max(abs(dx), abs(dy)) - 0.5 > tol.eps_geom or (
-        abs(abs(dx) - 0.5) > tol.eps_geom and abs(abs(dy) - 0.5) > tol.eps_geom
+    if max(abs(dx), abs(dy)) - 0.5 > TOL.eps_geom or (
+        abs(abs(dx) - 0.5) > TOL.eps_geom and abs(abs(dy) - 0.5) > TOL.eps_geom
     ):
         raise NotOnBoundary(f"point {boundary_point} not on unit square")
     # Pick the side whose coordinate is pinned at +-0.5; corners may take
     # either incident side, the coordinate is the same after wrapping.
-    if abs(dy + 0.5) <= tol.eps_geom and dx < 0.5 - tol.eps_geom:
+    if abs(dy + 0.5) <= TOL.eps_geom and dx < 0.5 - TOL.eps_geom:
         s = 0.0 + (dx + 0.5)
-    elif abs(dx - 0.5) <= tol.eps_geom and dy < 0.5 - tol.eps_geom:
+    elif abs(dx - 0.5) <= TOL.eps_geom and dy < 0.5 - TOL.eps_geom:
         s = 1.0 + (dy + 0.5)
-    elif abs(dy - 0.5) <= tol.eps_geom:
+    elif abs(dy - 0.5) <= TOL.eps_geom:
         s = 2.0 + (0.5 - dx)
     else:
         s = 3.0 + (0.5 - dy)

@@ -81,11 +81,7 @@ class SignificanceGrid:
 # salient subtrajectories
 # ---------------------------------------------------------------------------
 
-def salient_subtrajectories(
-    trajectories: list[Polyline],
-    p: Point,
-    inner_ratio: float = INNER_RATIO,
-) -> list[SalientSubtrajectory]:
+def salient_subtrajectories(trajectories: list[Polyline], p: Point) -> list[SalientSubtrajectory]:
     """Maximal trajectory pieces inside the unit square around p that reach
     the inner square and properly cross the boundary at both ends.
 
@@ -96,7 +92,7 @@ def salient_subtrajectories(
     out: list[SalientSubtrajectory] = []
     # the closed unit square around p and the inner square
     xmin, ymin, xmax, ymax = p.x - 0.5, p.y - 0.5, p.x + 0.5, p.y + 0.5
-    inner_half = 0.5 * inner_ratio
+    inner_half = 0.5 * INNER_RATIO
     ixmin, iymin = p.x - inner_half, p.y - inner_half
     ixmax, iymax = p.x + inner_half, p.y + inner_half
     for traj in trajectories:
@@ -232,15 +228,9 @@ def default_significance(n_clusters: int, min_cluster_size: int, kind: str) -> f
     return float(2 * base if kind == "realJunction" else base)
 
 
-def assess(
-    p: Point,
-    trajectories: list[Polyline],
-    eps: float,
-    inner_ratio: float = INNER_RATIO,
-    significance_fn=default_significance,
-) -> JunctionAssessment:
+def assess(p: Point, trajectories: list[Polyline], eps: float) -> JunctionAssessment:
     """Cluster the salient crossing points around p and classify the point."""
-    subs = salient_subtrajectories(trajectories, p, inner_ratio)
+    subs = salient_subtrajectories(trajectories, p)
     coords: list[PerimeterCoord] = []
     for sub in subs:
         coords.append(sub.entry)
@@ -260,7 +250,7 @@ def assess(
         )
         kind = "crossing" if paired else "realJunction"
     min_size = min((c.size for c in clusters.clusters), default=0)
-    significance = significance_fn(len(clusters), min_size, kind)
+    significance = default_significance(len(clusters), min_size, kind)
     return JunctionAssessment(p, clusters, subs, junction_like, kind, significance)
 
 
@@ -268,14 +258,7 @@ def assess(
 # grid scan and reporting
 # ---------------------------------------------------------------------------
 
-def grid_scan(
-    trajectories: list[Polyline],
-    eps: float,
-    bbox: BBox,
-    spacing: float,
-    inner_ratio: float = INNER_RATIO,
-    significance_fn=default_significance,
-) -> SignificanceGrid:
+def grid_scan(trajectories: list[Polyline], eps: float, bbox: BBox, spacing: float) -> SignificanceGrid:
     """assess() on a regular grid over the box, row-major and deterministic.
 
     Each grid point only looks at the trajectories whose bounding box comes
@@ -307,7 +290,7 @@ def grid_scan(
         for col in range(nx):
             x = bbox.xmin + col * spacing
             near = [t for t, b in in_row if b.xmin - reach <= x <= b.xmax + reach]
-            cells.append(assess(Point(x, y), near, eps, inner_ratio, significance_fn))
+            cells.append(assess(Point(x, y), near, eps))
     return SignificanceGrid(bbox, spacing, nx, ny, cells)
 
 

@@ -225,17 +225,12 @@ def boundary_gaps(center: Point, primitives: list, shape: str) -> GapProfile:
 
 
 def is_epsilon_placement(
-    center: Point,
-    primitives: list,
-    shape: str,
-    eps: float,
-    tol: float | None = None,
+    center: Point, primitives: list, shape: str, eps: float
 ) -> tuple[bool, list[GapComponent]]:
-    """True when some boundary component has length eps, with the witnesses."""
-    if tol is None:
-        tol = TOL.eps_verify
+    """True when some boundary component has length eps within the verify
+    budget (TOL.eps_verify), with the witnesses."""
     profile = boundary_gaps(center, primitives, shape)
-    witnesses = [c for c in profile.components if abs(c.length - eps) <= tol]
+    witnesses = [c for c in profile.components if abs(c.length - eps) <= TOL.eps_verify]
     return (len(witnesses) > 0, witnesses)
 
 

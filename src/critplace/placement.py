@@ -33,10 +33,12 @@ from .arrangement import (
     build_line_arrangement,
     build_segment_arrangement,
     convex_decompose,
+    enforce_general_position,
 )
 from .geom import (
     CIRCLE,
     SQUARE,
+    TOL,
     GeometryError,
     Line,
     PerimeterCoord,
@@ -52,10 +54,17 @@ from .oracle import is_epsilon_placement
 
 SQRT2 = math.sqrt(2.0)
 
-# Tolerances of the arc-arc kernel, each with its reason.
+# Tolerances, each with its reason.
+# Points that round to one cell of this grid are one point: square chain
+# ends, family crossings and overlay vertices.
+VERTEX_SNAP = 1e-7
+# A chain turn whose cross product (relative to steps of at least 1) is
+# below this is no turn: the chain runs straight on.
+COLLINEAR_TOL = 1e-9
+# Of the arc-arc kernel:
 # One arc substituted into the other's implicit form with every coefficient
 # below this share of their scale lies within about 1e-9 of that ellipse,
-# far under the 1e-7 vertex snap: the two arcs share one ellipse.
+# far under VERTEX_SNAP: the two arcs share one ellipse.
 SAME_ELLIPSE_RTOL = 1e-9
 # A crossing may lie this far (in radians) outside an arc's parameter range,
 # the slack the segment kernels allow along their own parameter.
@@ -486,50 +495,62 @@ def _corner_level_segments(region: _Region, look_x: float, look_y: float, eps: f
     return segs
 
 
-def _stitch_chains(segs, tol: float = 1e-7) -> list[list[tuple[float, float]]]:
-    """Join segments sharing endpoints into maximal chains, merging collinear runs."""
-    if not segs:
-        return []
+def _walk_chains(ends: list) -> list[list[tuple[int, bool]]]:
+    """Greedy maximal chains of pieces given by their two end keys.
 
-    def key(p):
-        return (round(p[0] / tol), round(p[1] / tol))
-
-    adj: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b) in enumerate(segs):
-        adj.setdefault(key(a), []).append(i)
-        adj.setdefault(key(b), []).append(i)
-
-    used = [False] * len(segs)
-    chains: list[list[tuple[float, float]]] = []
-    for start in range(len(segs)):
+    Each chain starts at its lowest-index piece, grows past its head, then
+    before its tail, always taking the first unused piece at the free end.
+    An entry (i, forward) says whether the chain runs from piece i's first
+    end to its second (True) or against it.
+    """
+    adj: dict = {}
+    for i, (a, b) in enumerate(ends):
+        adj.setdefault(a, []).append(i)
+        adj.setdefault(b, []).append(i)
+    used = [False] * len(ends)
+    chains = []
+    for start in range(len(ends)):
         if used[start]:
             continue
         used[start] = True
-        a, b = segs[start]
-        chain = [tuple(a), tuple(b)]
-        for head in (True, False):
+        chain = [(start, True)]
+        for at_head in (True, False):
             while True:
-                end = chain[-1] if head else chain[0]
-                nxt = None
-                for i in adj.get(key(end), []):
-                    if used[i]:
-                        continue
-                    nxt = i
-                    break
+                i, forward = chain[-1] if at_head else chain[0]
+                free = ends[i][1 if forward == at_head else 0]
+                nxt = next((j for j in adj[free] if not used[j]), None)
                 if nxt is None:
                     break
                 used[nxt] = True
-                pa, pb = segs[nxt]
-                other = tuple(pb) if key(pa) == key(end) else tuple(pa)
-                if head:
-                    chain.append(other)
+                # the next piece leaves the free end past the head, reaches it
+                # before the tail
+                entry = (nxt, (ends[nxt][0] == free) == at_head)
+                if at_head:
+                    chain.append(entry)
                 else:
-                    chain.insert(0, other)
-        chains.append(_merge_collinear(chain))
+                    chain.insert(0, entry)
+        chains.append(chain)
     return chains
 
 
-def _merge_collinear(chain, tol: float = 1e-9):
+def _stitch_chains(segs) -> list[list[tuple[float, float]]]:
+    """Join segments sharing endpoints into maximal chains, merging collinear runs.
+
+    Where two segments meet, the chain point is the end of the one the walk
+    met first: the fronts of the segments up to the chain's first segment,
+    then the backs from there on.
+    """
+    ends = [tuple((round(x / VERTEX_SNAP), round(y / VERTEX_SNAP)) for x, y in s) for s in segs]
+    chains = []
+    for chain in _walk_chains(ends):
+        k = chain.index(min(chain))
+        pts = [tuple(segs[i][0 if f else 1]) for i, f in chain[: k + 1]]
+        pts += [tuple(segs[i][1 if f else 0]) for i, f in chain[k:]]
+        chains.append(_merge_collinear(pts))
+    return chains
+
+
+def _merge_collinear(chain):
     """Drop interior chain points where the direction does not turn."""
     if len(chain) <= 2:
         return chain
@@ -540,13 +561,13 @@ def _merge_collinear(chain, tol: float = 1e-9):
         cx, cy = chain[i + 1]
         cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
         scale = max(abs(bx - ax), abs(by - ay), abs(cx - bx), abs(cy - by), 1.0)
-        if abs(cross) > tol * scale:
+        if abs(cross) > COLLINEAR_TOL * scale:
             keep.append(chain[i])
     keep.append(chain[-1])
     return keep
 
 
-def _chain_is_convex(chain, tol: float = 1e-9) -> bool:
+def _chain_is_convex(chain) -> bool:
     if len(chain) < 3:
         return True
     sign = 0
@@ -555,7 +576,7 @@ def _chain_is_convex(chain, tol: float = 1e-9) -> bool:
         bx, by = chain[i + 1]
         cx, cy = chain[i + 2]
         cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-        if abs(cross) <= tol:
+        if abs(cross) <= COLLINEAR_TOL:
             continue
         s = 1 if cross > 0 else -1
         if sign == 0:
@@ -1092,10 +1113,10 @@ def pair_intersections(curves_a: list[CriticalCurve], curves_b: list[CriticalCur
     return _dedupe_points((x, y) for i, j, x, y in hits if i < na <= j)
 
 
-def _dedupe_points(points, tol: float = 1e-7):
+def _dedupe_points(points):
     seen = {}
     for x, y in points:
-        seen[(round(x / tol), round(y / tol))] = (x, y)
+        seen[(round(x / VERTEX_SNAP), round(y / VERTEX_SNAP))] = (x, y)
     return [Point(x, y) for x, y in sorted(seen.values())]
 
 
@@ -1150,7 +1171,9 @@ class PlacementArrangement:
         return False
 
 
-def _contact_holds(center: Point, primitives: list, shape: str, tol: float = 1e-6) -> bool:
+def _contact_holds(center: Point, primitives: list, shape: str) -> bool:
+    """The contact condition of a contact curve, within the verify budget."""
+    tol = TOL.eps_verify
     if shape == CIRCLE:
         for prim in primitives:
             if isinstance(prim, Line) and abs(abs(prim.side_of(center)) - 1.0) <= tol:
@@ -1185,62 +1208,45 @@ def default_domain(primitives: list, shape: str, eps) -> BBox:
     return BBox(min(xs), min(ys), max(xs), max(ys)).expanded(diameter + e)
 
 
-def _placement_box(
-    primitives: list, eps: float, shape: str, domain: BBox | None = None
-) -> tuple[BBox, BBox]:
-    """The placement domain (default_domain when None) and the clip box its
-    arrangement needs, after checking the granularity.
-
-    Distances up to 1+eps beyond the domain must see real walls, not the
-    clip frame.
-    """
-    _check_eps(eps, shape)
-    if shape == CIRCLE and eps >= 1.0:
-        raise EpsilonTooLarge("circle curves are only computed for eps < 1")
-    if domain is None:
-        domain = default_domain(primitives, shape, eps)
-    return domain, domain.expanded(1.0 + eps + 0.25)
+def placement_primitives(primitives: list) -> list:
+    """The primitives a placement arrangement is built over: lines put in
+    general position, or segments as given, never a mix of the two."""
+    lines = [p for p in primitives if isinstance(p, Line)]
+    if lines and len(lines) < len(primitives):
+        raise GeometryError("scene mixes infinite lines and segments")
+    return enforce_general_position(lines) if lines else list(primitives)
 
 
 def build_placement_arrangement(
-    arrangement: Arrangement,
-    eps,
-    shape: str,
-    include_line_translates: bool = False,
-    domain: BBox | None = None,
+    primitives: list, eps, shape: str, include_line_translates: bool = False
 ) -> PlacementArrangement:
-    """Overlay of the curves of every vector; reports vertex/edge/face counts."""
+    """Overlay of the curves of every vector over the arrangement of the
+    lines or segments; reports vertex/edge/face counts.
+
+    The arrangement is built once, on the default domain grown by 1 + eps
+    (plus a margin), so that every distance the domain's curves measure
+    ends on a real wall, not on the clip frame.
+    """
     e = float(eps)
-    domain, needed = _placement_box(arrangement.primitives, e, shape, domain)
-    # rebuild on the box the domain needs when the arrangement is too tight
-    b = arrangement.clip_box
-    if (
-        b.xmin > needed.xmin
-        or b.ymin > needed.ymin
-        or b.xmax < needed.xmax
-        or b.ymax < needed.ymax
-    ):
-        if arrangement.kind == "lines":
-            arrangement = build_line_arrangement(arrangement.primitives, clip_box=needed)
-        else:
-            arrangement = build_segment_arrangement(arrangement.primitives, clip_box=needed)
     vectors = translation_vectors(shape, e)
+    if shape == CIRCLE and e >= 1.0:
+        raise EpsilonTooLarge("circle curves are only computed for eps < 1")
+    prims = placement_primitives(primitives)
+    segments = any(isinstance(p, Segment) for p in prims)
+    if shape == CIRCLE and segments:
+        raise GeometryError("circle placements are only computed over lines")
+    domain = default_domain(prims, shape, e)
+    build = build_segment_arrangement if segments else build_line_arrangement
+    arrangement = build(prims, clip_box=domain.expanded(1.0 + e + 0.25))
     warnings: list = []
     regions_cache: dict = {}
     curves: list[CriticalCurve] = []
     for tau in vectors.vectors:
-        curves.extend(
-            collect_S(tau, arrangement, e, domain, regions_cache, warnings)
-        )
-    translates = (
-        contact_curves(arrangement.primitives, shape, domain)
-        if include_line_translates
-        else []
-    )
+        curves.extend(collect_S(tau, arrangement, e, domain, regions_cache, warnings))
+    translates = contact_curves(prims, shape, domain) if include_line_translates else []
     counts = _overlay_counts(curves + translates, domain)
     return PlacementArrangement(
-        shape, e, curves, translates, domain, counts, warnings, arrangement.primitives, vectors,
-        arrangement,
+        shape, e, curves, translates, domain, counts, warnings, prims, vectors, arrangement
     )
 
 
@@ -1255,12 +1261,11 @@ def _overlay_counts(curves: list[CriticalCurve], domain: BBox) -> dict:
     ]
     pieces = pieces + frame
 
-    snap = 1e-7
     pool: dict[tuple[int, int], int] = {}
     coords: list[tuple[float, float]] = []
 
     def vid(x: float, y: float) -> int:
-        key = (round(x / snap), round(y / snap))
+        key = (round(x / VERTEX_SNAP), round(y / VERTEX_SNAP))
         if key in pool:
             return pool[key]
         idx = len(coords)

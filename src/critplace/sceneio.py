@@ -30,9 +30,7 @@ class Scene:
     trajectories: list[Polyline] = field(default_factory=list)
 
     def primitives(self) -> list:
-        if self.lines and self.segments:
-            raise SceneError("scene mixes infinite lines and segments")
-        return list(self.lines) if self.lines else list(self.segments)
+        return list(self.lines) + list(self.segments)
 
 
 def _f(x: float) -> float:

@@ -35,8 +35,6 @@ from critplace.sceneio import (
 
 from _reference import Unbounded, f_value
 
-EPS_VERIFY = 1e-6
-
 # 20 random instances: n in {2..5} crossed with eps in {0.2, 0.5}
 ACC_INSTANCES = [
     (n, 100 * n + rep, eps)
@@ -56,10 +54,7 @@ def random_suite():
     out = []
     for n, seed, eps in ACC_INSTANCES:
         lines = random_lines(n, seed)
-        arr = build_line_arrangement(lines)
-        pa = build_placement_arrangement(
-            arr, eps, SQUARE, include_line_translates=True
-        )
+        pa = build_placement_arrangement(lines, eps, SQUARE, include_line_translates=True)
         out.append((lines, eps, pa))
     return out
 
@@ -70,8 +65,7 @@ def lb_suite():
     for n, eps in ((8, 0.25), (16, 0.25), (32, 0.25), (16, 0.5), (16, 0.125)):
         t0 = time.perf_counter()
         lines = lower_bound_lines(n, eps)
-        arr = build_line_arrangement(lines)
-        pa = build_placement_arrangement(arr, eps, SQUARE)
+        pa = build_placement_arrangement(lines, eps, SQUARE)
         out[(n, eps)] = (pa, time.perf_counter() - t0)
     return out
 
@@ -107,8 +101,7 @@ def test_criterion_2_level_set_soundness(random_suite):
                 n = max(3, int(length / 0.02) + 2)
                 for x, y in piece.sample(n, inset=inset):
                     ok, wits = is_epsilon_placement(
-                        Point(x, y), pa.arrangement.primitives, SQUARE, eps,
-                        tol=EPS_VERIFY,
+                        Point(x, y), pa.arrangement.primitives, SQUARE, eps
                     )
                     good = ok and any(
                         pa.arrangement.point_in_cell(
@@ -296,8 +289,7 @@ def test_criterion_6_circle_ellipse():
         Line(Point(-2, -2 * a), Point(2, 2 * a)),
         Line(Point(-2, 2 * a), Point(2, -2 * a)),
     ]
-    arr = build_line_arrangement(lines)
-    pa = build_placement_arrangement(arr, eps, CIRCLE)
+    pa = build_placement_arrangement(lines, eps, CIRCLE)
     A = abs(math.sin(eps / 2) - a * math.cos(eps / 2)) / a
     B = a * math.sin(eps / 2) + math.cos(eps / 2)
     eq_checked = 0
@@ -338,8 +330,7 @@ def test_criterion_6_circle_ellipse():
         Line(Point(-2, -2 * a2), Point(2, 2 * a2)),
         Line(Point(-2, 2 * a2), Point(2, -2 * a2)),
     ]
-    arr2 = build_line_arrangement(lines2)
-    pa2 = build_placement_arrangement(arr2, eps, CIRCLE)
+    pa2 = build_placement_arrangement(lines2, eps, CIRCLE)
     min_axis = min(
         (
             math.hypot(*p.vec_a)
@@ -465,9 +456,8 @@ def test_criterion_8_segment_decomposition():
             q = Point(*rng2.uniform(-1.2, 1.2, 2))
             if p.dist(q) > 0.6:
                 segs.append(Segment(p, q))
-        arr = build_segment_arrangement(segs)
         eps = 0.5
-        pa = build_placement_arrangement(arr, eps, SQUARE, include_line_translates=True)
+        pa = build_placement_arrangement(segs, eps, SQUARE, include_line_translates=True)
         scan = dense_scan(segs, SQUARE, eps, pa.domain, eps / 20)
         report = verify(pa, scan, delta=eps / 10)
         missed += len(report.missed_scan_points)
@@ -536,9 +526,8 @@ def test_criterion_10_determinism():
 
     def run_critical() -> str:
         scene = parse_scene(scene_text)
-        arr = build_line_arrangement(scene.lines)
         pa = build_placement_arrangement(
-            arr, 0.25, SQUARE, include_line_translates=True
+            scene.primitives(), 0.25, SQUARE, include_line_translates=True
         )
         return emit_result(result_from_placement(pa))
 

@@ -124,7 +124,7 @@ def test_eps_too_large_rejected():
         vs = translation_vectors(CIRCLE, 0.9)
         circle_cell_curves(0, arr, vs.vectors[0], 1.2)
     with pytest.raises(EpsilonTooLarge):
-        build_placement_arrangement(arr, 1.2, CIRCLE)
+        build_placement_arrangement(lines, 1.2, CIRCLE)
 
 
 def test_constant_components_per_cell_vector():
@@ -237,10 +237,9 @@ def test_boundary_piece_length_concave_along_tau_chords():
 
 def test_circle_scan_equivalence():
     lines = random_lines(2, 31)
-    arr = build_line_arrangement(lines)
     from critplace.oracle import dense_scan, verify
 
-    pa = build_placement_arrangement(arr, EPS, CIRCLE, include_line_translates=True)
+    pa = build_placement_arrangement(lines, EPS, CIRCLE, include_line_translates=True)
     scan = dense_scan(lines, CIRCLE, EPS, pa.domain, EPS / 20)
     assert verify(pa, scan, delta=EPS / 10).empty()
 
@@ -260,9 +259,7 @@ def test_circle_counts_invariant(n, seed, eps, counts):
     # the same scene shifted by (0.37, -0.21), with its lines reversed, and
     # mirrored in the x-axis has the same placement arrangement size
     for lines in _variants(random_lines(n, seed)):
-        pa = build_placement_arrangement(
-            build_line_arrangement(lines), eps, CIRCLE, include_line_translates=True
-        )
+        pa = build_placement_arrangement(lines, eps, CIRCLE, include_line_translates=True)
         c = pa.counts
         assert (c["vertices"], c["edges"], c["faces"]) == counts
 
@@ -298,7 +295,7 @@ def _search_range(arr, rp):
 def _placement_cell_pieces(n, seed, eps, cell_id, bounds):
     """The arrangement the placement builds, and one cell's pieces on the lines."""
     lines = random_lines(n, seed)
-    arr = build_placement_arrangement(build_line_arrangement(lines), eps, CIRCLE).arrangement
+    arr = build_placement_arrangement(lines, eps, CIRCLE).arrangement
     return arr, [rp for rp in _ring_pieces(arr, cell_id, eps) if rp.bounds == frozenset(bounds)]
 
 
@@ -367,7 +364,7 @@ def test_flat_arcs_count_as_their_segments():
     # half-angle tangent tan(eps/2): the apex-side ellipse is flat; its arcs
     # must split and count like the straight segments they trace
     eps = 0.5
-    pa = build_placement_arrangement(build_line_arrangement(_wedge_lines(math.tan(eps / 2))), eps, CIRCLE)
+    pa = build_placement_arrangement(_wedge_lines(math.tan(eps / 2)), eps, CIRCLE)
     as_segments = []
     flat = 0
     for c in pa.curves:

@@ -57,12 +57,10 @@ def test_scene_parse_errors():
 
 
 def test_result_roundtrip_curves():
-    from critplace.arrangement import build_line_arrangement
     from critplace.placement import build_placement_arrangement
 
     lines = [Line(Point(0, -1), Point(0, 1)), Line(Point(-1, 0), Point(1, 0))]
-    arr = build_line_arrangement(lines)
-    pa = build_placement_arrangement(arr, 0.5, "square", include_line_translates=True)
+    pa = build_placement_arrangement(lines, 0.5, "square", include_line_translates=True)
     doc = parse_result(emit_result(result_from_placement(pa)))
     gap, contact = curves_from_result(doc)
     assert len(gap) == len(pa.curves)
@@ -188,6 +186,21 @@ def test_cli_geometry_error_is_an_input_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("shape, scene_text, message", [
+    ("square", "L 0 0 1 1\nS 0 1 1 0\n", "mixes infinite lines and segments"),
+    ("circle", "S 0 0 1 0.3\nS 0.2 -0.5 0.6 0.8\n", "only computed over lines"),
+], ids=["mixed-scene", "circle-over-segments"])
+def test_cli_critical_refuses_unsupported_input(tmp_path, capsys, shape, scene_text, message):
+    scene, out = tmp_path / "scene.txt", tmp_path / "r.json"
+    scene.write_text(scene_text)
+    code = main(["critical", "--shape", shape, "--eps", "0.3", "--in", str(scene), "--out", str(out)])
+    assert code == 1
+    cap = capsys.readouterr()
+    err = cap.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert cap.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("kind, shape", [
     ("lines", "square"), ("lines", "circle"), ("segments", "square"),
 ])
@@ -249,13 +262,11 @@ def test_lower_bound_ring_structure(tmp_path):
     # where the tracked boundary piece jumps
     import math
 
-    from critplace.arrangement import build_line_arrangement
     from critplace.generators import lower_bound_lines
     from critplace.placement import build_placement_arrangement
 
     lines = lower_bound_lines(8, 0.25)
-    arr0 = build_line_arrangement(lines)
-    pa = build_placement_arrangement(arr0, 0.25, "square")
+    pa = build_placement_arrangement(lines, 0.25, "square")
     arr = pa.arrangement
     interior = []
     for cell in arr.cells:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from critplace.arrangement import BBox, build_line_arrangement
+from critplace.arrangement import BBox
 from critplace.generators import random_lines
 from critplace.geom import CIRCLE, SQUARE, Line, Point
 from critplace.oracle import (
@@ -147,9 +147,8 @@ def test_dense_scan_matches_naive(shape, eps):
 
 def test_verify_fault_injection():
     lines = [V_LINE, H_LINE]
-    arr = build_line_arrangement(lines)
     eps = 0.5
-    pa = build_placement_arrangement(arr, eps, SQUARE, include_line_translates=True)
+    pa = build_placement_arrangement(lines, eps, SQUARE, include_line_translates=True)
     scan = dense_scan(lines, SQUARE, eps, pa.domain, eps / 20)
     assert verify(pa, scan, delta=eps / 10).empty()
     # deleting a curve leaves scan points uncovered
@@ -161,9 +160,8 @@ def test_verify_fault_injection():
 
 def test_verify_refinement_monotone():
     lines = random_lines(3, 40)
-    arr = build_line_arrangement(lines)
     eps = 0.5
-    pa = build_placement_arrangement(arr, eps, SQUARE, include_line_translates=True)
+    pa = build_placement_arrangement(lines, eps, SQUARE, include_line_translates=True)
     coarse = dense_scan(lines, SQUARE, eps, pa.domain, eps / 10)
     fine = dense_scan(lines, SQUARE, eps, pa.domain, eps / 20)
     rep_c = verify(pa, coarse, delta=eps / 5)

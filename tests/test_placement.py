@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from critplace.arrangement import BBox, OnBoundary, build_line_arrangement, build_segment_arrangement, locate
+from critplace.arrangement import BBox, OnBoundary, build_line_arrangement, locate
 from critplace.generators import random_lines
-from critplace.geom import SQUARE, Line, Point, Segment
+from critplace.geom import CIRCLE, SQUARE, GeometryError, Line, Point, Segment
 from critplace.oracle import dense_scan, is_epsilon_placement, verify
 from critplace.placement import (
     _QUADRANT_LOOK,
@@ -224,8 +224,7 @@ def test_edge_curve_wide_strip_empty():
 
 def test_edge_curve_degenerate_strip_flagged():
     lines = [Y_AXIS, Line(Point(0.25, -1), Point(0.25, 1))]
-    arr = build_line_arrangement(lines)
-    pa = build_placement_arrangement(arr, 0.25, SQUARE)
+    pa = build_placement_arrangement(lines, 0.25, SQUARE)
     assert any(w.orientation == "horizontal" for w in pa.warnings)
     # the degenerate two-dimensional set is not returned as curves
     strip_curves = [
@@ -269,8 +268,7 @@ def test_collect_s_crossing_lines_single_quadrant():
 
 def test_level_set_soundness_samples():
     lines = random_lines(4, 44)
-    arr = build_line_arrangement(lines)
-    pa = build_placement_arrangement(arr, 0.4, SQUARE)
+    pa = build_placement_arrangement(lines, 0.4, SQUARE)
     n_checked = 0
     for curve in pa.curves:
         for piece in curve.pieces:
@@ -329,13 +327,10 @@ def _disjoint_strip_pairs(arr) -> int:
     (random_lines(3, 4) + [Line(Point(0.05, -1), Point(0.05 + 2e-10, 1))], 0.25),
 ], ids=["segments-with-holes", "lines", "axis-parallel-lines", "steep-line"])
 def test_square_curves_equal_the_per_pair_reference(prims, eps):
-    if isinstance(prims[0], Segment):
-        arr = build_segment_arrangement(prims)
-        assert any(cell.holes for cell in arr.cells)
-    else:
-        arr = build_line_arrangement(prims)
-    pa = build_placement_arrangement(arr, eps, SQUARE, include_line_translates=True)
+    pa = build_placement_arrangement(prims, eps, SQUARE, include_line_translates=True)
     arr = pa.arrangement
+    if isinstance(prims[0], Segment):
+        assert any(cell.holes for cell in arr.cells)
     assert _disjoint_strip_pairs(arr) > 0
     for cell in arr.cells:
         regions = cell_regions(arr, cell.id).regions
@@ -404,23 +399,42 @@ def test_pair_intersections_are_double_placements():
         for j in range(i + 1, len(keys)):
             pts = pair_intersections(families[keys[i]], families[keys[j]])
             for p in pts:
-                ok, wit = is_epsilon_placement(p, lines, SQUARE, 0.4, tol=1e-6)
+                ok, wit = is_epsilon_placement(p, lines, SQUARE, 0.4)
                 assert ok
                 found += 1
     assert found > 0
 
 
 def test_overlay_counts_empty():
-    arr = build_line_arrangement([])
-    pa = build_placement_arrangement(arr, 0.25, SQUARE)
+    pa = build_placement_arrangement([], 0.25, SQUARE)
     # only the domain frame: 4 vertices, 4 edges, 2 faces
     assert pa.counts == {"vertices": 4, "edges": 4, "faces": 2}
 
 
+@pytest.mark.parametrize("prims, shape, message", [
+    ([X_AXIS, Segment(Point(0, 1), Point(1, 0))], SQUARE, "mixes infinite lines and segments"),
+    ([Segment(Point(0, 0), Point(1, 0.3)), Segment(Point(0.2, -0.5), Point(0.6, 0.8))], CIRCLE,
+     "only computed over lines"),
+], ids=["mixed", "circle-over-segments"])
+def test_placement_refuses_unsupported_primitives(prims, shape, message):
+    with pytest.raises(GeometryError, match=message):
+        build_placement_arrangement(prims, 0.3, shape)
+
+
+@pytest.mark.parametrize("prims", [
+    [X_AXIS, Y_AXIS],
+    [Segment(Point(0, 0), Point(1, 0.3)), Segment(Point(0.2, -0.5), Point(0.6, 0.8))],
+], ids=["lines", "segments"])
+def test_arrangement_reaches_past_the_domain(prims):
+    # every wall distance of up to 1 + eps from the domain ends on a real wall
+    pa = build_placement_arrangement(prims, 0.3, SQUARE)
+    need, box = pa.domain.expanded(1.3), pa.arrangement.clip_box
+    assert box.xmin < need.xmin and box.ymin < need.ymin
+    assert box.xmax > need.xmax and box.ymax > need.ymax
+
+
 def test_overlay_intersections_on_pieces():
-    lines = random_lines(3, 55)
-    arr = build_line_arrangement(lines)
-    pa = build_placement_arrangement(arr, 0.5, SQUARE)
+    pa = build_placement_arrangement(random_lines(3, 55), 0.5, SQUARE)
     assert pa.counts["vertices"] > 4
     assert pa.counts["edges"] >= pa.counts["vertices"] - 4
 
@@ -428,8 +442,7 @@ def test_overlay_intersections_on_pieces():
 def test_single_line_square_curveless():
     # one line never admits a gap of sub-unit length: no gap curves, and the
     # scan only reports contact events along the four line translates
-    arr = build_line_arrangement([Y_AXIS])
-    pa = build_placement_arrangement(arr, 0.25, SQUARE, include_line_translates=True)
+    pa = build_placement_arrangement([Y_AXIS], 0.25, SQUARE, include_line_translates=True)
     assert pa.curves == []
     assert len(pa.line_translates) == 4
     scan = dense_scan([Y_AXIS], SQUARE, 0.25, pa.domain, 0.25 / 10)
@@ -445,9 +458,8 @@ def test_segment_scene_oracle_equivalence():
         Segment(Point(-0.2, -1.0), Point(0.1, 1.0)),
         Segment(Point(-0.8, 0.7), Point(0.9, -0.8)),
     ]
-    arr = build_segment_arrangement(segs)
     eps = 0.5
-    pa = build_placement_arrangement(arr, eps, SQUARE, include_line_translates=True)
+    pa = build_placement_arrangement(segs, eps, SQUARE, include_line_translates=True)
     scan = dense_scan(segs, SQUARE, eps, pa.domain, eps / 20)
     rep = verify(pa, scan, delta=eps / 10)
     assert rep.empty()
@@ -606,9 +618,7 @@ def test_arcs_on_one_ellipse_share_their_overlap(sign, shift):
 
 
 def test_arc_box_pruning_keeps_counts(monkeypatch):
-    lines = random_lines(3, 5)
-    arr = build_line_arrangement(lines)
-    pa = build_placement_arrangement(arr, 0.5, "circle", include_line_translates=True)
+    pa = build_placement_arrangement(random_lines(3, 5), 0.5, "circle", include_line_translates=True)
     curves = pa.all_curves()
     monkeypatch.setattr(
         "critplace.placement._piece_bbox", lambda piece: (-np.inf, -np.inf, np.inf, np.inf)
