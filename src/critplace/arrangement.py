@@ -2,10 +2,14 @@
 
 The subdivision is stored half-edge style: undirected edges carry the id of
 the supporting primitive, faces are traced by walking twin/rotation order at
-every vertex.  Walls are split at the crossings `_segment_crossings` finds,
-the x-sweep the placement overlay uses for its straight pieces too.
-Nonconvex cells of segment arrangements can be partitioned into convex
-subcells by shooting axis-parallel rays from reflex vertices.
+every vertex.  One rule decides where walls meet: a wall is split at its two
+ends and where `_segment_crossings` (the x-sweep the placement overlay uses
+for its straight pieces too) reports a crossing or the end of a collinear
+overlap, and nowhere else; an end that misses another wall by more than the
+sweep's parameter slack dangles.  A face walk is a cell when its signed area
+is positive relative to its size.  Nonconvex cells of segment arrangements
+can be partitioned into convex subcells by shooting axis-parallel rays from
+reflex vertices; each ray ends at a split of the wall it hits.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ Tag = tuple[str, int | str]
 
 # Vertices this close in both coordinates are one.
 SNAP = 1e-9
+# A face walk is a cell only when its signed area, taken about its first
+# vertex, exceeds this share of the sum of its terms' sizes: a relative cut
+# keeps thin cells of nearly concurrent lines and drops rounding residue.
+FACE_AREA_REL = 1e-12
 # A crossing may lie this far outside either segment's parameter range (and
 # a box this far from another's) and still count: ends that touch within
 # rounding meet.
@@ -213,15 +221,14 @@ class Arrangement:
             self._walls_cache[cell_id] = walls
         return walls
 
-    def point_in_cell(self, pt: Point, cell_id: int, slack: float = 0.0) -> bool:
-        return _point_in_walls(self._step_walls(cell_id), pt.x, pt.y, slack=slack)
+    def point_in_cell(self, pt: Point, cell_id: int) -> bool:
+        """Even-odd test against the cell's boundary steps."""
+        return sum(x > pt.x for x in _scanline_hits(self._step_walls(cell_id), pt.y)) % 2 == 1
 
     def cell_area(self, cell_id: int) -> float:
         cell = self.cells[cell_id]
-        area = _cycle_area(self.verts, cell.outer)
-        for walk, _tags in cell.holes:
-            area += _cycle_area(self.verts, walk)  # holes walk CW, negative
-        return area
+        walks = [cell.outer] + [walk for walk, _tags in cell.holes]
+        return sum(_walk_area(self.verts, walk)[0] for walk in walks)  # holes walk CW
 
 
 @dataclass
@@ -234,17 +241,13 @@ class ConvexSubcell:
 # subdivision construction from a soup of tagged walls
 # ---------------------------------------------------------------------------
 
-def _snap_key(x: float, y: float, grid: float) -> tuple[int, int]:
-    return (int(round(x / grid)), int(round(y / grid)))
-
-
 class _VertexPool:
     def __init__(self):
         self.points: list[tuple[float, float]] = []
         self.buckets: dict[tuple[int, int], list[int]] = {}
 
     def add(self, x: float, y: float) -> int:
-        kx, ky = _snap_key(x, y, SNAP * 4.0)
+        kx, ky = round(x / (SNAP * 4.0)), round(y / (SNAP * 4.0))
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for idx in self.buckets.get((kx + dx, ky + dy), ()):
@@ -257,14 +260,16 @@ class _VertexPool:
         return idx
 
 
-def _cycle_area(verts: np.ndarray, walk: list[int]) -> float:
-    area = 0.0
-    m = len(walk)
-    for k in range(m):
-        x0, y0 = verts[walk[k]]
-        x1, y1 = verts[walk[(k + 1) % m]]
-        area += x0 * y1 - x1 * y0
-    return 0.5 * area
+def _walk_area(P, walk: list[int]) -> tuple[float, float]:
+    """Signed area of a closed walk over the points P, taken about its first
+    vertex, and the sum of the sizes of its terms."""
+    ox, oy = P[walk[0]]
+    area = size = 0.0
+    for a, b in zip(walk[1:], walk[2:]):
+        term = (P[a][0] - ox) * (P[b][1] - oy) - (P[b][0] - ox) * (P[a][1] - oy)
+        area += term
+        size += abs(term)
+    return 0.5 * area, 0.5 * size
 
 
 def _scanline_hits(walls, y: float) -> list[float]:
@@ -277,23 +282,6 @@ def _scanline_hits(walls, y: float) -> list[float]:
         xs.append(p0.x + t * (p1.x - p0.x))
     xs.sort()
     return xs
-
-
-def _point_in_walls(walls, x: float, y: float, slack: float = 0.0) -> bool:
-    """Even-odd test; points within slack of a wall count as inside."""
-    if slack > 0.0:
-        for p0, p1, _tag in walls:
-            if _point_segment_dist(x, y, p0, p1) <= slack:
-                return True
-    crossings = 0
-    for p0, p1, _tag in walls:
-        y0, y1 = p0.y, p1.y
-        if (y0 > y) == (y1 > y):
-            continue
-        t = (y - y0) / (y1 - y0)
-        if p0.x + t * (p1.x - p0.x) > x:
-            crossings += 1
-    return crossings % 2 == 1
 
 
 def _point_segment_dist(x: float, y: float, p0: Point, p1: Point) -> float:
@@ -323,14 +311,15 @@ def _count_components(n: int, pairs) -> int:
     return len({find(i) for i in range(n)})
 
 
-def _segment_crossings(P0: np.ndarray, P1: np.ndarray) -> list[tuple[int, int, float, float]]:
-    """Every pair of segments P0[k]-P1[k] that cross or touch, as (i, j, x, y)
-    with i < j, sorted by (i, j).
+def _segment_crossings(P0: np.ndarray, P1: np.ndarray):
+    """Where the segments P0[k]-P1[k] meet, as two sorted lists of (i, j, x, y)
+    with i < j: the crossings, and the ends of collinear overlaps.
 
     An x-sweep over the segments sorted by left end pairs each segment with
-    the ones that start before it ends and share its y-range.  The point lies
-    on segment i, at its parameter clamped to [0, 1].  Parallel segments,
-    collinear overlaps included, never cross.
+    the ones that start before it ends and share its y-range.  A crossing
+    lies on segment i, at its parameter clamped to [0, 1].  Parallel segments
+    never cross; when a pair lies on one line within the slack, each end of
+    either that falls in the other's range is an overlap end of the pair.
     """
     D = P1 - P0
     xmin = np.minimum(P0[:, 0], P1[:, 0])
@@ -340,7 +329,7 @@ def _segment_crossings(P0: np.ndarray, P1: np.ndarray) -> list[tuple[int, int, f
     order = np.argsort(xmin, kind="stable")
     # sweep position of the first segment that starts past each one's end
     stops = np.searchsorted(xmin[order], xmax[order] + CROSS_SLACK, side="right").tolist()
-    out = []
+    out, parallel = [], []
     # a parallel pair may divide by zero; its ok entry is false
     with np.errstate(divide="ignore", invalid="ignore"):
         for pos, k in enumerate(order.tolist()):
@@ -356,14 +345,36 @@ def _segment_crossings(P0: np.ndarray, P1: np.ndarray) -> list[tuple[int, int, f
             ey = P0[b, 1] - P0[a, 1]
             t = (ex * D[b, 1] - ey * D[b, 0]) / det
             u = (ex * D[a, 1] - ey * D[a, 0]) / det
-            ok = np.abs(det) > PARALLEL_DET
-            ok &= (t >= -CROSS_SLACK) & (t <= 1.0 + CROSS_SLACK)
+            par = np.abs(det) <= PARALLEL_DET
+            if par.any():
+                parallel.append((a[par], b[par]))
+            ok = ~par & (t >= -CROSS_SLACK) & (t <= 1.0 + CROSS_SLACK)
             ok &= (u >= -CROSS_SLACK) & (u <= 1.0 + CROSS_SLACK)
             a, t = a[ok], np.minimum(np.maximum(t[ok], 0.0), 1.0)
             x = P0[a, 0] + t * D[a, 0]
             y = P0[a, 1] + t * D[a, 1]
             out.extend(zip(a.tolist(), b[ok].tolist(), x.tolist(), y.tolist()))
+        overlaps = _overlap_ends(P0, P1, *map(np.concatenate, zip(*parallel))) if parallel else []
     out.sort()
+    return out, sorted(set(overlaps))
+
+
+def _overlap_ends(P0: np.ndarray, P1: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(a, b, x, y) for each end of one segment of a parallel pair that lies
+    on the other: off its line by at most CROSS_SLACK times the shorter
+    length, at a parameter within CROSS_SLACK of [0, 1]."""
+    out = []
+    for s, o in ((a, b), (b, a)):
+        d = P1[o] - P0[o]
+        L2 = (d * d).sum(axis=1)
+        # |cross(d, e)| is the end's offset times |d|
+        reach2 = CROSS_SLACK**2 * L2 * np.minimum(L2, ((P1[s] - P0[s]) ** 2).sum(axis=1))
+        for E in (P0[s], P1[s]):
+            e = E - P0[o]
+            par = (e * d).sum(axis=1) / L2
+            ok = (d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]) ** 2 <= reach2
+            ok &= (par >= -CROSS_SLACK) & (par <= 1.0 + CROSS_SLACK)
+            out.extend(zip(a[ok].tolist(), b[ok].tolist(), E[ok, 0].tolist(), E[ok, 1].tolist()))
     return out
 
 
@@ -373,48 +384,39 @@ def build_subdivision(
     kind: str,
     primitives: list,
 ) -> Arrangement:
-    """Planar subdivision of a tagged wall soup (clip frame must be included)."""
+    """Planar subdivision of a tagged wall soup (clip frame must be included).
+
+    A wall is split at its two ends and where `_segment_crossings` says it
+    meets another, and nowhere else: the sweep's parameter test is the one
+    rule for whether two walls meet.  Overlap ends are wall ends, so each
+    shared stretch of two collinear walls becomes one edge.
+    """
     pool = _VertexPool()
-    wall_pts = [(pool.add(p0.x, p0.y), pool.add(p1.x, p1.y)) for p0, p1, _ in walls]
-
+    on_wall = [[pool.add(p0.x, p0.y), pool.add(p1.x, p1.y)] for p0, p1, _ in walls]
     ends = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _ in walls], dtype=float)
-    extra: dict[int, list[int]] = {i: [] for i in range(len(walls))}
-    for i, j, x, y in _segment_crossings(ends[:, :2], ends[:, 2:]):
+    crossings, overlaps = _segment_crossings(ends[:, :2], ends[:, 2:])
+    for i, j, x, y in crossings + overlaps:
         vid = pool.add(x, y)
-        extra[i].append(vid)
-        extra[j].append(vid)
+        on_wall[i].append(vid)
+        on_wall[j].append(vid)
 
-    pts = np.array(pool.points, dtype=float)
-
-    # split walls at every pool vertex lying on them
+    P = pool.points
     edge_set: dict[tuple[int, int], Tag] = {}
-    for i, (p0, p1, tag) in enumerate(walls):
-        u, v = wall_pts[i]
+    for (p0, p1, tag), on_ids in zip(walls, on_wall):
         dx, dy = p1.x - p0.x, p1.y - p0.y
         L2 = dx * dx + dy * dy
-        on_ids = {u, v} | set(extra[i])
-        # T-junctions: vertices created by other walls that land on this one
-        for vid in range(len(pts)):
-            if vid in on_ids:
-                continue
-            x, y = pts[vid]
-            if _point_segment_dist(x, y, p0, p1) <= 2.0 * SNAP:
-                on_ids.add(vid)
         params = sorted(
-            (((pts[vid][0] - p0.x) * dx + (pts[vid][1] - p0.y) * dy) / L2, vid)
-            for vid in on_ids
+            (((P[vid][0] - p0.x) * dx + (P[vid][1] - p0.y) * dy) / L2, vid)
+            for vid in set(on_ids)
         )
-        for (ta, va), (tb, vb) in zip(params, params[1:]):
-            if va == vb:
-                continue
-            key = (min(va, vb), max(va, vb))
-            edge_set.setdefault(key, tag)
+        for (_ta, va), (_tb, vb) in zip(params, params[1:]):
+            edge_set.setdefault((min(va, vb), max(va, vb)), tag)
 
     edges = [(u, v, tag) for (u, v), tag in edge_set.items()]
-    cells = _extract_faces(pts, edges)
-    n_components = _count_components(len(pts), ((u, v) for u, v, _tag in edges))
+    cells = _extract_faces(P, edges)
+    n_components = _count_components(len(P), ((u, v) for u, v, _tag in edges))
     arr = Arrangement(
-        verts=pts,
+        verts=np.array(P, dtype=float),
         edges=edges,
         cells=cells,
         clip_box=clip_box,
@@ -430,113 +432,95 @@ def build_subdivision(
     return arr
 
 
-def _extract_faces(pts: np.ndarray, edges: list[tuple[int, int, Tag]]):
-    """Trace face cycles with the interior kept on the left of every walk."""
-    # half-edge h = (edge index, direction); outgoing lists per vertex
-    out_at: dict[int, list[tuple[float, int]]] = {}
-    half_target = {}
-    half_tag = {}
-    for ei, (u, v, tag) in enumerate(edges):
-        for h, (a, b) in ((2 * ei, (u, v)), (2 * ei + 1, (v, u))):
-            ang = math.atan2(pts[b][1] - pts[a][1], pts[b][0] - pts[a][0])
-            out_at.setdefault(a, []).append((ang, h))
-            half_target[h] = b
-            half_tag[h] = tag
-    for a in out_at:
-        out_at[a].sort()
+def _extract_faces(P: list[tuple[float, float]], edges: list[tuple[int, int, Tag]]) -> list[Cell]:
+    """Trace face cycles with the interior kept on the left of every walk.
 
-    # next(h): at the head of h, take the outgoing half one step clockwise
-    # from the twin of h
-    nxt = {}
-    for h, b in half_target.items():
-        twin = h ^ 1
-        ring = out_at[b]
-        pos = next(k for k, (_, hh) in enumerate(ring) if hh == twin)
-        nxt[h] = ring[(pos - 1) % len(ring)][1]
+    Half-edge 2e runs along edge e from u to v, 2e + 1 back.  Counter-clockwise
+    cycles are the cells, largest first; every other cycle is a hole of the
+    smallest cell around it, or bounds the unbounded face.
+    """
+    head = [0] * (2 * len(edges))
+    rings: list[list[tuple[float, int]]] = [[] for _ in P]
+    for ei, (u, v, _tag) in enumerate(edges):
+        (ux, uy), (vx, vy) = P[u], P[v]
+        rings[u].append((math.atan2(vy - uy, vx - ux), 2 * ei))
+        rings[v].append((math.atan2(uy - vy, ux - vx), 2 * ei + 1))
+        head[2 * ei], head[2 * ei + 1] = v, u
+    # next(h): at the head of h, the outgoing half one step clockwise from
+    # the twin of h
+    nxt = [0] * len(head)
+    for ring in rings:
+        ring.sort()
+        for k, (_ang, h) in enumerate(ring):
+            nxt[h ^ 1] = ring[k - 1][1]
 
-    seen = set()
-    cycles = []
-    for h0 in half_target:
-        if h0 in seen:
+    seen = [False] * len(head)
+    ccw, other = [], []
+    for h0 in range(len(head)):
+        if seen[h0]:
             continue
         walk = []
         h = h0
-        while h not in seen:
-            seen.add(h)
+        while not seen[h]:
+            seen[h] = True
             walk.append(h)
             h = nxt[h]
-        cycles.append(walk)
+        vids = [head[h ^ 1] for h in walk]  # origin of each half-edge
+        tags = [edges[h >> 1][2] for h in walk]
+        area, size = _walk_area(P, vids)
+        (ccw if area > FACE_AREA_REL * size else other).append((vids, tags, area))
 
-    cyc_info = []
-    for walk in cycles:
-        vids = [half_target[h ^ 1] for h in walk]  # origin of each half-edge
-        tags = [half_tag[h] for h in walk]
-        area = _cycle_area(pts, vids)
-        cyc_info.append((vids, tags, area))
-
-    pos_cycles = [c for c in cyc_info if c[2] > 1e-15]
-    neg_cycles = [c for c in cyc_info if c[2] <= 1e-15]
-
+    ccw.sort(key=lambda c: (-c[2], c[0]))
     cells = [
-        Cell(id=i, outer=vids, outer_tags=tags, convex=_is_convex_walk(pts, vids))
-        for i, (vids, tags, _a) in enumerate(
-            sorted(pos_cycles, key=lambda c: (-c[2], c[0]))
-        )
+        Cell(id=i, outer=vids, outer_tags=tags, convex=_is_convex_walk(P, vids))
+        for i, (vids, tags, _a) in enumerate(ccw)
     ]
-
-    # attach every negative / flat cycle to the smallest positive cycle
-    # containing it; unassigned cycles bound the unbounded outer face
-    order = sorted(range(len(cells)), key=lambda i: _cycle_area(pts, cells[i].outer))
-    for vids, tags, _a in neg_cycles:
-        px, py = _cycle_probe(pts, vids)
-        target = None
-        for ci in order:
-            walls = [
-                (
-                    Point(*pts[cells[ci].outer[k]]),
-                    Point(*pts[cells[ci].outer[(k + 1) % len(cells[ci].outer)]]),
-                    None,
-                )
-                for k in range(len(cells[ci].outer))
-            ]
-            if _point_in_walls(walls, px, py):
-                target = ci
-                break
-        if target is not None:
-            cells[target].holes.append((vids, tags))
-            cells[target].convex = False
+    if not (cells and other):
+        return cells
+    # every cell's outer-walk steps, stacked once for the even-odd test
+    tails = [v for c in cells for v in c.outer]
+    heads = [v for c in cells for v in c.outer[1:] + c.outer[:1]]
+    owner = np.array([c.id for c in cells for _v in c.outer])
+    x0, y0 = np.array([P[v] for v in tails]).T
+    x1, y1 = np.array([P[v] for v in heads]).T
+    for vids, tags, _a in other:
+        px, py = _cycle_probe(P, vids)
+        span = (y0 > py) != (y1 > py)
+        t = (py - y0[span]) / (y1[span] - y0[span])
+        right = x0[span] + t * (x1[span] - x0[span]) > px
+        inside = np.flatnonzero(np.bincount(owner[span][right], minlength=len(cells)) % 2)
+        if inside.size:
+            cell = cells[inside[-1]]  # the smallest: cells run largest first
+            cell.holes.append((vids, tags))
+            cell.convex = False
     return cells
 
 
-def _cycle_probe(pts: np.ndarray, vids: list[int]) -> tuple[float, float]:
-    """Edge midpoint nudged to the walk's left, i.e. into the incident face."""
-    best = None
-    for k in range(len(vids)):
-        a, b = vids[k], vids[(k + 1) % len(vids)]
-        dx = pts[b][0] - pts[a][0]
-        dy = pts[b][1] - pts[a][1]
-        length = math.hypot(dx, dy)
-        if best is None or length > best[0]:
-            best = (length, a, b, dx, dy)
-    length, a, b, dx, dy = best
+def _cycle_probe(P, vids: list[int]) -> tuple[float, float]:
+    """Midpoint of the walk's first longest step nudged to its left, i.e. into
+    the incident face."""
+    pairs = zip(vids, vids[1:] + vids[:1])
+    steps = [(P[b][0] - P[a][0], P[b][1] - P[a][1], a, b) for a, b in pairs]
+    dx, dy, a, b = max(steps, key=lambda s: math.hypot(s[0], s[1]))
+    length = math.hypot(dx, dy)
     if length <= 0.0:
-        return (float(pts[vids[0]][0]), float(pts[vids[0]][1]))
+        return (float(P[vids[0]][0]), float(P[vids[0]][1]))
     nudge = 1e-7 * length
     return (
-        0.5 * (pts[a][0] + pts[b][0]) - nudge * dy / length,
-        0.5 * (pts[a][1] + pts[b][1]) + nudge * dx / length,
+        0.5 * (P[a][0] + P[b][0]) - nudge * dy / length,
+        0.5 * (P[a][1] + P[b][1]) + nudge * dx / length,
     )
 
 
-def _is_convex_walk(pts: np.ndarray, vids: list[int]) -> bool:
+def _is_convex_walk(P: list, vids: list[int]) -> bool:
     m = len(vids)
     if len(set(vids)) != m:
         return False  # repeated vertex: antenna
-    scale = max(1.0, float(np.abs(pts[vids]).max()))
+    scale = max(1.0, max(abs(c) for v in vids for c in P[v]))
     for k in range(m):
-        x0, y0 = pts[vids[k]]
-        x1, y1 = pts[vids[(k + 1) % m]]
-        x2, y2 = pts[vids[(k + 2) % m]]
+        x0, y0 = P[vids[k]]
+        x1, y1 = P[vids[(k + 1) % m]]
+        x2, y2 = P[vids[(k + 2) % m]]
         cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
         if cross < -CONVEX_TURN_TOL * scale * scale:
             return False
@@ -686,36 +670,51 @@ def convex_decompose(cell: Cell, arrangement: Arrangement) -> list[ConvexSubcell
     Every reflex corner (segment endpoints dangling inside the cell show up
     as full-turn walks) shoots the fewest axis-direction rays that cut its
     interior angle into parts of at most a straight angle; rays stop at the
-    first boundary hit.  Convex cells come back unchanged as a single
-    subcell.
+    first wall they cross, and a wall along a ray shares an edge with it.
+    Convex cells come back unchanged as a single subcell.
     """
     if cell.convex and not cell.holes:
         return [ConvexSubcell(cell.id, arrangement.cell_polygon(cell.id))]
 
     walls = arrangement.cell_walls(cell.id)
     rays: list[tuple[Point, Point, Tag]] = []
-    k = 0
-    for corner, d_out, d_in_rev in _boundary_corners(arrangement, cell):
-        inner = _interior_angle(d_out, d_in_rev)
-        if inner <= math.pi + 1e-9:
-            continue
-        a_out = math.atan2(d_out[1], d_out[0])
-        candidates = []
-        for dx, dy in _AXIS_DIRS:
-            rel = (math.atan2(dy, dx) - a_out) % (2.0 * math.pi)
-            if 1e-7 < rel < inner - 1e-7:
-                candidates.append((rel, dx, dy))
-        candidates.sort()
-        for rel, dx, dy in _minimal_splitting(candidates, inner):
-            hit = _shoot_ray(corner, dx, dy, walls)
-            if hit is None:
+    stops: dict[int, list[Point]] = {}  # wall index -> the ray ends on it
+    V = arrangement.verts.tolist()
+    for walk in [cell.outer] + [walk for walk, _tags in cell.holes]:
+        for vp, vc, vn in zip(walk[-1:] + walk[:-1], walk, walk[1:] + walk[:1]):
+            (px, py), (cx, cy), (nx, ny) = V[vp], V[vc], V[vn]
+            a_out = math.atan2(ny - cy, nx - cx)
+            inner = (math.atan2(py - cy, px - cx) - a_out) % (2.0 * math.pi)
+            if inner < 1e-12:
+                inner = 2.0 * math.pi  # the dangling end of an antenna
+            if inner <= math.pi + 1e-9:
                 continue
-            rays.append((corner, hit, ("ray", k)))
-            k += 1
+            corner = Point(cx, cy)
+            candidates = []
+            for dx, dy in _AXIS_DIRS:
+                rel = (math.atan2(dy, dx) - a_out) % (2.0 * math.pi)
+                if 1e-7 < rel < inner - 1e-7:
+                    candidates.append((rel, dx, dy))
+            candidates.sort()
+            for rel, dx, dy in _minimal_splitting(candidates, inner):
+                hit = _shoot_ray(corner, dx, dy, walls)
+                if hit is None:
+                    continue
+                rays.append((corner, hit[0], ("ray", len(rays))))
+                stops.setdefault(hit[1], []).append(hit[0])
 
-    sub_walls = walls + rays
+    # a wall is split at each ray end on it, so every ray meets its wall at
+    # a shared end however short the ray is
+    sub_walls = []
+    for wi, (p0, p1, tag) in enumerate(walls):
+        chain = [p0]
+        for q in sorted(stops.get(wi, ()), key=lambda q: q.dist(p0)):
+            if min(q.dist(chain[-1]), q.dist(p1)) > SNAP:
+                chain.append(q)
+        chain.append(p1)
+        sub_walls.extend((a, b, tag) for a, b in zip(chain, chain[1:]))
     local = build_subdivision(
-        sub_walls, arrangement.clip_box, arrangement.kind, arrangement.primitives
+        sub_walls + rays, arrangement.clip_box, arrangement.kind, arrangement.primitives
     )
     out: list[ConvexSubcell] = []
     for sub in local.cells:
@@ -738,30 +737,10 @@ def _minimal_splitting(candidates, inner: float):
     return list(candidates)
 
 
-def _boundary_corners(arrangement: Arrangement, cell: Cell):
-    """Yield (corner point, outgoing dir, reversed incoming dir) on all walks."""
-    chains = [cell.outer] + [walk for walk, _tags in cell.holes]
-    for walk in chains:
-        m = len(walk)
-        for i in range(m):
-            vp = arrangement.verts[walk[(i - 1) % m]]
-            vc = arrangement.verts[walk[i]]
-            vn = arrangement.verts[walk[(i + 1) % m]]
-            d_out = (float(vn[0] - vc[0]), float(vn[1] - vc[1]))
-            d_in_rev = (float(vp[0] - vc[0]), float(vp[1] - vc[1]))
-            yield Point(float(vc[0]), float(vc[1])), d_out, d_in_rev
-
-
-def _interior_angle(d_out: tuple[float, float], d_in_rev: tuple[float, float]) -> float:
-    a_out = math.atan2(d_out[1], d_out[0])
-    a_in = math.atan2(d_in_rev[1], d_in_rev[0])
-    ang = (a_in - a_out) % (2.0 * math.pi)
-    return 2.0 * math.pi if ang < 1e-12 else ang
-
-
-def _shoot_ray(origin: Point, dx: float, dy: float, walls) -> Point | None:
-    best_t = math.inf
-    for p0, p1, _tag in walls:
+def _shoot_ray(origin: Point, dx: float, dy: float, walls) -> tuple[Point, int] | None:
+    """First wall hit by the ray, as (point, wall index)."""
+    best_t, best = math.inf, -1
+    for wi, (p0, p1, _tag) in enumerate(walls):
         ex, ey = p1.x - p0.x, p1.y - p0.y
         det = dx * ey - dy * ex
         if abs(det) <= 1e-14:
@@ -769,8 +748,8 @@ def _shoot_ray(origin: Point, dx: float, dy: float, walls) -> Point | None:
         rx, ry = p0.x - origin.x, p0.y - origin.y
         t = (rx * ey - ry * ex) / det
         u = (rx * dy - ry * dx) / det
-        if t > 1e-9 and -1e-12 <= u <= 1.0 + 1e-12:
-            best_t = min(best_t, t)
-    if not math.isfinite(best_t):
+        if t > 1e-9 and -1e-12 <= u <= 1.0 + 1e-12 and t < best_t:
+            best_t, best = t, wi
+    if best < 0:
         return None
-    return Point(origin.x + best_t * dx, origin.y + best_t * dy)
+    return Point(origin.x + best_t * dx, origin.y + best_t * dy), best

@@ -1086,12 +1086,14 @@ def _piece_crossings(pieces: list[CurvePiece]) -> list[tuple[int, int, float, fl
     """Every crossing of two pieces as (i, j, x, y) with i < j.
 
     Segment pairs go through the arrangement's x-sweep; pairs with an arc
-    are pruned by exact bounding boxes and solved in closed form.
+    are pruned by exact bounding boxes and solved in closed form.  Collinear
+    overlaps are no crossing here: the sweep's overlap ends are dropped.
     """
     segs = [i for i, p in enumerate(pieces) if p.kind == "seg"]
     arcs = [i for i, p in enumerate(pieces) if p.kind == "arc"]
     ends = np.array([(*pieces[i].p0, *pieces[i].p1) for i in segs], dtype=float).reshape(-1, 4)
-    out = [(segs[a], segs[b], x, y) for a, b, x, y in _segment_crossings(ends[:, :2], ends[:, 2:])]
+    crossings, _overlaps = _segment_crossings(ends[:, :2], ends[:, 2:])
+    out = [(segs[a], segs[b], x, y) for a, b, x, y in crossings]
     if arcs:
         boxes = np.array([_piece_bbox(p) for p in pieces])
     for n, i in enumerate(arcs):

@@ -2,7 +2,11 @@
 
 * `segment_intersection`: one segment pair's crossing, and
   `pairwise_segment_crossings`, the O(n^2) loop over it that split the
-  arrangement's walls before the x-sweep did.
+  arrangement's walls before the x-sweep did, with the overlap ends of
+  collinear pairs.
+* `reference_extract_faces`: the arrangement's face tracer as it was before
+  it sorted each vertex's ring once and assigned holes in numpy.
+* `in_cell_or_near`: point-in-cell with a slack band around the boundary.
 * `f_value`: the distance sum of the corner-vector level sets, evaluated
   directly from the lines.
 * `dense_scan_naive`: the dense placement scan built on `boundary_gaps`.
@@ -22,7 +26,15 @@ import math
 
 import numpy as np
 
-from critplace.arrangement import Arrangement, BBox, convex_decompose
+from critplace.arrangement import (
+    Arrangement,
+    BBox,
+    Cell,
+    _cycle_probe,
+    _is_convex_walk,
+    _point_segment_dist,
+    convex_decompose,
+)
 from critplace.geom import CIRCLE, GeometryError, Line, Point, shape_perimeter
 from critplace.oracle import _pair_report, boundary_gaps
 from critplace.placement import (
@@ -68,9 +80,10 @@ def segment_intersection(
 
 def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, slack: float = 1e-9):
     """What `arrangement._segment_crossings` returns, from a loop over every
-    pair whose boxes come within slack of each other."""
+    pair whose boxes come within slack of each other: the crossings, and the
+    ends of collinear overlaps."""
     segs = [(Point(*a), Point(*b)) for a, b in zip(P0.tolist(), P1.tolist())]
-    out = []
+    out, overlaps = [], set()
     for i, (p0, p1) in enumerate(segs):
         for j in range(i + 1, len(segs)):
             q0, q1 = segs[j]
@@ -78,10 +91,126 @@ def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, slack: float = 1e
                 continue
             if max(p0.y, p1.y) < min(q0.y, q1.y) - slack or max(q0.y, q1.y) < min(p0.y, p1.y) - slack:
                 continue
+            det = (p1.x - p0.x) * (q1.y - q0.y) - (p1.y - p0.y) * (q1.x - q0.x)
+            if abs(det) <= 1e-13:
+                overlaps.update(_overlap_ends(i, j, segs, slack))
+                continue
             hit = segment_intersection(p0, p1, q0, q1, tol=1e-12)
             if hit is not None:
                 out.append((i, j, hit[2].x, hit[2].y))
-    return out
+    return out, sorted(overlaps)
+
+
+def _overlap_ends(i: int, j: int, segs, slack: float):
+    """Each end of segment i or j that lies on the other: off its line by at
+    most slack times the shorter length, at a parameter within slack of [0, 1]."""
+    for s, o in ((i, j), (j, i)):
+        (o0, o1), (s0, s1) = segs[o], segs[s]
+        dx, dy = o1.x - o0.x, o1.y - o0.y
+        L2 = dx * dx + dy * dy
+        short2 = min(L2, (s1.x - s0.x) ** 2 + (s1.y - s0.y) ** 2)
+        for e in (s0, s1):
+            ex, ey = e.x - o0.x, e.y - o0.y
+            if L2 <= 0.0 or (dx * ey - dy * ex) ** 2 > slack**2 * L2 * short2:
+                continue
+            if -slack <= (ex * dx + ey * dy) / L2 <= 1.0 + slack:
+                yield (i, j, e.x, e.y)
+
+
+def reference_extract_faces(pts, edges) -> list[Cell]:
+    """What `arrangement._extract_faces` returns, from a scan of the ring for
+    every half-edge's next, an absolute area cut, and a wall list rebuilt for
+    every (hole, cell) pair."""
+    # half-edge h = (edge index, direction); outgoing lists per vertex
+    out_at: dict[int, list[tuple[float, int]]] = {}
+    half_target = {}
+    half_tag = {}
+    for ei, (u, v, tag) in enumerate(edges):
+        for h, (a, b) in ((2 * ei, (u, v)), (2 * ei + 1, (v, u))):
+            ang = math.atan2(pts[b][1] - pts[a][1], pts[b][0] - pts[a][0])
+            out_at.setdefault(a, []).append((ang, h))
+            half_target[h] = b
+            half_tag[h] = tag
+    for a in out_at:
+        out_at[a].sort()
+
+    nxt = {}
+    for h, b in half_target.items():
+        twin = h ^ 1
+        ring = out_at[b]
+        pos = next(k for k, (_, hh) in enumerate(ring) if hh == twin)
+        nxt[h] = ring[(pos - 1) % len(ring)][1]
+
+    seen = set()
+    cycles = []
+    for h0 in half_target:
+        if h0 in seen:
+            continue
+        walk = []
+        h = h0
+        while h not in seen:
+            seen.add(h)
+            walk.append(h)
+            h = nxt[h]
+        cycles.append(walk)
+
+    cyc_info = []
+    for walk in cycles:
+        vids = [half_target[h ^ 1] for h in walk]
+        tags = [half_tag[h] for h in walk]
+        cyc_info.append((vids, tags, _absolute_area(pts, vids)))
+
+    pos_cycles = [c for c in cyc_info if c[2] > 1e-15]
+    neg_cycles = [c for c in cyc_info if c[2] <= 1e-15]
+    cells = [
+        Cell(id=i, outer=vids, outer_tags=tags, convex=_is_convex_walk(pts, vids))
+        for i, (vids, tags, _a) in enumerate(sorted(pos_cycles, key=lambda c: (-c[2], c[0])))
+    ]
+    order = sorted(range(len(cells)), key=lambda i: _absolute_area(pts, cells[i].outer))
+    for vids, tags, _a in neg_cycles:
+        px, py = _cycle_probe(pts, vids)
+        for ci in order:
+            outer = cells[ci].outer
+            walls = [
+                (Point(*pts[outer[k]]), Point(*pts[outer[(k + 1) % len(outer)]]), None)
+                for k in range(len(outer))
+            ]
+            if _point_in_walls(walls, px, py):
+                cells[ci].holes.append((vids, tags))
+                cells[ci].convex = False
+                break
+    return cells
+
+
+def _point_in_walls(walls, x: float, y: float) -> bool:
+    crossings = 0
+    for p0, p1, _tag in walls:
+        y0, y1 = p0.y, p1.y
+        if (y0 > y) == (y1 > y):
+            continue
+        t = (y - y0) / (y1 - y0)
+        if p0.x + t * (p1.x - p0.x) > x:
+            crossings += 1
+    return crossings % 2 == 1
+
+
+def _absolute_area(pts: np.ndarray, walk: list[int]) -> float:
+    area = 0.0
+    m = len(walk)
+    for k in range(m):
+        x0, y0 = pts[walk[k]]
+        x1, y1 = pts[walk[(k + 1) % m]]
+        area += x0 * y1 - x1 * y0
+    return 0.5 * area
+
+
+def in_cell_or_near(arrangement: Arrangement, pt: Point, cell_id: int, slack: float) -> bool:
+    """Is the point in the cell, or within slack of one of its boundary steps
+    (`cell_boundary_steps`, as the arrangement caches them)?"""
+    return arrangement.point_in_cell(pt, cell_id) or any(
+        _point_segment_dist(pt.x, pt.y, p0, p1) <= slack
+        for p0, p1, _none in arrangement._step_walls(cell_id)
+    )
 
 
 class Unbounded(GeometryError):
@@ -168,7 +297,7 @@ def reference_ring_ok(arrangement: Arrangement, cell_id: int, eps: float, piece,
     theta = piece.mid_angle(t)
     for s in (theta - 0.5 * eps, theta + 0.5 * eps):
         end = Point(px + math.cos(s), py + math.sin(s))
-        if not arrangement.point_in_cell(end, cell_id, slack=1e-9):
+        if not in_cell_or_near(arrangement, end, cell_id, 1e-9):
             return False
     prof = boundary_gaps(Point(px, py), arrangement.primitives, CIRCLE)
     for comp in prof.components:
@@ -179,7 +308,7 @@ def reference_ring_ok(arrangement: Arrangement, cell_id: int, eps: float, piece,
                 return False
             if frozenset(comp.bound_ids) != piece.bounds:
                 return False
-            return arrangement.point_in_cell(comp.mid_point, cell_id, slack=1e-9)
+            return in_cell_or_near(arrangement, comp.mid_point, cell_id, 1e-9)
     return False
 
 

@@ -33,7 +33,7 @@ from critplace.sceneio import (
     result_from_placement,
 )
 
-from _reference import Unbounded, f_value
+from _reference import Unbounded, f_value, in_cell_or_near
 
 # 20 random instances: n in {2..5} crossed with eps in {0.2, 0.5}
 ACC_INSTANCES = [
@@ -104,9 +104,7 @@ def test_criterion_2_level_set_soundness(random_suite):
                         Point(x, y), pa.arrangement.primitives, SQUARE, eps
                     )
                     good = ok and any(
-                        pa.arrangement.point_in_cell(
-                            w.mid_point, curve.cell_id, slack=1e-6
-                        )
+                        in_cell_or_near(pa.arrangement, w.mid_point, curve.cell_id, 1e-6)
                         for w in wits
                     )
                     checked += 1
@@ -389,9 +387,7 @@ def test_criterion_7_circle_concavity():
                 break
             if bounds0 is None:
                 bounds0 = comp.bound_ids
-            if comp.bound_ids != bounds0 or not arr.point_in_cell(
-                comp.mid_point, cell, slack=1e-9
-            ):
+            if comp.bound_ids != bounds0 or not in_cell_or_near(arr, comp.mid_point, cell, 1e-9):
                 okrun = False
                 break
             for lid in set(comp.bound_ids):

@@ -1,8 +1,11 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import critplace.arrangement
-from _reference import pairwise_segment_crossings, segment_intersection
+from _reference import pairwise_segment_crossings, reference_extract_faces, segment_intersection
 from critplace.arrangement import (
     OnBoundary,
     build_line_arrangement,
@@ -50,7 +53,7 @@ def test_three_lines_cell_count():
     assert arr.euler_ok()
 
 
-@pytest.mark.parametrize("n,seed", [(6, 2), (10, 5)])
+@pytest.mark.parametrize("n,seed", [(6, 2), (10, 5), (128, 1)])
 def test_random_lines_interior_vertices(n, seed):
     lines = random_lines(n, seed)
     # brute-force count of pairwise intersections
@@ -118,29 +121,32 @@ def _subdivision(arr):
     return arr.verts.tobytes(), arr.edges, cells, arr.n_components
 
 
+SOUP = [
+    Segment(Point(0, 0), Point(2, 0)),
+    Segment(Point(2, 0), Point(2, 2)),  # shares an end with its neighbours
+    Segment(Point(2, 2), Point(0, 0)),
+    Segment(Point(1, -1), Point(1, 0)),  # T-touches the first
+    Segment(Point(3.1, 1.3), Point(2, 1)),  # T-touches the second
+    Segment(Point(-1, 0), Point(0.5, 0)),  # overlaps the first
+    Segment(Point(-1, 3), Point(3, 3 + 4e-6)),  # crosses the next at 1.5e-6 rad
+    Segment(Point(-1, 3 + 2e-6), Point(3, 3)),
+    Segment(Point(0.3, -0.7), Point(1.7, 2.9)),
+    Segment(Point(-0.6, 2.2), Point(2.9, -0.4)),
+]
+
+
 def test_subdivision_matches_the_pairwise_reference(monkeypatch):
-    soup = [
-        Segment(Point(0, 0), Point(2, 0)),
-        Segment(Point(2, 0), Point(2, 2)),  # shares an end with its neighbours
-        Segment(Point(2, 2), Point(0, 0)),
-        Segment(Point(1, -1), Point(1, 0)),  # T-touches the first
-        Segment(Point(3.1, 1.3), Point(2, 1)),  # T-touches the second
-        Segment(Point(-1, 0), Point(0.5, 0)),  # overlaps the first
-        Segment(Point(-1, 3), Point(3, 3 + 4e-6)),  # crosses the next at 1.5e-6 rad
-        Segment(Point(-1, 3 + 2e-6), Point(3, 3)),
-        Segment(Point(0.3, -0.7), Point(1.7, 2.9)),
-        Segment(Point(-0.6, 2.2), Point(2.9, -0.4)),
-    ]
     room = [
         Segment(Point(0, 0), Point(4, 0)),
         Segment(Point(4, 0), Point(4, 4)),
         Segment(Point(4, 4), Point(0, 4)),
         Segment(Point(0, 4), Point(0, 0)),
         Segment(Point(0, 2), Point(2.3, 2.7)),
+        Segment(Point(3, 0.5), Point(3.5, 1.2)),  # a hole in a cell that is a hole's cell
     ]
 
     def scenes():
-        soup_arr = build_segment_arrangement(soup)
+        soup_arr = build_segment_arrangement(SOUP)
         room_arr = build_segment_arrangement(room)
         cell = next(c for c in room_arr.cells if c.holes or not c.convex)
         polys = [sub.polygon.tobytes() for sub in convex_decompose(cell, room_arr)]
@@ -149,8 +155,117 @@ def test_subdivision_matches_the_pairwise_reference(monkeypatch):
 
     swept = scenes()
     monkeypatch.setattr(critplace.arrangement, "_segment_crossings", pairwise_segment_crossings)
+    monkeypatch.setattr(critplace.arrangement, "_extract_faces", reference_extract_faces)
     assert swept == scenes()
     assert len(swept[2]) > 1
+
+
+def _edge_ends(arr, tag_kind):
+    return sorted(
+        tuple(sorted((tuple(arr.verts[u].tolist()), tuple(arr.verts[v].tolist()))))
+        for u, v, tag in arr.edges
+        if tag[0] == tag_kind
+    )
+
+
+@pytest.mark.parametrize(
+    "segs,expected",
+    [
+        (
+            SOUP,
+            [  # the walls on y = 0, as the T-junction pass that this rule replaced split them
+                ((-1.0, 0.0), (0.0, 0.0)),
+                ((0.0, 0.0), (0.5, 0.0)),
+                ((0.5, 0.0), (0.5722222222222222, 0.0)),
+                ((0.5722222222222222, 0.0), (1.0, 0.0)),
+                ((1.0, 0.0), (2.0, 0.0)),
+            ],
+        ),
+        (
+            [Segment(Point(0, 0), Point(3, 1.5)), Segment(Point(1, 0.5), Point(2, 1))],
+            [((0.0, 0.0), (1.0, 0.5)), ((1.0, 0.5), (2.0, 1.0)), ((2.0, 1.0), (3.0, 1.5))],
+        ),
+        (
+            [Segment(Point(0, 0), Point(3, 1.5)), Segment(Point(1, 0.5 + 1e-12), Point(4, 2 + 1e-12))],
+            [
+                ((0.0, 0.0), (1.0, 0.500000000001)),
+                ((1.0, 0.500000000001), (3.0, 1.5)),
+                ((3.0, 1.5), (4.0, 2.000000000001)),
+            ],
+        ),
+        (  # parallel, 1e-6 apart: no overlap
+            [Segment(Point(0, 0), Point(3, 1.5)), Segment(Point(1, 0.5 + 1e-6), Point(2, 1 + 1e-6))],
+            [((0.0, 0.0), (3.0, 1.5)), ((1.0, 0.500001), (2.0, 1.000001))],
+        ),
+    ],
+    ids=["soup", "contained", "staggered", "parallel"],
+)
+def test_collinear_overlaps_share_their_edges(segs, expected):
+    arr = build_segment_arrangement(segs)
+    edges = _edge_ends(arr, "segment")
+    if segs is SOUP:
+        edges = [e for e in edges if e[0][1] == e[1][1] == 0.0]
+    assert sorted(set(edges)) == expected
+    # no two edges leave a vertex in one direction
+    for vid in range(arr.n_vertices):
+        dirs = [
+            math.atan2(*(arr.verts[w] - arr.verts[vid])[::-1])
+            for u, v, _tag in arr.edges
+            for w in ((v,) if u == vid else (u,) if v == vid else ())
+        ]
+        assert len(set(dirs)) == len(dirs)
+
+
+def test_convex_decompose_rays_through_a_collinear_segment():
+    # the +x ray from (1, 0) runs along (2, 0)-(3, 0) to the frame, and the
+    # -x ray from (2, 0) along (0, 0)-(1, 0): each is split where it overlaps
+    arr = build_segment_arrangement(
+        [Segment(Point(0, 0), Point(1, 0)), Segment(Point(2, 0), Point(3, 0))]
+    )
+    assert (arr.n_vertices, arr.n_edges, len(arr.cells), arr.n_components) == (8, 6, 1, 3)
+    subs = convex_decompose(arr.cells[0], arr)
+    assert [s.polygon.tolist() for s in subs] == [  # as under the T-junction pass
+        [[-1, -1], [4, -1], [4, 0], [3, 0], [2, 0], [1, 0], [0, 0], [-1, 0]],
+        [[4, 0], [4, 1], [-1, 1], [-1, 0], [0, 0], [1, 0], [2, 0], [3, 0]],
+    ]
+    assert sum(_poly_area(s.polygon) for s in subs) == pytest.approx(arr.cell_area(0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "offset,meets", [(0.0, True), (1e-12, True), (5e-10, True), (1.5e-9, False), (3e-9, False)]
+)
+def test_a_segment_end_meets_a_wall_only_where_the_sweep_reports_it(offset, meets):
+    # a stem starting at t = 0.37 on the wall, moved off it along the normal:
+    # it meets the wall while that stays within the sweep's parameter slack
+    wall = Segment(Point(0, 0), Point(2, 0.3))
+    nx, ny = -0.3 / math.hypot(2, 0.3), 2 / math.hypot(2, 0.3)
+    start = Point(0.74 + offset * nx, 0.111 + offset * ny)
+    arr = build_segment_arrangement([wall, Segment(start, Point(start.x + nx, start.y + ny))])
+    degree = Counter(v for u, w, _tag in arr.edges for v in (u, w))
+    assert (arr.n_vertices, arr.n_edges, max(degree.values())) == ((8, 7, 3) if meets else (8, 6, 2))
+    # where the stem dangles, the rays from its end reach the wall however short they are
+    subs = convex_decompose(arr.cells[0], arr)
+    assert sum(_poly_area(s.polygon) for s in subs) == pytest.approx(arr.cell_area(0), rel=1e-12)
+    for s in subs:
+        assert len({tuple(v) for v in s.polygon.tolist()}) == len(s.polygon)
+        assert _is_convex(s.polygon)
+
+
+CONCURRENT = [(-1, -1, 1, 1), (-1, 1, 1, -1), (0, -1, 0, 1)]
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (0.37, -0.21), (-1000.0, 250.0)])
+@pytest.mark.parametrize(
+    "coords,counts", [(CONCURRENT, (9, 15, 8)), (CONCURRENT + [(-1, 0.3, 1, 0.1)], (14, 24, 12))]
+)
+def test_concurrent_lines_keep_their_thin_cell(coords, counts, shift):
+    # general position splits the common point into a triangle of area about
+    # 1e-15: a cell, however far from the origin the lines lie
+    dx, dy = shift
+    lines = [Line(Point(x0 + dx, y0 + dy), Point(x1 + dx, y1 + dy)) for x0, y0, x1, y1 in coords]
+    arr = build_line_arrangement(lines)
+    assert (arr.n_vertices, arr.n_edges, arr.n_faces) == counts
+    assert arr.euler_ok()
 
 
 def test_locate():

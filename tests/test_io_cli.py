@@ -186,6 +186,18 @@ def test_cli_geometry_error_is_an_input_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("scene_text, counts", [
+    ("L -1 -1 1 1\nL -1 1 1 -1\nL 0 -1 0 1\n", "(V=100 E=98 F=10)"),
+    ("L -1 -1 1 1\nL -1 1 1 -1\nL 0 -1 0 1\nL -1 0.3 1 0.1\n", "(V=197 E=211 F=30)"),
+], ids=["three", "three-and-one"])
+def test_cli_critical_over_concurrent_lines(tmp_path, capsys, scene_text, counts):
+    scene, out = tmp_path / "scene.txt", tmp_path / "r.json"
+    scene.write_text(scene_text)
+    code = main(["critical", "--shape", "square", "--eps", "0.3", "--in", str(scene), "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out.rstrip().endswith(counts)
+
+
 @pytest.mark.parametrize("shape, scene_text, message", [
     ("square", "L 0 0 1 1\nS 0 1 1 0\n", "mixes infinite lines and segments"),
     ("circle", "S 0 0 1 0.3\nS 0.2 -0.5 0.6 0.8\n", "only computed over lines"),

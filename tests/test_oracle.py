@@ -158,6 +158,21 @@ def test_verify_fault_injection():
     pa.curves.append(dropped)
 
 
+@pytest.mark.parametrize("extra, counts", [
+    ([], (137, 202, 71)),
+    ([Line(Point(-1, 0.3), Point(1, 0.1))], (316, 494, 186)),
+], ids=["three", "three-and-one"])
+def test_verify_concurrent_lines(extra, counts):
+    # three lines through one point: general position leaves a cell of area
+    # about 1e-15 between them, and its curves must still verify
+    lines = [Line(Point(-1, -1), Point(1, 1)), Line(Point(-1, 1), Point(1, -1)), V_LINE] + extra
+    eps = 0.3
+    pa = build_placement_arrangement(lines, eps, SQUARE, include_line_translates=True)
+    assert (pa.counts["vertices"], pa.counts["edges"], pa.counts["faces"]) == counts
+    scan = dense_scan(lines, SQUARE, eps, pa.domain, eps / 20)
+    assert verify(pa, scan, delta=eps / 10).empty()
+
+
 def test_verify_refinement_monotone():
     lines = random_lines(3, 40)
     eps = 0.5

@@ -28,6 +28,7 @@ from _reference import (
     _clip_convex,
     _first_wall_hit,
     f_value,
+    in_cell_or_near,
     reference_collect,
     reference_regions,
 )
@@ -276,7 +277,7 @@ def test_level_set_soundness_samples():
                 ok, wit = is_epsilon_placement(Point(x, y), lines, SQUARE, 0.4)
                 assert ok
                 assert any(
-                    pa.arrangement.point_in_cell(w.mid_point, curve.cell_id, slack=1e-6)
+                    in_cell_or_near(pa.arrangement, w.mid_point, curve.cell_id, 1e-6)
                     for w in wit
                 )
                 n_checked += 1
