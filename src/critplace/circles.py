@@ -14,9 +14,9 @@ placement domain).  That changes only where a crossing reaches an end of its
 edge, a line passes through a crossing or a line touches the circle: each a
 root of A sin(psi) + B cos(psi) + C (linear when straight).  Between
 consecutive roots validity is decided once, in closed form, at the
-middle.  (Inside a convex cell a line meets a crossing's edge only at the
-edge's end, so a line through a crossing repeats an edge-end root up to
-rounding, and a run's ends may take the repeat's bits.)
+middle.  Inside a convex cell a line meets a crossing's edge only at the
+edge's end, so a line passing through a crossing is the edge-end root and
+is not listed again.
 """
 
 from __future__ import annotations
@@ -146,13 +146,13 @@ def _trim(lines: list[Line], eps: float, piece: _RingPiece,
           ends: tuple[_End, _End], lo: float, hi: float) -> list[tuple[float, float]]:
     """Maximal runs of [lo, hi] where the piece is valid, from its events."""
     events = []
-    for end in ends:  # a crossing reaches an end of its edge
+    # a crossing reaches an end of its edge; inside a convex cell that is
+    # also where a line passes through the crossing, so that root is not
+    # computed a second time from the line
+    for end in ends:
         events += end.path.level_roots(*end.ray, end.lo, lo, hi)
         events += end.path.level_roots(*end.ray, end.hi, lo, hi)
-    for k, ln in enumerate(lines):
-        for end in ends:  # a line passes through a crossing
-            if end.lid != k:
-                events += end.path.level_roots(ln.a, ln.b, ln.c, lo, hi)
+    for ln in lines:
         for touch in (-1.0, 1.0):  # a line touches the circle
             events += piece.center.level_roots(ln.a, ln.b, ln.c + touch, lo, hi)
 

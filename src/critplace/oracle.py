@@ -22,13 +22,34 @@ from .geom import (
     CIRCLE,
     SQUARE,
     TOL,
+    GeometryError,
     Line,
     Point,
     Segment,
     shape_perimeter,
 )
 
+# Tolerances, each with its reason.  The scalar definition and the batched
+# sample check below read the same names, so the two cannot drift apart.
+# A segment end this close (in its parameter) to the boundary is a contact,
+# not a crossing; a direction component this small is parallel to a side.
 _EPS_CROSS = 1e-12
+# A crossing this close to a side's line lies on that side of the square.
+_SIDE_TOL = 1e-9
+# A chord clip keeps a line this far outside the square, or a chord whose
+# ends cross by this much: rounding, not a miss.
+_CHORD_SLACK = 1e-12
+# A curve's fixed boundary point this far past a witness's end still lies in
+# the witness (the point sits exactly on a witness end along the curve).
+_WITNESS_SLACK = 1e-9
+# Curve samples are spaced at least this far apart ...
+_STEP_FLOOR = 1e-4
+# ... and kept this far (in length) from a piece's ends, which are degenerate
+# contact placements.
+_SAMPLE_INSET = 1e-5
+# A length or squared length below this is taken as this, so nothing divides
+# by zero.
+_LENGTH_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -61,7 +82,7 @@ class GapProfile:
 def _square_s(cx: float, cy: float, x: float, y: float) -> float:
     """Perimeter coordinate on the square around (cx, cy), half-open per side."""
     dx, dy = x - cx, y - cy
-    tol = 1e-9
+    tol = _SIDE_TOL
     if abs(dy + 0.5) <= tol and dx < 0.5 - tol:
         return dx + 0.5
     if abs(dx - 0.5) <= tol and dy < 0.5 - tol:
@@ -80,14 +101,14 @@ def _square_chord(center: Point, px: float, py: float, dx: float, dy: float,
         (dy, py, center.y - 0.5, center.y + 0.5),
     ):
         if abs(d) <= _EPS_CROSS:
-            if not (lo - 1e-12 <= p <= hi + 1e-12):
+            if not (lo - _CHORD_SLACK <= p <= hi + _CHORD_SLACK):
                 return None
             continue
         ta, tb = (lo - p) / d, (hi - p) / d
         if ta > tb:
             ta, tb = tb, ta
         t0, t1 = max(t0, ta), min(t1, tb)
-    if t0 > t1 + 1e-12:
+    if t0 > t1 + _CHORD_SLACK:
         return None
     return (t0, t1)
 
@@ -235,6 +256,125 @@ def is_epsilon_placement(
 
 
 # ---------------------------------------------------------------------------
+# the same definition, for many placements at once
+# ---------------------------------------------------------------------------
+
+def _square_chord_rows(CX, CY, px: float, py: float, dx: float, dy: float,
+                       t_lo: float, t_hi: float):
+    """`_square_chord` for each center: (t0, t1, hit)."""
+    t0 = np.full(CX.shape, t_lo)
+    t1 = np.full(CX.shape, t_hi)
+    hit = np.ones(CX.shape, dtype=bool)
+    for d, p, lo, hi in ((dx, px, CX - 0.5, CX + 0.5), (dy, py, CY - 0.5, CY + 0.5)):
+        if abs(d) <= _EPS_CROSS:
+            hit &= (lo - _CHORD_SLACK <= p) & (p <= hi + _CHORD_SLACK)
+            continue
+        ta, tb = (lo - p) / d, (hi - p) / d
+        t0 = np.maximum(t0, np.minimum(ta, tb))
+        t1 = np.minimum(t1, np.maximum(ta, tb))
+    return t0, t1, hit & ~(t0 > t1 + _CHORD_SLACK)
+
+
+def _crossing_rows(centers: np.ndarray, primitives: list, shape: str):
+    """The crossings `boundary_gaps` finds, for each row of centers: (S,
+    counts), each row of S sorted by (s, primitive id) and padded with inf.
+    The formulas and tolerances are those of `_crossings_square` and
+    `_crossings_circle`; a circle is only cut by lines."""
+    CX, CY = centers[:, 0], centers[:, 1]
+    cols: list[np.ndarray] = []
+    for prim in primitives:
+        if shape == SQUARE:
+            if isinstance(prim, Line):
+                (dx, dy), px, py = prim.direction(), prim.p.x, prim.p.y
+                t0, t1, hit = _square_chord_rows(CX, CY, px, py, dx, dy, -math.inf, math.inf)
+                cuts = hit & ~(t1 - t0 <= TOL.eps_geom)  # a tangent line cuts nothing
+                ends = ((t0, cuts), (t1, cuts))
+            else:
+                px, py = prim.p.x, prim.p.y
+                dx, dy = prim.q.x - px, prim.q.y - py
+                t0, t1, hit = _square_chord_rows(CX, CY, px, py, dx, dy, 0.0, 1.0)
+                # a segment end inside or on the boundary is a contact
+                ends = ((t0, hit & (t0 > _EPS_CROSS)), (t1, hit & (t1 < 1.0 - _EPS_CROSS)))
+            for t, valid in ends:
+                cols.append(np.where(valid, _square_s_vec(CX, CY, px + t * dx, py + t * dy), np.inf))
+        elif shape == CIRCLE:
+            if not isinstance(prim, Line):
+                raise GeometryError("circle placements are only computed over lines")
+            d = prim.a * CX + prim.b * CY - prim.c
+            cuts = np.abs(d) < 1.0
+            half = np.sqrt(1.0 - d * d)
+            fx, fy = CX - d * prim.a, CY - d * prim.b
+            for sgn in (-1.0, 1.0):
+                x = fx + sgn * half * prim.b
+                y = fy + sgn * half * -prim.a
+                cols.append(np.where(cuts, np.arctan2(y - CY, x - CX) % (2.0 * math.pi), np.inf))
+        else:
+            raise ValueError(f"unknown shape {shape!r}")
+    S = np.column_stack(cols)
+    S = np.take_along_axis(S, np.argsort(S, axis=1, kind="stable"), axis=1)
+    return S, np.isfinite(S).sum(axis=1)
+
+
+def witnessed(centers: np.ndarray, primitives: list, shape: str, eps: float,
+              fixed_s: float | None) -> np.ndarray:
+    """`is_epsilon_placement` for each row of centers (an (N, 2) array).
+
+    With `fixed_s`, a witness must also contain that perimeter coordinate:
+    the fixed boundary point of a curve's translation vector, which pins the
+    witness to the curve's cell.
+    """
+    P = shape_perimeter(shape)
+    whole = abs(P - eps) <= TOL.eps_verify  # no crossing: one piece, all of it
+    if not primitives:
+        return np.full(centers.shape[0], whole)
+    with np.errstate(invalid="ignore"):
+        S, counts = _crossing_rows(centers, primitives, shape)
+        G, M = S.shape
+        nxt = np.empty_like(S)
+        nxt[:, :-1] = S[:, 1:]
+        nxt[:, -1] = np.inf
+        length = (nxt - S) % P
+        rows, last = np.arange(G), np.maximum(counts - 1, 0)
+        length[rows, last] = S[:, 0] + P - S[rows, last]
+        length = np.where(length <= 0.0, length + P, length)
+        wit = (np.arange(M) < counts[:, None]) & (np.abs(length - eps) <= TOL.eps_verify)
+        if fixed_s is not None:
+            wit &= (fixed_s - S) % P <= length + _WITNESS_SLACK
+    ok = wit.any(axis=1)
+    ok[counts == 0] = whole
+    return ok
+
+
+def contact_holds(centers: np.ndarray, primitives: list, shape: str) -> np.ndarray:
+    """The contact condition of a contact curve, for each row of centers,
+    within the verify budget: a line tangent to the circle; a square corner
+    on a line or segment, or a segment end on the square's boundary."""
+    tol = TOL.eps_verify
+    CX, CY = centers[:, 0], centers[:, 1]
+    ok = np.zeros(CX.shape, dtype=bool)
+    if shape == CIRCLE:
+        for prim in primitives:
+            if isinstance(prim, Line):
+                ok |= np.abs(np.abs(prim.a * CX + prim.b * CY - prim.c) - 1.0) <= tol
+        return ok
+    corners = [(CX - 0.5, CY - 0.5), (CX + 0.5, CY - 0.5), (CX + 0.5, CY + 0.5), (CX - 0.5, CY + 0.5)]
+    for prim in primitives:
+        if isinstance(prim, Line):
+            for x, y in corners:
+                ok |= np.abs(prim.a * x + prim.b * y - prim.c) <= tol
+            continue
+        p, q = prim.p, prim.q
+        dx, dy = q.x - p.x, q.y - p.y
+        L2 = dx * dx + dy * dy  # a segment is longer than eps_geom
+        for x, y in corners:
+            t = np.clip(((x - p.x) * dx + (y - p.y) * dy) / L2, 0.0, 1.0)
+            ok |= np.hypot(x - p.x - t * dx, y - p.y - t * dy) <= tol
+        for end in (p, q):
+            ok |= np.abs(np.maximum(np.abs(end.x - CX), np.abs(end.y - CY)) - 0.5) <= tol
+    return ok
+
+
+# ---------------------------------------------------------------------------
 # dense scan of placement space
 # ---------------------------------------------------------------------------
 
@@ -299,7 +439,7 @@ def _component_table(primitives: list, shape: str, CX: np.ndarray, CY: np.ndarra
         two_pi = 2.0 * math.pi
         for k, prim in enumerate(primitives):
             if not isinstance(prim, Line):
-                raise NotImplementedError("circle scan supports line inputs")
+                raise GeometryError("circle placements are only computed over lines")
             d = prim.a * CX + prim.b * CY - prim.c
             inside = np.abs(d) < 1.0
             half = np.sqrt(np.maximum(1.0 - d * d, 0.0))
@@ -326,7 +466,7 @@ def _component_table(primitives: list, shape: str, CX: np.ndarray, CY: np.ndarra
 def _square_s_vec(CX, CY, x, y):
     dx = x - CX
     dy = y - CY
-    tol = 1e-9
+    tol = _SIDE_TOL
     s = np.empty_like(dx)
     done = np.zeros(dx.shape, dtype=bool)
     m = (np.abs(dy + 0.5) <= tol) & (dx < 0.5 - tol)
@@ -526,69 +666,90 @@ def verify(placement_arrangement, scan: np.ndarray, delta: float) -> VerifyRepor
     A scan point with no curve within delta is missed; a curve sample that the
     definition-level check rejects is unsupported.  Contact curves (corner
     translates, endpoint rings, tangency offsets) are validated by their
-    contact condition rather than by piece length.
+    contact condition rather than by piece length.  Each curve's samples are
+    checked in one call.
     """
     pa = placement_arrangement
-
-    # curve samples -> definition check; exact piece endpoints are degenerate
-    # contact placements, so sampling stays strictly inside each piece
+    step = max(delta / 4.0, _STEP_FLOOR)
     unsupported: list[tuple[float, float]] = []
-    step = max(delta / 4.0, 1e-4)
+    polys: list[np.ndarray] = []
     for curve in pa.all_curves():
+        # exact piece endpoints are degenerate contact placements, so the
+        # checked samples stay strictly inside each piece
+        samples = []
         for piece in curve.pieces:
             length = piece.length()
-            inset = min(0.02, 1e-5 / max(length, 1e-9))
-            for x, y in piece.sample_by_spacing(step, inset=inset):
-                if not pa.supports_placement(Point(x, y), curve):
-                    unsupported.append((x, y))
+            n = int(length / step) + 2
+            inset = min(0.02, _SAMPLE_INSET / max(length, _LENGTH_FLOOR))
+            samples.append(piece.sample(n, inset=inset))
+            polys.append(piece.sample(n))
+        if samples:
+            pts = np.concatenate(samples)
+            unsupported += map(tuple, pts[~pa.supports_placement(pts, curve)].tolist())
 
     # scan points -> nearest curve distance
     missed: list[tuple[float, float]] = []
-    polys = pa.sampled_polylines(step)
     if scan.shape[0]:
         if not polys:
-            missed = [tuple(p) for p in scan]
+            missed = list(map(tuple, scan.tolist()))
         else:
             seg_a = np.concatenate([p[:-1] for p in polys], axis=0)
             seg_b = np.concatenate([p[1:] for p in polys], axis=0)
             far = _points_far_from_segments(scan, seg_a, seg_b, delta)
-            missed = [(float(scan[k, 0]), float(scan[k, 1])) for k in far]
+            missed = list(map(tuple, scan[far].tolist()))
     return VerifyReport(missed, unsupported)
+
+
+# the 3x3 bucket neighbourhood of a point, as (column, row) offsets
+_NEIGHBOURS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=np.int64)
+# scan points paired with their candidate segments at once: pairing a whole
+# scan at once raised the benchmark's peak memory by half, and chunks larger
+# than this run no faster
+_SCAN_CHUNK = 128
 
 
 def _points_far_from_segments(
     pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray, delta: float
-) -> list[int]:
-    """Indices of points farther than delta from every segment.
+) -> np.ndarray:
+    """Indices, ascending, of points farther than delta from every segment.
 
-    Segments are hashed into buckets by both endpoints; since curve samples
-    are spaced well below delta, a 3x3 neighborhood of 1.5*delta buckets
-    covers every segment that could come within delta of a point.
+    Segments are filed into buckets of side 1.5*delta by both endpoints; since
+    curve samples are spaced well below delta, the 3x3 buckets around a point
+    hold every segment that could come within delta of it.  The buckets are
+    the endpoints sorted by bucket key, so each bucket is one range of the
+    sorted keys; points are paired with the segments of their nine ranges a
+    chunk at a time.
     """
     h = 1.5 * delta
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(seg_a.shape[0]):
-        for x, y in (seg_a[i], seg_b[i]):
-            buckets.setdefault((int(math.floor(x / h)), int(math.floor(y / h))), []).append(i)
+    n = seg_a.shape[0]
+    end_cell = np.floor(np.concatenate((seg_a, seg_b)) / h).astype(np.int64)
+    base = end_cell.min(axis=0)
+    span = end_cell.max(axis=0) - base + 1
+    keys = (end_cell[:, 0] - base[0]) * span[1] + (end_cell[:, 1] - base[1])
+    order = np.argsort(keys, kind="stable")
+    keys, seg_of = keys[order], order % n
     d = seg_b - seg_a
-    L2 = np.maximum((d * d).sum(axis=1), 1e-30)
-    far: list[int] = []
-    for k in range(pts.shape[0]):
-        px, py = float(pts[k, 0]), float(pts[k, 1])
-        bx, by = int(math.floor(px / h)), int(math.floor(py / h))
-        cand: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand.extend(buckets.get((bx + dx, by + dy), ()))
-        if not cand:
-            far.append(k)
+    L2 = np.maximum((d * d).sum(axis=1), _LENGTH_FLOOR)
+    pt_cell = np.floor(pts / h).astype(np.int64) - base
+    best = np.full(pts.shape[0], np.inf)
+    for c0 in range(0, pts.shape[0], _SCAN_CHUNK):
+        cell = pt_cell[c0:c0 + _SCAN_CHUNK, None, :] + _NEIGHBOURS  # (chunk, 9, 2)
+        inside = np.all((cell >= 0) & (cell < span), axis=2)
+        nkey = np.where(inside, cell[..., 0] * span[1] + cell[..., 1], -1).ravel()
+        lo = np.searchsorted(keys, nkey, side="left")
+        cnt = np.searchsorted(keys, nkey, side="right") - lo
+        total = int(cnt.sum())
+        if total == 0:
             continue
-        idx = np.unique(np.array(cand, dtype=np.int64))
-        wx = px - seg_a[idx, 0]
-        wy = py - seg_a[idx, 1]
-        t = np.clip((wx * d[idx, 0] + wy * d[idx, 1]) / L2[idx], 0.0, 1.0)
-        ddx = wx - t * d[idx, 0]
-        ddy = wy - t * d[idx, 1]
-        if float(np.min(ddx * ddx + ddy * ddy)) > delta * delta:
-            far.append(k)
-    return far
+        # one (point, segment) pair per endpoint in a neighbouring bucket;
+        # pair k of all the pairs is sorted end lo + (k - first pair of its range)
+        owner = np.repeat(c0 + np.arange(nkey.shape[0]) // 9, cnt)
+        first = np.cumsum(cnt) - cnt
+        seg = seg_of[np.repeat(lo - first, cnt) + np.arange(total)]
+        wx = pts[owner, 0] - seg_a[seg, 0]
+        wy = pts[owner, 1] - seg_a[seg, 1]
+        t = np.clip((wx * d[seg, 0] + wy * d[seg, 1]) / L2[seg], 0.0, 1.0)
+        ddx = wx - t * d[seg, 0]
+        ddy = wy - t * d[seg, 1]
+        np.minimum.at(best, owner, ddx * ddx + ddy * ddy)
+    return np.flatnonzero(best > delta * delta)

@@ -28,7 +28,6 @@ from .arrangement import (
     BBox,
     Tag,
     _count_components,
-    _point_segment_dist,
     _segment_crossings,
     build_line_arrangement,
     build_segment_arrangement,
@@ -38,7 +37,6 @@ from .arrangement import (
 from .geom import (
     CIRCLE,
     SQUARE,
-    TOL,
     GeometryError,
     Line,
     PerimeterCoord,
@@ -50,7 +48,7 @@ from .geom import (
     shape_perimeter,
     square_corners,
 )
-from .oracle import is_epsilon_placement
+from .oracle import contact_holds, witnessed
 
 SQRT2 = math.sqrt(2.0)
 
@@ -1144,58 +1142,18 @@ class PlacementArrangement:
     def all_curves(self) -> list[CriticalCurve]:
         return list(self.curves) + list(self.line_translates)
 
-    def sampled_polylines(self, spacing: float) -> list[np.ndarray]:
-        out = []
-        for curve in self.all_curves():
-            for piece in curve.pieces:
-                out.append(piece.sample_by_spacing(spacing))
-        return out
-
-    def supports_placement(self, center: Point, curve: CriticalCurve) -> bool:
-        """Definition-level check of one curve sample.
+    def supports_placement(self, centers: np.ndarray, curve: CriticalCurve) -> np.ndarray:
+        """Definition-level check of a curve's samples, one verdict per row
+        of the (N, 2) centers.
 
         Gap curves need a boundary piece of the right length that contains
         the curve's own fixed boundary point (which pins the witness to the
         owning cell); contact curves need their contact condition.
         """
-        prims = self.primitives
         if curve.kind == "contact":
-            return _contact_holds(center, prims, self.shape)
-        ok, witnesses = is_epsilon_placement(center, prims, self.shape, self.eps)
-        if not ok:
-            return False
-        if curve.vector is None:
-            return True
-        P = shape_perimeter(self.shape)
-        for w in witnesses:
-            if (curve.vector.s - w.start) % P <= w.length + 1e-9:
-                return True
-        return False
-
-
-def _contact_holds(center: Point, primitives: list, shape: str) -> bool:
-    """The contact condition of a contact curve, within the verify budget."""
-    tol = TOL.eps_verify
-    if shape == CIRCLE:
-        for prim in primitives:
-            if isinstance(prim, Line) and abs(abs(prim.side_of(center)) - 1.0) <= tol:
-                return True
-        return False
-    corners = square_corners(center)
-    for prim in primitives:
-        if isinstance(prim, Line):
-            if any(abs(prim.side_of(c)) <= tol for c in corners):
-                return True
-        else:
-            for c in corners:
-                if _point_segment_dist(c.x, c.y, prim.p, prim.q) <= tol:
-                    return True
-            for end in (prim.p, prim.q):
-                if (
-                    abs(max(abs(end.x - center.x), abs(end.y - center.y)) - 0.5) <= tol
-                ):
-                    return True
-    return False
+            return contact_holds(centers, self.primitives, self.shape)
+        fixed_s = None if curve.vector is None else curve.vector.s
+        return witnessed(centers, self.primitives, self.shape, self.eps, fixed_s)
 
 
 def default_domain(primitives: list, shape: str, eps) -> BBox:

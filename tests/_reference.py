@@ -18,6 +18,13 @@
   per strip in a loop over the walls, and every (horizontal strip, vertical
   strip) pair clips the region anew.  `reference_collect` returns what
   `collect_S` returns for square vectors, and must return it bit for bit.
+* `reference_verify`: `oracle.verify` as it was before it checked each
+  curve's samples in one batch, one placement at a time through
+  `reference_supports` (`is_epsilon_placement` plus witness containment, or
+  `reference_contact_holds` for contact curves), with
+  `reference_points_far_from_segments`, the dictionary-bucket loop over the
+  scan points.  `sample_verdicts` puts the batched and the scalar verdict of
+  every sample `verify` checks side by side.
 """
 
 from __future__ import annotations
@@ -35,8 +42,24 @@ from critplace.arrangement import (
     _point_segment_dist,
     convex_decompose,
 )
-from critplace.geom import CIRCLE, GeometryError, Line, Point, shape_perimeter
-from critplace.oracle import _pair_report, boundary_gaps
+from critplace.geom import (
+    CIRCLE,
+    TOL,
+    GeometryError,
+    Line,
+    Point,
+    shape_perimeter,
+    square_corners,
+)
+from critplace.oracle import (
+    _SAMPLE_INSET,
+    _STEP_FLOOR,
+    _WITNESS_SLACK,
+    VerifyReport,
+    _pair_report,
+    boundary_gaps,
+    is_epsilon_placement,
+)
 from critplace.placement import (
     _CORNER_QUADRANT,
     _QUADRANT_LOOK,
@@ -530,3 +553,122 @@ def reference_collect(
     if domain is not None:
         curves = [c for c in (clip_curve_to_box(c, domain) for c in curves) if c]
     return curves
+
+
+# ---------------------------------------------------------------------------
+# verify, one placement at a time
+# ---------------------------------------------------------------------------
+
+def reference_contact_holds(center: Point, primitives: list, shape: str) -> bool:
+    """The contact condition of a contact curve, within the verify budget."""
+    tol = TOL.eps_verify
+    if shape == CIRCLE:
+        for prim in primitives:
+            if isinstance(prim, Line) and abs(abs(prim.side_of(center)) - 1.0) <= tol:
+                return True
+        return False
+    corners = square_corners(center)
+    for prim in primitives:
+        if isinstance(prim, Line):
+            if any(abs(prim.side_of(c)) <= tol for c in corners):
+                return True
+        else:
+            for c in corners:
+                if _point_segment_dist(c.x, c.y, prim.p, prim.q) <= tol:
+                    return True
+            for end in (prim.p, prim.q):
+                if (
+                    abs(max(abs(end.x - center.x), abs(end.y - center.y)) - 0.5) <= tol
+                ):
+                    return True
+    return False
+
+
+def reference_supports(pa, center: Point, curve: CriticalCurve) -> bool:
+    """Definition-level check of one curve sample."""
+    prims = pa.primitives
+    if curve.kind == "contact":
+        return reference_contact_holds(center, prims, pa.shape)
+    ok, witnesses = is_epsilon_placement(center, prims, pa.shape, pa.eps)
+    if not ok:
+        return False
+    if curve.vector is None:
+        return True
+    P = shape_perimeter(pa.shape)
+    for w in witnesses:
+        if (curve.vector.s - w.start) % P <= w.length + _WITNESS_SLACK:
+            return True
+    return False
+
+
+def sample_verdicts(pa, delta: float):
+    """(batched, scalar, contact) per curve sample that `verify` checks:
+    `supports_placement`'s verdict, `reference_supports`'s verdict, and
+    whether the sample is on a contact curve."""
+    step = max(delta / 4.0, _STEP_FLOOR)
+    batched, scalar, contact = [], [], []
+    for curve in pa.all_curves():
+        for piece in curve.pieces:
+            length = piece.length()
+            inset = min(0.02, _SAMPLE_INSET / max(length, 1e-9))
+            pts = piece.sample_by_spacing(step, inset=inset)
+            batched += pa.supports_placement(pts, curve).tolist()
+            scalar += [reference_supports(pa, Point(x, y), curve) for x, y in pts]
+            contact += [curve.kind == "contact"] * len(pts)
+    return np.array(batched), np.array(scalar), np.array(contact)
+
+
+def reference_verify(pa, scan: np.ndarray, delta: float) -> VerifyReport:
+    unsupported: list[tuple[float, float]] = []
+    step = max(delta / 4.0, _STEP_FLOOR)
+    for curve in pa.all_curves():
+        for piece in curve.pieces:
+            length = piece.length()
+            inset = min(0.02, _SAMPLE_INSET / max(length, 1e-9))
+            for x, y in piece.sample_by_spacing(step, inset=inset):
+                if not reference_supports(pa, Point(x, y), curve):
+                    unsupported.append((x, y))
+
+    missed: list[tuple[float, float]] = []
+    polys = [piece.sample_by_spacing(step) for curve in pa.all_curves() for piece in curve.pieces]
+    if scan.shape[0]:
+        if not polys:
+            missed = [tuple(p) for p in scan]
+        else:
+            seg_a = np.concatenate([p[:-1] for p in polys], axis=0)
+            seg_b = np.concatenate([p[1:] for p in polys], axis=0)
+            far = reference_points_far_from_segments(scan, seg_a, seg_b, delta)
+            missed = [(float(scan[k, 0]), float(scan[k, 1])) for k in far]
+    return VerifyReport(missed, unsupported)
+
+
+def reference_points_far_from_segments(
+    pts: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray, delta: float
+) -> list[int]:
+    h = 1.5 * delta
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i in range(seg_a.shape[0]):
+        for x, y in (seg_a[i], seg_b[i]):
+            buckets.setdefault((int(math.floor(x / h)), int(math.floor(y / h))), []).append(i)
+    d = seg_b - seg_a
+    L2 = np.maximum((d * d).sum(axis=1), 1e-30)
+    far: list[int] = []
+    for k in range(pts.shape[0]):
+        px, py = float(pts[k, 0]), float(pts[k, 1])
+        bx, by = int(math.floor(px / h)), int(math.floor(py / h))
+        cand: list[int] = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                cand.extend(buckets.get((bx + dx, by + dy), ()))
+        if not cand:
+            far.append(k)
+            continue
+        idx = np.unique(np.array(cand, dtype=np.int64))
+        wx = px - seg_a[idx, 0]
+        wy = py - seg_a[idx, 1]
+        t = np.clip((wx * d[idx, 0] + wy * d[idx, 1]) / L2[idx], 0.0, 1.0)
+        ddx = wx - t * d[idx, 0]
+        ddy = wy - t * d[idx, 1]
+        if float(np.min(ddx * ddx + ddy * ddy)) > delta * delta:
+            far.append(k)
+    return far

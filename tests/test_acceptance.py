@@ -33,7 +33,7 @@ from critplace.sceneio import (
     result_from_placement,
 )
 
-from _reference import Unbounded, f_value, in_cell_or_near
+from _reference import Unbounded, f_value, in_cell_or_near, sample_verdicts
 
 # 20 random instances: n in {2..5} crossed with eps in {0.2, 0.5}
 ACC_INSTANCES = [
@@ -87,6 +87,14 @@ def test_criterion_1_oracle_equivalence(random_suite):
         f"{len(random_suite)} instances, missed={missed}, "
         f"unsupported={unsupported}, {elapsed:.1f}s (< 120s)",
     )
+
+
+def test_criterion_1_batched_verdicts_equal_the_scalar_definition(random_suite):
+    # every sample criterion 1 checks, batched against one placement at a time
+    for _lines, eps, pa in random_suite:
+        batched, scalar, contact = sample_verdicts(pa, eps / 10)
+        assert contact.any() and batched.all()
+        assert np.array_equal(batched, scalar)
 
 
 def test_criterion_2_level_set_soundness(random_suite):

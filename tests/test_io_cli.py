@@ -198,19 +198,28 @@ def test_cli_critical_over_concurrent_lines(tmp_path, capsys, scene_text, counts
     assert capsys.readouterr().out.rstrip().endswith(counts)
 
 
-@pytest.mark.parametrize("shape, scene_text, message", [
-    ("square", "L 0 0 1 1\nS 0 1 1 0\n", "mixes infinite lines and segments"),
-    ("circle", "S 0 0 1 0.3\nS 0.2 -0.5 0.6 0.8\n", "only computed over lines"),
-], ids=["mixed-scene", "circle-over-segments"])
-def test_cli_critical_refuses_unsupported_input(tmp_path, capsys, shape, scene_text, message):
+@pytest.mark.parametrize("command, shape, scene_text, message", [
+    ("critical", "square", "L 0 0 1 1\nS 0 1 1 0\n", "mixes infinite lines and segments"),
+    ("critical", "circle", "S 0 0 1 0.3\nS 0.2 -0.5 0.6 0.8\n", "only computed over lines"),
+    ("oracle-check", "circle", "S 0 0 1 0.3\nS 0.2 -0.5 0.6 0.8\n", "only computed over lines"),
+], ids=["mixed-scene", "circle-over-segments", "oracle-check-circle-over-segments"])
+def test_cli_critical_refuses_unsupported_input(tmp_path, capsys, command, shape, scene_text, message):
     scene, out = tmp_path / "scene.txt", tmp_path / "r.json"
     scene.write_text(scene_text)
-    code = main(["critical", "--shape", shape, "--eps", "0.3", "--in", str(scene), "--out", str(out)])
+    if command == "critical":
+        argv = ["critical", "--shape", shape, "--eps", "0.3", "--in", str(scene), "--out", str(out)]
+    else:
+        # a circle result over lines, replayed against the segment scene
+        lines = str(SCENES / "three_lines.txt")
+        assert main(["critical", "--shape", shape, "--eps", "0.3", "--in", lines, "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["oracle-check", "--eps", "0.3", "--resolution", "0.03", "--in", str(scene), "--curves", str(out)]
+    code = main(argv)
     assert code == 1
     cap = capsys.readouterr()
     err = cap.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
-    assert cap.out == "" and not out.exists()
+    assert cap.out == "" and (command == "oracle-check" or not out.exists())
 
 
 @pytest.mark.parametrize("kind, shape", [

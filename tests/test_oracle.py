@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from critplace.arrangement import BBox
 from critplace.generators import random_lines
-from critplace.geom import CIRCLE, SQUARE, Line, Point
+from critplace.geom import CIRCLE, SQUARE, Line, Point, Segment
 from critplace.oracle import (
+    _points_far_from_segments,
     boundary_gaps,
     dense_scan,
     is_epsilon_placement,
@@ -14,7 +16,12 @@ from critplace.oracle import (
 )
 from critplace.placement import build_placement_arrangement
 
-from _reference import dense_scan_naive
+from _reference import (
+    dense_scan_naive,
+    reference_points_far_from_segments,
+    reference_verify,
+    sample_verdicts,
+)
 
 
 V_LINE = Line(Point(0, -1), Point(0, 1))
@@ -183,3 +190,72 @@ def test_verify_refinement_monotone():
     rep_f = verify(pa, fine, delta=eps / 10)
     assert len(rep_f.missed_scan_points) <= max(len(rep_c.missed_scan_points), 0)
     assert rep_f.empty()
+
+
+THREE_SEGMENTS = [
+    Segment(Point(0, 0), Point(1, 0.3)),
+    Segment(Point(0.2, -0.5), Point(0.6, 0.8)),
+    Segment(Point(-0.4, 0.4), Point(0.3, -0.2)),
+]
+
+
+@pytest.mark.parametrize("prims, shape, eps", [
+    (THREE_SEGMENTS, SQUARE, 0.3),
+    (random_lines(2, 3), CIRCLE, 0.7),
+    (random_lines(3, 31), CIRCLE, 0.8),
+    (random_lines(5, 7), CIRCLE, 0.4),
+], ids=["square-segments", "circle-2-3", "circle-3-31", "circle-5-7"])
+def test_batched_verdicts_equal_the_scalar_definition(prims, shape, eps):
+    pa = build_placement_arrangement(prims, eps, shape, include_line_translates=True)
+    batched, scalar, contact = sample_verdicts(pa, eps / 10)
+    assert contact.any() and (~contact).any()
+    assert np.array_equal(batched, scalar)
+    # and where samples fail: a budget off by 0.01 rejects many of them ...
+    pa.eps += 0.01
+    batched, scalar, _contact = sample_verdicts(pa, eps / 10)
+    assert 0 < (~batched).sum() < batched.size
+    assert np.array_equal(batched, scalar)
+    # ... and a witness of the right length that misses the curve's fixed
+    # boundary point rejects them too: each curve gets the next vector's
+    pa.eps -= 0.01
+    vecs = pa.vectors.vectors
+    pa.curves = [
+        dataclasses.replace(c, vector=vecs[(vecs.index(c.vector) + 1) % len(vecs)]) for c in pa.curves
+    ]
+    batched, scalar, _contact = sample_verdicts(pa, eps / 10)
+    assert 0 < (~batched).sum() < batched.size
+    assert np.array_equal(batched, scalar)
+
+
+@pytest.mark.parametrize("n, seed, eps, counts", [
+    (2, 3, 0.7, (234, 795)),
+    (4, 5, 0.6, (526, 3944)),
+    (5, 7, 0.4, (1598, 7813)),
+])
+def test_verify_equals_the_scalar_reference_on_failing_curves(n, seed, eps, counts):
+    # every other curve dropped and the budget off by 0.01: both lists fill
+    lines = random_lines(n, seed)
+    pa = build_placement_arrangement(lines, eps, CIRCLE, include_line_translates=True)
+    scan = dense_scan(lines, CIRCLE, eps, pa.domain, eps / 20)
+    pa.curves = pa.curves[::2]
+    pa.eps += 0.01
+    report = verify(pa, scan, delta=eps / 10)
+    assert (len(report.missed_scan_points), len(report.unsupported_curve_samples)) == counts
+    assert report == reference_verify(pa, scan, delta=eps / 10)
+
+
+def test_far_points_through_the_bucket_index():
+    delta = 0.1
+    seg_a = np.array([[0.0, 0.0], [0.05, 0.0], [1.0, 1.0]])
+    seg_b = np.array([[0.05, 0.0], [0.1, 0.0], [1.0, 1.05]])
+    pts = np.array([
+        [0.05, 0.05],    # within delta of the first two
+        [0.25, 0.0],     # a neighbouring bucket's segment, but too far
+        [0.5, 0.5],      # inside the buckets' span, no segment around it
+        [40.0, -30.0],   # outside the span
+        [1.02, 1.12],    # within delta of the third, past its end
+        [-0.03, -0.03],  # below the lowest bucket, still near
+    ])
+    far = _points_far_from_segments(pts, seg_a, seg_b, delta)
+    assert far.tolist() == [1, 2, 3]
+    assert far.tolist() == reference_points_far_from_segments(pts, seg_a, seg_b, delta)
