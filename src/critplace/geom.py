@@ -46,6 +46,12 @@ class ToleranceConfig:
 TOL = ToleranceConfig()
 
 
+def require_positive(name: str, value: float) -> None:
+    """Refuse a granularity, step or radius that is not positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Point:
     x: float

@@ -20,6 +20,7 @@ from .geom import (
     Polyline,
     _slab_clip,
     perimeter_coordinate,
+    require_positive,
 )
 
 # Side ratio of the inner square a salient subtrajectory must reach.
@@ -264,9 +265,8 @@ def grid_scan(trajectories: list[Polyline], eps: float, bbox: BBox, spacing: flo
     Each grid point only looks at the trajectories whose bounding box comes
     near its unit square.
     """
-    for name, value in (("eps", eps), ("spacing", spacing)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    require_positive("eps", eps)
+    require_positive("spacing", spacing)
     # capped before int(): a tiny spacing overflows the step count to inf
     nx, ny = (
         max(1, int(math.floor(min(side / spacing, MAX_GRID_POINTS))) + 1)

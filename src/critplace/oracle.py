@@ -8,6 +8,9 @@ gives a resolution-accurate picture of the critical set to compare curves
 against.  The square chord clip and the perimeter maps here are this module's
 own, not shared with the construction, so that a fault in the construction's
 copies shows up as a disagreement instead of being repeated by the check.
+Many placements at once go through one crossing table, `_crossing_rows`, and
+one piece-length rule, `_piece_lengths`; the dense scan and the batched curve
+check both read them, with the scalar definition's formulas and tolerances.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .geom import (
     Line,
     Point,
     Segment,
+    require_positive,
     shape_perimeter,
 )
 
@@ -50,6 +54,20 @@ _SAMPLE_INSET = 1e-5
 # A length or squared length below this is taken as this, so nothing divides
 # by zero.
 _LENGTH_FLOOR = 1e-30
+# A scan resolution of eps/10 computed in floating point may land this far
+# above it and is still accepted.
+_RESOLUTION_SLACK = 1e-12
+# Neighbouring scan placements whose crossings moved by more than this share
+# of the perimeter had a crossing slide past the perimeter origin, so their
+# columns no longer pair up and the pieces are matched one by one.
+_ORIGIN_SLIDE = 0.25
+# Pieces of neighbouring placements are matched only while their midpoints
+# lie within this share of the perimeter: a grid step moves a midpoint far
+# less, and a farther piece is another one.
+_MATCH_RADIUS = 0.125
+# Between candidates, the same pair of bounding primitives counts as this
+# share of the perimeter nearer, so it wins any midpoint near-tie.
+_SAME_IDS_BONUS = 0.01
 
 
 @dataclass(frozen=True)
@@ -70,9 +88,6 @@ class GapProfile:
     components: list[GapComponent]
     crossings: list[tuple[float, int]]  # (perimeter coord, primitive id)
     warnings: list[str] = field(default_factory=list)
-
-    def total_length(self) -> float:
-        return sum(c.length for c in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +274,26 @@ def is_epsilon_placement(
 # the same definition, for many placements at once
 # ---------------------------------------------------------------------------
 
+def _square_s_vec(CX, CY, x, y):
+    dx = x - CX
+    dy = y - CY
+    tol = _SIDE_TOL
+    s = np.empty_like(dx)
+    done = np.zeros(dx.shape, dtype=bool)
+    m = (np.abs(dy + 0.5) <= tol) & (dx < 0.5 - tol)
+    s[m] = dx[m] + 0.5
+    done |= m
+    m = (np.abs(dx - 0.5) <= tol) & (dy < 0.5 - tol) & ~done
+    s[m] = 1.0 + dy[m] + 0.5
+    done |= m
+    m = (np.abs(dy - 0.5) <= tol) & (dx > -0.5 + tol) & ~done
+    s[m] = 2.0 + 0.5 - dx[m]
+    done |= m
+    m = ~done
+    s[m] = (3.0 + 0.5 - dy[m]) % 4.0
+    return s
+
+
 def _square_chord_rows(CX, CY, px: float, py: float, dx: float, dy: float,
                        t_lo: float, t_hi: float):
     """`_square_chord` for each center: (t0, t1, hit)."""
@@ -276,13 +311,15 @@ def _square_chord_rows(CX, CY, px: float, py: float, dx: float, dy: float,
 
 
 def _crossing_rows(centers: np.ndarray, primitives: list, shape: str):
-    """The crossings `boundary_gaps` finds, for each row of centers: (S,
-    counts), each row of S sorted by (s, primitive id) and padded with inf.
-    The formulas and tolerances are those of `_crossings_square` and
-    `_crossings_circle`; a circle is only cut by lines."""
+    """The crossings `boundary_gaps` finds, for each row of centers: (S, ids,
+    counts), each row of S sorted by (s, primitive id) and padded with inf,
+    and ids the primitive of each entry.  The formulas and tolerances are
+    those of `_crossings_square` and `_crossings_circle`; a circle is only
+    cut by lines."""
     CX, CY = centers[:, 0], centers[:, 1]
     cols: list[np.ndarray] = []
-    for prim in primitives:
+    ids: list[int] = []
+    for k, prim in enumerate(primitives):
         if shape == SQUARE:
             if isinstance(prim, Line):
                 (dx, dy), px, py = prim.direction(), prim.p.x, prim.p.y
@@ -302,7 +339,7 @@ def _crossing_rows(centers: np.ndarray, primitives: list, shape: str):
                 raise GeometryError("circle placements are only computed over lines")
             d = prim.a * CX + prim.b * CY - prim.c
             cuts = np.abs(d) < 1.0
-            half = np.sqrt(1.0 - d * d)
+            half = np.sqrt(np.maximum(1.0 - d * d, 0.0))
             fx, fy = CX - d * prim.a, CY - d * prim.b
             for sgn in (-1.0, 1.0):
                 x = fx + sgn * half * prim.b
@@ -310,9 +347,31 @@ def _crossing_rows(centers: np.ndarray, primitives: list, shape: str):
                 cols.append(np.where(cuts, np.arctan2(y - CY, x - CX) % (2.0 * math.pi), np.inf))
         else:
             raise ValueError(f"unknown shape {shape!r}")
+        ids += [k, k]
     S = np.column_stack(cols)
-    S = np.take_along_axis(S, np.argsort(S, axis=1, kind="stable"), axis=1)
-    return S, np.isfinite(S).sum(axis=1)
+    order = np.argsort(S, axis=1, kind="stable")
+    S = np.take_along_axis(S, order, axis=1)
+    return S, np.array(ids, dtype=np.int32)[order], np.isfinite(S).sum(axis=1)
+
+
+def _piece_lengths(S: np.ndarray, counts: np.ndarray, P: float) -> np.ndarray:
+    """The length of the piece from each crossing of a sorted crossing table
+    to the next, by `boundary_gaps`' rule: the last piece of a row wraps past
+    the origin, and a length at most 0 is the whole perimeter.  Entries past
+    a row's crossings are nan."""
+    length = np.full(S.shape, np.nan)
+    with np.errstate(invalid="ignore"):  # padding minus padding: nan, as wanted
+        length[:, :-1] = S[:, 1:] - S[:, :-1]
+    # rows are sorted, so the remainder changes only a length of P or more; it
+    # is taken there alone, since over the inf padding it costs as much as the
+    # rest of a scan
+    wrap = (length >= P) & np.isfinite(length)
+    length[wrap] %= P
+    rows = np.flatnonzero(counts)
+    last = counts[rows] - 1
+    length[rows, last] = S[rows, 0] + P - S[rows, last]
+    length[length <= 0.0] += P
+    return length
 
 
 def witnessed(centers: np.ndarray, primitives: list, shape: str, eps: float,
@@ -327,19 +386,11 @@ def witnessed(centers: np.ndarray, primitives: list, shape: str, eps: float,
     whole = abs(P - eps) <= TOL.eps_verify  # no crossing: one piece, all of it
     if not primitives:
         return np.full(centers.shape[0], whole)
-    with np.errstate(invalid="ignore"):
-        S, counts = _crossing_rows(centers, primitives, shape)
-        G, M = S.shape
-        nxt = np.empty_like(S)
-        nxt[:, :-1] = S[:, 1:]
-        nxt[:, -1] = np.inf
-        length = (nxt - S) % P
-        rows, last = np.arange(G), np.maximum(counts - 1, 0)
-        length[rows, last] = S[:, 0] + P - S[rows, last]
-        length = np.where(length <= 0.0, length + P, length)
-        wit = (np.arange(M) < counts[:, None]) & (np.abs(length - eps) <= TOL.eps_verify)
-        if fixed_s is not None:
-            wit &= (fixed_s - S) % P <= length + _WITNESS_SLACK
+    S, _ids, counts = _crossing_rows(centers, primitives, shape)
+    length = _piece_lengths(S, counts, P)
+    wit = np.abs(length - eps) <= TOL.eps_verify
+    if fixed_s is not None:
+        wit[wit] = (fixed_s - S[wit]) % P <= length[wit] + _WITNESS_SLACK
     ok = wit.any(axis=1)
     ok[counts == 0] = whole
     return ok
@@ -378,133 +429,6 @@ def contact_holds(centers: np.ndarray, primitives: list, shape: str) -> np.ndarr
 # dense scan of placement space
 # ---------------------------------------------------------------------------
 
-def _component_table(primitives: list, shape: str, CX: np.ndarray, CY: np.ndarray):
-    """Vectorized crossing table: sorted s-coords and primitive ids per placement.
-
-    Returns (S, LIDS, counts) where S is (G, M) sorted with inf padding.
-    """
-    G = CX.shape[0]
-    s_cols: list[np.ndarray] = []
-    lid_cols: list[int] = []
-
-    def add(svals: np.ndarray, valid: np.ndarray, lid: int) -> None:
-        col = np.where(valid, svals, np.inf)
-        s_cols.append(col)
-        lid_cols.append(lid)
-
-    if shape == SQUARE:
-        for k, prim in enumerate(primitives):
-            if isinstance(prim, Line):
-                a, b, c = prim.a, prim.b, prim.c
-                if abs(a) > 1e-12:
-                    xb = (c - b * (CY - 0.5)) / a
-                    u = xb - (CX - 0.5)
-                    add(u, (u >= 0.0) & (u < 1.0), k)
-                    xt = (c - b * (CY + 0.5)) / a
-                    u = (CX + 0.5) - xt
-                    add(2.0 + u, (u >= 0.0) & (u < 1.0), k)
-                if abs(b) > 1e-12:
-                    yr = (c - a * (CX + 0.5)) / b
-                    v = yr - (CY - 0.5)
-                    add(1.0 + v, (v >= 0.0) & (v < 1.0), k)
-                    yl = (c - a * (CX - 0.5)) / b
-                    v = (CY + 0.5) - yl
-                    add(3.0 + v, (v >= 0.0) & (v < 1.0), k)
-            else:
-                seg: Segment = prim
-                dx, dy = seg.q.x - seg.p.x, seg.q.y - seg.p.y
-                t0 = np.full(G, 0.0)
-                t1 = np.full(G, 1.0)
-                ok = np.ones(G, dtype=bool)
-                for d, p, lo, hi in (
-                    (dx, seg.p.x, CX - 0.5, CX + 0.5),
-                    (dy, seg.p.y, CY - 0.5, CY + 0.5),
-                ):
-                    if abs(d) <= 1e-15:
-                        ok &= (lo <= p) & (p <= hi)
-                        continue
-                    ta = (lo - p) / d
-                    tb = (hi - p) / d
-                    lo_t = np.minimum(ta, tb)
-                    hi_t = np.maximum(ta, tb)
-                    t0 = np.maximum(t0, lo_t)
-                    t1 = np.minimum(t1, hi_t)
-                ok &= t0 < t1
-                for t, inner in ((t0, t0 > 1e-12), (t1, t1 < 1.0 - 1e-12)):
-                    x = seg.p.x + t * dx
-                    y = seg.p.y + t * dy
-                    s = _square_s_vec(CX, CY, x, y)
-                    add(s, ok & inner, k)
-    elif shape == CIRCLE:
-        two_pi = 2.0 * math.pi
-        for k, prim in enumerate(primitives):
-            if not isinstance(prim, Line):
-                raise GeometryError("circle placements are only computed over lines")
-            d = prim.a * CX + prim.b * CY - prim.c
-            inside = np.abs(d) < 1.0
-            half = np.sqrt(np.maximum(1.0 - d * d, 0.0))
-            fx = -d * prim.a
-            fy = -d * prim.b
-            for sgn in (-1.0, 1.0):
-                x = fx + sgn * half * prim.b
-                y = fy - sgn * half * prim.a
-                add(np.arctan2(y, x) % two_pi, inside, k)
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
-
-    if not s_cols:
-        return np.full((G, 0), np.inf), np.zeros((G, 0), dtype=np.int32), np.zeros(G, dtype=np.int64)
-    S = np.column_stack(s_cols)
-    LID = np.broadcast_to(np.array(lid_cols, dtype=np.int32), S.shape)
-    order = np.argsort(S, axis=1)
-    S_sorted = np.take_along_axis(S, order, axis=1)
-    L_sorted = np.take_along_axis(np.ascontiguousarray(LID), order, axis=1)
-    counts = np.isfinite(S_sorted).sum(axis=1)
-    return S_sorted, L_sorted, counts
-
-
-def _square_s_vec(CX, CY, x, y):
-    dx = x - CX
-    dy = y - CY
-    tol = _SIDE_TOL
-    s = np.empty_like(dx)
-    done = np.zeros(dx.shape, dtype=bool)
-    m = (np.abs(dy + 0.5) <= tol) & (dx < 0.5 - tol)
-    s[m] = dx[m] + 0.5
-    done |= m
-    m = (np.abs(dx - 0.5) <= tol) & (dy < 0.5 - tol) & ~done
-    s[m] = 1.0 + dy[m] + 0.5
-    done |= m
-    m = (np.abs(dy - 0.5) <= tol) & (dx > -0.5 + tol) & ~done
-    s[m] = 2.0 + 0.5 - dx[m]
-    done |= m
-    m = ~done
-    s[m] = (3.0 + 0.5 - dy[m]) % 4.0
-    return s
-
-
-def _components_from_table(S, LID, counts, perimeter: float):
-    """Component length per placement from the sorted crossing table.
-
-    Component k of a row starts at crossing k and ends at crossing k+1
-    (cyclically); rows keep s-order, so neighbors in placement space align
-    columnwise unless a crossing passed the perimeter origin.
-    """
-    G, M = S.shape
-    if M == 0:
-        return np.full((G, 0), np.nan)
-    nxt_s = np.empty_like(S)
-    nxt_s[:, :-1] = S[:, 1:]
-    nxt_s[:, -1] = np.inf
-    rows = np.arange(G)
-    last = np.maximum(counts - 1, 0)
-    nxt_s[rows, last] = S[:, 0] + perimeter
-    with np.errstate(invalid="ignore"):
-        comp_len = nxt_s - S
-    comp_len[~np.isfinite(comp_len)] = np.nan
-    return comp_len
-
-
 def dense_scan(
     primitives: list,
     shape: str,
@@ -519,29 +443,26 @@ def dense_scan(
     whose length passes through eps yields the midpoint of the two placements.
     Components that appear or disappear while longer than eps are reported
     conservatively: their length either crossed eps or jumped across it at a
-    contact event.
+    contact event.  The crossing table and the piece lengths are the ones
+    `witnessed` reads, so the scan and the sample check apply one rule.
     """
-    if resolution > eps / 10.0 + 1e-12:
+    require_positive("resolution", resolution)
+    if resolution > eps / 10.0 + _RESOLUTION_SLACK:
         raise ValueError("scan resolution must be at most eps/10")
+    P = shape_perimeter(shape)
+    if not primitives:
+        return np.zeros((0, 2))
     nx = max(2, int(math.floor(bbox.width / resolution)) + 1)
     ny = max(2, int(math.floor(bbox.height / resolution)) + 1)
     xs = bbox.xmin + resolution * np.arange(nx)
     ys = bbox.ymin + resolution * np.arange(ny)
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    CX = XX.ravel()
-    CY = YY.ravel()
-    P = shape_perimeter(shape)
 
-    S, LID, counts = _component_table(primitives, shape, CX, CY)
-    comp_len = _components_from_table(S, LID, counts, P)
-
+    S, ids, counts = _crossing_rows(np.column_stack((XX.ravel(), YY.ravel())), primitives, shape)
     M = S.shape[1]
-    if M == 0:
-        return np.zeros((0, 2))
-
     S3 = S.reshape(nx, ny, M)
-    L3 = LID.reshape(nx, ny, M)
-    len3 = comp_len.reshape(nx, ny, M)
+    L3 = ids.reshape(nx, ny, M)
+    len3 = _piece_lengths(S, counts, P).reshape(nx, ny, M)
     cnt2 = counts.reshape(nx, ny)
     valid3 = np.isfinite(len3)
 
@@ -565,17 +486,13 @@ def dense_scan(
         same = (
             (cnt2[A] == cnt2[B])
             & np.all((L3[A] == L3[B]) | ~both, axis=-1)
-            & (ds.max(axis=-1) <= P / 4.0)
+            & (ds.max(axis=-1) <= _ORIGIN_SLIDE * P)
         )
-        with np.errstate(invalid="ignore"):
-            crossed = ((lenA - eps) * (lenB - eps) <= 0.0) & both
+        crossed = ((lenA - eps) * (lenB - eps) <= 0.0) & both
         hit_fast = same & np.any(crossed, axis=-1)
 
         # slow path only where a length near or above eps is in play
-        with np.errstate(invalid="ignore"):
-            big = np.any((lenA >= eps) & vA, axis=-1) | np.any(
-                (lenB >= eps) & vB, axis=-1
-            )
+        big = np.any((lenA >= eps) & vA, axis=-1) | np.any((lenB >= eps) & vB, axis=-1)
         slow_mask = ~same & big
 
         mx = 0.5 * (XX[A] + XX[B])
@@ -617,7 +534,7 @@ def _pair_report(compsA, compsB, eps: float, perimeter: float) -> bool:
     a tie-break bonus).  A component that appears or disappears while at
     least eps long either crossed eps or jumped over it at a contact event.
     """
-    cap = perimeter / 8.0
+    cap = _MATCH_RADIUS * perimeter
     cand = []
     for ka, (a0, a1, am, al) in enumerate(compsA):
         for kb, (b0, b1, bm, bl) in enumerate(compsB):
@@ -626,7 +543,7 @@ def _pair_report(compsA, compsB, eps: float, perimeter: float) -> bool:
             if d > cap:
                 continue
             if a0 == b0 and a1 == b1:
-                d -= 0.01 * perimeter
+                d -= _SAME_IDS_BONUS * perimeter
             cand.append((d, ka, kb))
     cand.sort()
     usedA = [False] * len(compsA)
@@ -669,6 +586,7 @@ def verify(placement_arrangement, scan: np.ndarray, delta: float) -> VerifyRepor
     contact condition rather than by piece length.  Each curve's samples are
     checked in one call.
     """
+    require_positive("delta", delta)
     pa = placement_arrangement
     step = max(delta / 4.0, _STEP_FLOOR)
     unsupported: list[tuple[float, float]] = []

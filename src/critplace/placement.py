@@ -214,9 +214,6 @@ class CurvePiece:
             )
         )
 
-    def sample_by_spacing(self, spacing: float, inset: float = 0.0) -> np.ndarray:
-        return self.sample(int(self.length() / max(spacing, 1e-9)) + 2, inset=inset)
-
 
 def seg_piece(x0: float, y0: float, x1: float, y1: float) -> CurvePiece:
     return CurvePiece("seg", p0=(x0, y0), p1=(x1, y1))
@@ -232,19 +229,6 @@ class CriticalCurve:
     convex_flag: bool = True
     kind: str = "gap"  # "gap" | "contact"
     contact_ref: tuple | None = None  # (primitive id, info) for contact curves
-
-    def chain_points(self) -> list[tuple[float, float]]:
-        pts: list[tuple[float, float]] = []
-        for piece in self.pieces:
-            a, b = piece.endpoints()
-            if not pts:
-                pts.append(a)
-            pts.append(b)
-        return pts
-
-    def sample_points(self, spacing: float) -> np.ndarray:
-        chunks = [p.sample_by_spacing(spacing) for p in self.pieces]
-        return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2))
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Reference implementations that tests compare the program against.
 
+* `total_length`, `sample_by_spacing`, `chain_points` and `sample_points`:
+  helpers over gap profiles and curves that only tests read.
 * `segment_intersection`: one segment pair's crossing, and
   `pairwise_segment_crossings`, the O(n^2) loop over it that split the
   arrangement's walls before the x-sweep did, with the overlap ends of
@@ -74,6 +76,33 @@ from critplace.placement import (
     edge_curve,
     seg_piece,
 )
+
+
+def total_length(profile) -> float:
+    """The summed length of a gap profile's pieces."""
+    return sum(c.length for c in profile.components)
+
+
+def sample_by_spacing(piece, spacing: float, inset: float = 0.0) -> np.ndarray:
+    """Points along a curve piece, spaced at most `spacing` apart."""
+    return piece.sample(int(piece.length() / max(spacing, 1e-9)) + 2, inset=inset)
+
+
+def chain_points(curve: CriticalCurve) -> list[tuple[float, float]]:
+    """A curve's piece ends, in chain order."""
+    pts: list[tuple[float, float]] = []
+    for piece in curve.pieces:
+        a, b = piece.endpoints()
+        if not pts:
+            pts.append(a)
+        pts.append(b)
+    return pts
+
+
+def sample_points(curve: CriticalCurve, spacing: float) -> np.ndarray:
+    """`sample_by_spacing` over every piece of a curve."""
+    chunks = [sample_by_spacing(p, spacing) for p in curve.pieces]
+    return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2))
 
 
 def segment_intersection(
@@ -611,7 +640,7 @@ def sample_verdicts(pa, delta: float):
         for piece in curve.pieces:
             length = piece.length()
             inset = min(0.02, _SAMPLE_INSET / max(length, 1e-9))
-            pts = piece.sample_by_spacing(step, inset=inset)
+            pts = sample_by_spacing(piece, step, inset=inset)
             batched += pa.supports_placement(pts, curve).tolist()
             scalar += [reference_supports(pa, Point(x, y), curve) for x, y in pts]
             contact += [curve.kind == "contact"] * len(pts)
@@ -625,12 +654,12 @@ def reference_verify(pa, scan: np.ndarray, delta: float) -> VerifyReport:
         for piece in curve.pieces:
             length = piece.length()
             inset = min(0.02, _SAMPLE_INSET / max(length, 1e-9))
-            for x, y in piece.sample_by_spacing(step, inset=inset):
+            for x, y in sample_by_spacing(piece, step, inset=inset):
                 if not reference_supports(pa, Point(x, y), curve):
                     unsupported.append((x, y))
 
     missed: list[tuple[float, float]] = []
-    polys = [piece.sample_by_spacing(step) for curve in pa.all_curves() for piece in curve.pieces]
+    polys = [sample_by_spacing(piece, step) for curve in pa.all_curves() for piece in curve.pieces]
     if scan.shape[0]:
         if not polys:
             missed = [tuple(p) for p in scan]

@@ -33,7 +33,7 @@ from critplace.sceneio import (
     result_from_placement,
 )
 
-from _reference import Unbounded, f_value, in_cell_or_near, sample_verdicts
+from _reference import Unbounded, chain_points, f_value, in_cell_or_near, sample_verdicts
 
 # 20 random instances: n in {2..5} crossed with eps in {0.2, 0.5}
 ACC_INSTANCES = [
@@ -163,7 +163,7 @@ def test_criterion_3_level_set_properties(random_suite):
             if curve.vector is None or curve.vector.kind != "corner":
                 continue
             chains += 1
-            pts = curve.chain_points()
+            pts = chain_points(curve)
             if not _discrete_convex(pts):
                 convex_bad += 1
             for x, y in pts[1:-1]:

@@ -169,6 +169,26 @@ def test_cli_junctions_rejects_bad_eps_and_spacing(tmp_path, capsys, flag, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--resolution", "0"), ("--resolution", "-0.01"), ("--resolution", "nan"),
+    ("--delta", "0"), ("--delta", "-0.1"), ("--delta", "inf"),
+])
+def test_cli_oracle_check_rejects_bad_resolution_and_delta(tmp_path, capsys, flag, value):
+    scene, out = SCENES / "three_lines.txt", tmp_path / "r.json"
+    assert main(["critical", "--shape", "square", "--eps", "0.3", "--in", str(scene), "--out", str(out)]) == 0
+    capsys.readouterr()
+    args = {"--resolution": "0.03", flag: value}
+    argv = ["oracle-check", "--eps", "0.3", "--resolution", args["--resolution"],
+            "--in", str(scene), "--curves", str(out)]
+    if flag == "--delta":
+        argv += ["--delta", value]
+    assert main(argv) == 1
+    cap = capsys.readouterr()
+    err = cap.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag[2:] in err[0]
+    assert cap.out == ""
+
+
 def test_cli_bad_usage(tmp_path):
     assert main(["critical", "--shape", "hexagon", "--eps", "1"]) == 1
     assert main(["no-such-command"]) == 1

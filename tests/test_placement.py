@@ -27,10 +27,12 @@ from _reference import (
     Unbounded,
     _clip_convex,
     _first_wall_hit,
+    chain_points,
     f_value,
     in_cell_or_near,
     reference_collect,
     reference_regions,
+    sample_points,
 )
 
 X_AXIS = Line(Point(-1, 0), Point(1, 0))
@@ -126,7 +128,7 @@ def test_corner_curve_quadrant_example():
     curves = collect_S(_corner(vs, "tr"), arr, 0.25)
     assert len(curves) == 1
     (curve,) = curves
-    pts = curve.chain_points()
+    pts = chain_points(curve)
     assert len(pts) == 2
     ends = {tuple(round(v, 9) for v in p) for p in pts}
     assert ends == {(-0.25, -0.5), (-0.5, -0.25)}
@@ -158,7 +160,7 @@ def test_corner_curve_two_components_in_sliver():
     assert len(curves) == 2
     for c in curves:
         assert c.convex_flag
-        for x, y in c.sample_points(0.05)[1:-1]:
+        for x, y in sample_points(c, 0.05)[1:-1]:
             ok, wit = is_epsilon_placement(Point(x, y), lines, SQUARE, 0.3)
             assert ok
 
@@ -186,7 +188,7 @@ def test_corner_chain_vertices_align_with_cell_vertices():
         for label in ("bl", "br", "tr", "tl"):
             tau = _corner(vs, label)
             for curve in collect_S(tau, arr, 0.3):
-                pts = curve.chain_points()
+                pts = chain_points(curve)
                 for x, y in pts[1:-1]:  # interior kinks only
                     bx = round(x + tau.dx, 6)
                     by = round(y + tau.dy, 6)
