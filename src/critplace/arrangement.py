@@ -124,8 +124,6 @@ class Arrangement:
     n_components: int = 1
     # per cell: its boundary steps as (p0, p1, None) walls, built on first use
     _walls_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # per (cell, eps): the cell's trimmed circle ring pieces, built on first use
-    _ring_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic counts ------------------------------------------------------
 
@@ -311,12 +309,14 @@ def _count_components(n: int, pairs) -> int:
     return len({find(i) for i in range(n)})
 
 
-def _segment_crossings(P0: np.ndarray, P1: np.ndarray):
-    """Where the segments P0[k]-P1[k] meet, as two sorted lists of (i, j, x, y)
-    with i < j: the crossings, and the ends of collinear overlaps.
+def _segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray):
+    """Where segments P0[k]-P1[k] of different families meet, as two sorted
+    lists of (i, j, x, y) with i < j: the crossings, and the ends of
+    collinear overlaps.
 
     An x-sweep over the segments sorted by left end pairs each segment with
-    the ones that start before it ends and share its y-range.  A crossing
+    the ones of other families that start before it ends and share its
+    y-range; `family` holds one label per segment.  A crossing
     lies on segment i, at its parameter clamped to [0, 1].  Parallel segments
     never cross; when a pair lies on one line within the slack, each end of
     either that falls in the other's range is an overlap end of the pair.
@@ -336,7 +336,11 @@ def _segment_crossings(P0: np.ndarray, P1: np.ndarray):
             if stops[pos] <= pos + 1:
                 continue
             js = order[pos + 1 : stops[pos]]
-            js = js[(ymin[js] <= ymax[k] + CROSS_SLACK) & (ymax[js] >= ymin[k] - CROSS_SLACK)]
+            js = js[
+                (ymin[js] <= ymax[k] + CROSS_SLACK)
+                & (ymax[js] >= ymin[k] - CROSS_SLACK)
+                & (family[js] != family[k])
+            ]
             if js.size == 0:
                 continue
             a, b = np.minimum(js, k), np.maximum(js, k)
@@ -394,7 +398,7 @@ def build_subdivision(
     pool = _VertexPool()
     on_wall = [[pool.add(p0.x, p0.y), pool.add(p1.x, p1.y)] for p0, p1, _ in walls]
     ends = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _ in walls], dtype=float)
-    crossings, overlaps = _segment_crossings(ends[:, :2], ends[:, 2:])
+    crossings, overlaps = _segment_crossings(ends[:, :2], ends[:, 2:], np.arange(len(walls)))
     for i, j, x, y in crossings + overlaps:
         vid = pool.add(x, y)
         on_wall[i].append(vid)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .arrangement import Arrangement
 from .geom import Line, Point
-from .placement import CriticalCurve, CurvePiece, EpsilonTooLarge, _sinusoid_roots, _walk_chains
+from .placement import CriticalCurve, CurvePiece, _sinusoid_roots, _walk_chains
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,11 +184,6 @@ def _trim(lines: list[Line], eps: float, piece: _RingPiece,
 
 def _ring_pieces(arrangement: Arrangement, cell_id: int, eps: float) -> list[_RingPiece]:
     """All curve pieces of one cell, independent of the vector, trimmed."""
-    key = (cell_id, round(eps, 12))
-    cache = arrangement._ring_cache
-    if key in cache:
-        return cache[key]
-
     lines: list[Line] = arrangement.primitives
     per_line: dict[int, list[Point]] = {}  # the cell's edge ends on each line
     for p0, p1, tag in arrangement.cell_walls(cell_id):
@@ -229,8 +224,6 @@ def _ring_pieces(arrangement: Arrangement, cell_id: int, eps: float) -> list[_Ri
             )
             if piece is not None:
                 pieces.append(piece)
-
-    cache[key] = pieces
     return pieces
 
 
@@ -297,18 +290,17 @@ def _ellipse_piece(arrangement, cell_id, lid1, lid2, per_line, centroid, eps, br
 # per-vector curves
 # ---------------------------------------------------------------------------
 
-def circle_cell_curves(cell_id: int, arrangement: Arrangement, tau, eps: float):
-    """Placement curves of one angular vector inside one cell.
+def circle_cell_curves(cell_id: int, rings: list[_RingPiece], tau, eps: float):
+    """Placement curves of one angular vector inside one cell, from the
+    cell's ring pieces.
 
     Pieces are grouped into convex chains; arcs traced on the concave side
     (cell vertex sharper than the granularity) are split off on their own.
     """
-    if eps >= 1.0:
-        raise EpsilonTooLarge("circle curves are only computed for eps < 1")
     theta_tau = math.atan2(tau.dy, tau.dx)
     half = 0.5 * eps
     out_pieces: list[tuple[CurvePiece, bool]] = []  # (piece, concave flag)
-    for rp in _ring_pieces(arrangement, cell_id, eps):
+    for rp in rings:
         if rp.straight:
             if abs((theta_tau - rp.mid_angle(0.0) + math.pi) % TWO_PI - math.pi) >= half:
                 continue

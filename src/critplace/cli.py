@@ -108,6 +108,8 @@ def _cmd_critical(args) -> int:
 def _cmd_oracle_check(args) -> int:
     scene = parse_scene(_read(args.scene))
     doc = parse_result(_read(args.curves))
+    if doc["type"] != "critical":
+        raise SceneError(f"{args.curves} holds a {doc['type']} result, not critical curves")
     prims = scene.primitives()
     gap, contact = curves_from_result(doc)
     domain = domain_from_result(doc)
@@ -151,7 +153,7 @@ def _cmd_genlb(args) -> int:
 def _cmd_junctions(args) -> int:
     scene = parse_scene(_read(args.scene))
     if not scene.trajectories:
-        print("scene has no trajectories", file=sys.stderr)
+        print("error: scene has no trajectories", file=sys.stderr)
         return 1
     bbox = bbox_of_points([(v.x, v.y) for t in scene.trajectories for v in t.vertices])
     grid = grid_scan(scene.trajectories, args.eps, bbox, args.spacing)
@@ -188,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (SceneError, FileNotFoundError, ValueError, GeometryError) as exc:
+    except (SceneError, OSError, ValueError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,14 +19,13 @@ complexity the scaling experiments measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arrangement import (
     Arrangement,
     BBox,
-    Tag,
     _count_components,
     _segment_crossings,
     build_line_arrangement,
@@ -77,6 +76,28 @@ ROOT_BISECTIONS = 52
 # touches zero (a circle curve ending on a tangency): its double root is the
 # peak, where rounding would split it into two roots about 1e-8 apart or none.
 TOUCH_TOL = 1e-12
+# Of the square's per-cell curves:
+# Profile breaks this close are one, and a strip reaches this far past its ends.
+BREAK_TOL = 1e-12
+# A polygon vertex this close to a clip or level line lies on it.
+SIDE_TOL = 1e-12
+# A wall-line coefficient this small along a ray's axis: the wall runs along
+# the ray and bounds no distance.
+AXIS_TOL = 1e-12
+# A wall whose cross product with a ray is this small runs along it.
+RAY_PARALLEL = 1e-14
+# A hit this close to the ray's origin is its own start, not a wall ahead.
+RAY_START = 1e-12
+# A ray passing this far (in wall parameter) past a wall's end still hits it.
+RAY_WALL_SLACK = 1e-9
+# A chain step, side window or level segment (relative) this short is a point.
+MIN_STEP = 1e-12
+# A cross-section width whose slope is this small is constant.
+FLAT_SLOPE = 1e-12
+# A constant cross-section this close to eps is a degenerate strip.
+STRIP_WIDTH_TOL = 1e-9
+# Side windows whose height and wall hits round alike on this grid are one.
+WINDOW_KEY = 1e-9
 
 
 class EpsilonTooLarge(GeometryError):
@@ -239,7 +260,6 @@ class DegenerateStrip:
     orientation: str  # "horizontal" | "vertical"
     lo: float
     hi: float
-    representative: CurvePiece
 
 
 _QUADRANT_LOOK = {
@@ -264,39 +284,16 @@ class _ProfileStrip:
     line: tuple[float, float, float] | None  # supporting line a*x + b*y = c
 
 
+_DIRECTIONS = ("left", "right", "down", "up")
+
+
 @dataclass
 class _Region:
-    """Convex region plus the walls of its owning cell (rays are transparent).
+    """Convex region of a cell and the cell's wall profiles seen from it in
+    each of the four directions (rays are transparent)."""
 
-    `wall_array` holds the walls as rows x0, y0, x1, y1; the regions of one
-    cell share it.
-    """
-
-    cell_id: int
     polygon: np.ndarray  # (m, 2) CCW
-    walls: list[tuple[Point, Point, Tag]]
-    wall_array: np.ndarray
-    profiles: dict = field(default_factory=dict)
-
-    def profile(self, direction: str) -> list[_ProfileStrip]:
-        if direction not in self.profiles:
-            self.profiles[direction] = _direction_profile(self, direction)
-        return self.profiles[direction]
-
-
-@dataclass
-class _CellRegions:
-    """The convex regions of one cell, and its side windows, which every side
-    vector of the cell reuses."""
-
-    regions: list[_Region]
-    windows: dict = field(default_factory=dict)
-
-    def side_windows(self, orientation: str, eps: float):
-        key = (orientation, eps)
-        if key not in self.windows:
-            self.windows[key] = _cross_section_solutions(self.regions, orientation, eps)
-        return self.windows[key]
+    profiles: dict[str, list[_ProfileStrip]]
 
 
 def _region_span(pts: list, axis: int, value: float) -> tuple[float, float] | None:
@@ -317,13 +314,14 @@ def _region_span(pts: list, axis: int, value: float) -> tuple[float, float] | No
     return (min(hits), max(hits))
 
 
-def _direction_profile(region: _Region, direction: str) -> list[_ProfileStrip]:
-    poly = region.polygon
+def _direction_profile(poly: np.ndarray, walls, wall_array: np.ndarray, direction: str):
+    """The first wall a ray in `direction` meets from the convex polygon, as
+    strips of its cross-axis; `wall_array` holds `walls` as rows x0, y0, x1, y1."""
     axis = 1 if direction in ("left", "right") else 0
     vals = sorted({float(v[axis]) for v in poly})
     lo_all, hi_all = vals[0], vals[-1]
-    ends = region.wall_array[:, [1, 3] if axis == 1 else [0, 2]].ravel()
-    vals.extend(ends[(lo_all + 1e-12 < ends) & (ends < hi_all - 1e-12)])
+    ends = wall_array[:, [1, 3] if axis == 1 else [0, 2]].ravel()
+    vals.extend(ends[(lo_all + BREAK_TOL < ends) & (ends < hi_all - BREAK_TOL)])
     vals = sorted(set(round(v, 12) for v in vals))
     sign = -1.0 if direction in ("left", "down") else 1.0
     dvec = (sign, 0.0) if axis == 1 else (0.0, sign)
@@ -332,7 +330,7 @@ def _direction_profile(region: _Region, direction: str) -> list[_ProfileStrip]:
     bounds: list[tuple[float, float]] = []
     origins: list[tuple[float, float]] = []
     for lo, hi in zip(vals, vals[1:]):
-        if hi - lo <= 1e-12:
+        if hi - lo <= BREAK_TOL:
             continue
         mid = 0.5 * (lo + hi)
         span = _region_span(pts, axis, mid)
@@ -345,11 +343,11 @@ def _direction_profile(region: _Region, direction: str) -> list[_ProfileStrip]:
         return []
 
     strips: list[_ProfileStrip] = []
-    for (lo, hi), k in zip(bounds, _first_wall_hits(np.array(origins), dvec, region.wall_array)):
-        if k < 0 or region.walls[k][2][0] == "clip":
+    for (lo, hi), k in zip(bounds, _first_wall_hits(np.array(origins), dvec, wall_array)):
+        if k < 0 or walls[k][2][0] == "clip":
             strips.append(_ProfileStrip(lo, hi, True, None))
         else:
-            p0, p1, _tag = region.walls[k]
+            p0, p1, _tag = walls[k]
             ln = Line(p0, p1)
             strips.append(_ProfileStrip(lo, hi, False, (ln.a, ln.b, ln.c)))
     return strips
@@ -367,7 +365,8 @@ def _first_wall_hits(origins: np.ndarray, dvec, walls: np.ndarray) -> list[int]:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (rx * ey - ry * ex) / det
         u = (dy * rx - dx * ry) / det
-    ok = (np.abs(det) > 1e-14) & (t > 1e-12) & (-1e-9 <= u) & (u <= 1.0 + 1e-9)
+    ok = (np.abs(det) > RAY_PARALLEL) & (t > RAY_START)
+    ok &= (-RAY_WALL_SLACK <= u) & (u <= 1.0 + RAY_WALL_SLACK)
     t = np.where(ok, t, np.inf)
     first = np.argmin(t, axis=1)
     return np.where(ok[np.arange(len(first)), first], first, -1).tolist()
@@ -379,15 +378,15 @@ def _first_wall_hits(origins: np.ndarray, dvec, walls: np.ndarray) -> list[int]:
 
 def _clip_half(pts: list, k: list) -> list:
     """The part of a convex polygon where k >= 0, k given at each vertex."""
-    if min(k) >= -1e-12:
+    if min(k) >= -SIDE_TOL:
         return pts
     out = []
     m = len(pts)
     for i in range(m):
         ka, kb = k[i], k[(i + 1) % m]
-        if ka >= -1e-12:
+        if ka >= -SIDE_TOL:
             out.append(pts[i])
-        if (ka > 1e-12 and kb < -1e-12) or (ka < -1e-12 and kb > 1e-12):
+        if (ka > SIDE_TOL and kb < -SIDE_TOL) or (ka < -SIDE_TOL and kb > SIDE_TOL):
             (ax, ay), (bx, by) = pts[i], pts[(i + 1) % m]
             t = ka / (ka - kb)
             out.append((ax + t * (bx - ax), ay + t * (by - ay)))
@@ -411,9 +410,9 @@ def _level_segment_in_poly(poly: list, P: float, Q: float, R: float, level: floa
     g = [P * x + Q * y + R - level for x, y in poly]
     for i in range(m):
         gi, gj = g[i], g[(i + 1) % m]
-        if abs(gi) <= 1e-12:
+        if abs(gi) <= SIDE_TOL:
             pts.append(poly[i])
-        if (gi > 1e-12 and gj < -1e-12) or (gi < -1e-12 and gj > 1e-12):
+        if (gi > SIDE_TOL and gj < -SIDE_TOL) or (gi < -SIDE_TOL and gj > SIDE_TOL):
             t = gi / (gi - gj)
             (ax, ay), (bx, by) = poly[i], poly[(i + 1) % m]
             pts.append((ax + t * (bx - ax), ay + t * (by - ay)))
@@ -425,7 +424,7 @@ def _level_segment_in_poly(poly: list, P: float, Q: float, R: float, level: floa
     proj = [x * -Q + y * P for x, y in pts]
     i0 = min(range(len(proj)), key=proj.__getitem__)
     i1 = max(range(len(proj)), key=proj.__getitem__)
-    if proj[i1] - proj[i0] <= 1e-12 * max(1.0, abs(proj[i0])):
+    if proj[i1] - proj[i0] <= MIN_STEP * max(1.0, abs(proj[i0])):
         return None
     arr = np.array(pts)
     return (arr[i0], arr[i1])
@@ -436,26 +435,26 @@ def _corner_level_segments(region: _Region, look_x: float, look_y: float, eps: f
 
     Each horizontal profile strip is clipped to its y-band once; the band is
     then clipped to the vertical strips that reach its x-range.  A strip more
-    than 1e-12 past the band's x-range would clip it to nothing.
+    than BREAK_TOL past the band's x-range would clip it to nothing.
     """
     verticals = []
-    for sv in region.profile("down" if look_y < 0 else "up"):
+    for sv in region.profiles["down" if look_y < 0 else "up"]:
         if sv.open_side:
             continue
         a2, b2, c2 = sv.line
-        if abs(b2) <= 1e-12:
+        if abs(b2) <= AXIS_TOL:
             continue
         verticals.append((sv.lo, sv.hi, -look_y * a2 / b2, -look_y, look_y * c2 / b2))
     if not verticals:
         return []
     poly = region.polygon.tolist()
     segs = []
-    for sh in region.profile("left" if look_x < 0 else "right"):
+    for sh in region.profiles["left" if look_x < 0 else "right"]:
         if sh.open_side:
             continue
         a1, b1, c1 = sh.line
         # horizontal wall distance: look left => x - (c1 - b1*y)/a1
-        if abs(a1) <= 1e-12:
+        if abs(a1) <= AXIS_TOL:
             continue
         hP = -look_x
         hQ = -look_x * b1 / a1
@@ -466,7 +465,7 @@ def _corner_level_segments(region: _Region, look_x: float, look_y: float, eps: f
         xmin = min(p[0] for p in band)
         xmax = max(p[0] for p in band)
         for lo, hi, vP, vQ, vR in verticals:
-            if xmax - lo < -1e-12 or hi - xmin < -1e-12:
+            if xmax - lo < -BREAK_TOL or hi - xmin < -BREAK_TOL:
                 continue
             piece = _clip_convex(band, 0, lo, hi)
             if not piece:
@@ -568,19 +567,19 @@ def _chain_is_convex(chain) -> bool:
     return True
 
 
-def corner_curve(cell_id: int, cell: _CellRegions, tau: TranslationVector, eps) -> list[CriticalCurve]:
+def corner_curve(cell_id: int, regions: list[_Region], tau: TranslationVector, eps) -> list[CriticalCurve]:
     """Level-set chains for a corner vector inside one cell, in placement space."""
     e = float(eps)
     look_x, look_y = _QUADRANT_LOOK[_CORNER_QUADRANT[tau.label]]
     segs = []
-    for region in cell.regions:
+    for region in regions:
         segs.extend(_corner_level_segments(region, look_x, look_y, e))
     curves = []
     for chain in _stitch_chains(segs):
         pieces = [
             seg_piece(a[0] - tau.dx, a[1] - tau.dy, b[0] - tau.dx, b[1] - tau.dy)
             for a, b in zip(chain, chain[1:])
-            if math.hypot(b[0] - a[0], b[1] - a[1]) > 1e-12
+            if math.hypot(b[0] - a[0], b[1] - a[1]) > MIN_STEP
         ]
         if pieces:
             curves.append(CriticalCurve(cell_id, tau, pieces, _chain_is_convex(chain)))
@@ -592,7 +591,8 @@ def corner_curve(cell_id: int, cell: _CellRegions, tau: TranslationVector, eps) 
 # ---------------------------------------------------------------------------
 
 def _cross_section_solutions(regions: list[_Region], orientation: str, eps: float):
-    """(value, lo_hit, hi_hit) where the cell cross-section equals eps.
+    """(value, lo_hit, hi_hit) where the cell cross-section equals eps, and the
+    (lo, hi) stretches where it equals eps throughout.
 
     orientation "horizontal": value is a height y*, the hits are the x of the
     left and right walls there; "vertical" swaps the roles.
@@ -601,37 +601,37 @@ def _cross_section_solutions(regions: list[_Region], orientation: str, eps: floa
     solutions: list[tuple[float, float, float]] = []
     degenerate: list[tuple[float, float]] = []
     for region in regions:
-        plo = region.profile(d_lo)
-        phi = region.profile(d_hi)
+        plo = region.profiles[d_lo]
+        phi = region.profiles[d_hi]
         breaks = sorted(
             {s.lo for s in plo} | {s.hi for s in plo} | {s.lo for s in phi} | {s.hi for s in phi}
         )
         for lo, hi in zip(breaks, breaks[1:]):
             mid = 0.5 * (lo + hi)
-            slo = next((s for s in plo if s.lo - 1e-12 <= mid <= s.hi + 1e-12), None)
-            shi = next((s for s in phi if s.lo - 1e-12 <= mid <= s.hi + 1e-12), None)
+            slo = next((s for s in plo if s.lo - BREAK_TOL <= mid <= s.hi + BREAK_TOL), None)
+            shi = next((s for s in phi if s.lo - BREAK_TOL <= mid <= s.hi + BREAK_TOL), None)
             if slo is None or shi is None or slo.open_side or shi.open_side:
                 continue
             a1, b1, c1 = slo.line
             a2, b2, c2 = shi.line
             if orientation == "horizontal":
-                if abs(a1) <= 1e-12 or abs(a2) <= 1e-12:
+                if abs(a1) <= AXIS_TOL or abs(a2) <= AXIS_TOL:
                     continue
                 # width(y) = x_hi(y) - x_lo(y)
                 k = (-b2 / a2) - (-b1 / a1)
                 m = (c2 / a2) - (c1 / a1)
             else:
-                if abs(b1) <= 1e-12 or abs(b2) <= 1e-12:
+                if abs(b1) <= AXIS_TOL or abs(b2) <= AXIS_TOL:
                     continue
                 k = (-a2 / b2) - (-a1 / b1)
                 m = (c2 / b2) - (c1 / b1)
             # width(v) = k*v + m on [lo, hi]
-            if abs(k) <= 1e-12:
-                if abs(m - eps) <= 1e-9:
+            if abs(k) <= FLAT_SLOPE:
+                if abs(m - eps) <= STRIP_WIDTH_TOL:
                     degenerate.append((lo, hi))
                 continue
             v = (eps - m) / k
-            if lo - 1e-12 <= v <= hi + 1e-12:
+            if lo - BREAK_TOL <= v <= hi + BREAK_TOL:
                 if orientation == "horizontal":
                     xl = (c1 - b1 * v) / a1
                     xr = (c2 - b2 * v) / a2
@@ -641,36 +641,21 @@ def _cross_section_solutions(regions: list[_Region], orientation: str, eps: floa
                 solutions.append((v, xl, xr))
     uniq: dict[tuple[int, int, int], tuple[float, float, float]] = {}
     for v, xl, xr in solutions:
-        uniq[(round(v / 1e-9), round(xl / 1e-9), round(xr / 1e-9))] = (v, xl, xr)
+        uniq[(round(v / WINDOW_KEY), round(xl / WINDOW_KEY), round(xr / WINDOW_KEY))] = (v, xl, xr)
     return list(uniq.values()), degenerate
 
 
-def edge_curve(
-    cell_id: int,
-    cell: _CellRegions,
-    tau: TranslationVector,
-    eps,
-    warnings: list[DegenerateStrip] | None = None,
-) -> list[CriticalCurve]:
-    """Axis-aligned placement windows for a non-corner square vector."""
-    e = float(eps)
+def edge_curve(cell_id: int, windows: dict, tau: TranslationVector) -> list[CriticalCurve]:
+    """Axis-aligned placement windows for a non-corner square vector, from
+    the cell's side windows of each orientation."""
     horizontal = tau.label in ("top", "bottom")
-    orientation = "horizontal" if horizontal else "vertical"
-    solutions, degenerate = cell.side_windows(orientation, e)
-    if warnings is not None:
-        for lo, hi in degenerate:
-            mid = 0.5 * (lo + hi)
-            rep = (
-                seg_piece(lo, mid, hi, mid) if not horizontal else seg_piece(mid, lo, mid, hi)
-            )
-            warnings.append(DegenerateStrip(cell_id, orientation, lo, hi, rep))
     curves: list[CriticalCurve] = []
-    for v, w_lo, w_hi in solutions:
+    for v, w_lo, w_hi in windows["horizontal" if horizontal else "vertical"]:
         if horizontal:
             y_p = v - (0.5 if tau.label == "top" else -0.5)
             lo = max(w_lo - tau.dx, w_hi - 0.5)
             hi = min(w_hi - tau.dx, w_lo + 0.5)
-            if hi - lo > 1e-12:
+            if hi - lo > MIN_STEP:
                 curves.append(
                     CriticalCurve(cell_id, tau, [seg_piece(lo, y_p, hi, y_p)], True)
                 )
@@ -678,7 +663,7 @@ def edge_curve(
             x_p = v - (0.5 if tau.label == "right" else -0.5)
             lo = max(w_lo - tau.dy, w_hi - 0.5)
             hi = min(w_hi - tau.dy, w_lo + 0.5)
-            if hi - lo > 1e-12:
+            if hi - lo > MIN_STEP:
                 curves.append(
                     CriticalCurve(cell_id, tau, [seg_piece(x_p, lo, x_p, hi)], True)
                 )
@@ -686,10 +671,11 @@ def edge_curve(
 
 
 # ---------------------------------------------------------------------------
-# per-cell regions and the union over cells
+# per-cell regions and the one pass over the cells
 # ---------------------------------------------------------------------------
 
-def cell_regions(arrangement: Arrangement, cell_id: int) -> _CellRegions:
+def cell_regions(arrangement: Arrangement, cell_id: int) -> list[_Region]:
+    """The convex regions of one cell, each with its four profiles."""
     cell = arrangement.cells[cell_id]
     walls = arrangement.cell_walls(cell_id)
     wall_array = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _tag in walls], dtype=float)
@@ -697,7 +683,10 @@ def cell_regions(arrangement: Arrangement, cell_id: int) -> _CellRegions:
         polygons = [arrangement.cell_polygon(cell_id)]
     else:
         polygons = [s.polygon for s in convex_decompose(cell, arrangement)]
-    return _CellRegions([_Region(cell_id, poly, walls, wall_array) for poly in polygons])
+    return [
+        _Region(poly, {d: _direction_profile(poly, walls, wall_array, d) for d in _DIRECTIONS})
+        for poly in polygons
+    ]
 
 
 def _cell_reaches(arrangement: Arrangement, cell_id: int, domain: BBox, reach: float) -> bool:
@@ -711,37 +700,42 @@ def _cell_reaches(arrangement: Arrangement, cell_id: int, domain: BBox, reach: f
 
 
 def collect_S(
-    tau: TranslationVector,
-    arrangement: Arrangement,
-    eps,
-    domain: BBox | None = None,
-    regions_cache: dict | None = None,
-    warnings: list | None = None,
-) -> list[CriticalCurve]:
-    """Union of the per-cell curves of one vector over the whole arrangement."""
-    e = float(eps)
-    curves: list[CriticalCurve] = []
-    for cell in arrangement.cells:
-        if domain is not None and not _cell_reaches(arrangement, cell.id, domain, 1.0 + e):
-            continue
-        if regions_cache is not None:
-            regions = regions_cache.get(cell.id)
-            if regions is None:
-                regions = cell_regions(arrangement, cell.id)
-                regions_cache[cell.id] = regions
-        else:
-            regions = cell_regions(arrangement, cell.id)
-        if tau.kind == "corner":
-            curves.extend(corner_curve(cell.id, regions, tau, e))
-        elif tau.kind == "edge":
-            curves.extend(edge_curve(cell.id, regions, tau, e, warnings))
-        else:
-            from .circles import circle_cell_curves
+    vectors: TranslationVectorSet, arrangement: Arrangement, domain: BBox
+) -> tuple[list[CriticalCurve], list[DegenerateStrip]]:
+    """The curves of every vector over the cells that reach the domain,
+    clipped to it and listed vector by vector, and each cell's degenerate
+    strips (horizontal ones first).
 
-            curves.extend(circle_cell_curves(cell.id, arrangement, tau, e))
-    if domain is not None:
-        curves = [c for c in (clip_curve_to_box(c, domain) for c in curves) if c]
-    return curves
+    Each cell's work that no vector changes is done once: a square cell's
+    profiles and side windows, a circle cell's ring pieces.
+    """
+    from .circles import _ring_pieces, circle_cell_curves
+
+    e = vectors.eps
+    if vectors.shape == CIRCLE and e >= 1.0:
+        raise EpsilonTooLarge("circle curves are only computed for eps < 1")
+    per_vector: list[list[CriticalCurve]] = [[] for _ in vectors.vectors]
+    strips: dict[str, list[DegenerateStrip]] = {"horizontal": [], "vertical": []}
+    for cell in arrangement.cells:
+        if not _cell_reaches(arrangement, cell.id, domain, 1.0 + e):
+            continue
+        if vectors.shape == CIRCLE:
+            rings = _ring_pieces(arrangement, cell.id, e)
+            for out, tau in zip(per_vector, vectors.vectors):
+                out.extend(circle_cell_curves(cell.id, rings, tau, e))
+            continue
+        regions = cell_regions(arrangement, cell.id)
+        windows = {}
+        for orientation, found in strips.items():
+            windows[orientation], degenerate = _cross_section_solutions(regions, orientation, e)
+            found.extend(DegenerateStrip(cell.id, orientation, lo, hi) for lo, hi in degenerate)
+        for out, tau in zip(per_vector, vectors.vectors):
+            if tau.kind == "corner":
+                out.extend(corner_curve(cell.id, regions, tau, e))
+            else:
+                out.extend(edge_curve(cell.id, windows, tau))
+    clipped = (clip_curve_to_box(c, domain) for out in per_vector for c in out)
+    return [c for c in clipped if c], strips["horizontal"] + strips["vertical"]
 
 
 def clip_curve_to_box(curve: CriticalCurve, box: BBox) -> CriticalCurve | None:
@@ -1064,8 +1058,9 @@ def _poly_roots(coeffs, lo: float, hi: float) -> list[float]:
     return roots
 
 
-def _piece_crossings(pieces: list[CurvePiece]) -> list[tuple[int, int, float, float]]:
-    """Every crossing of two pieces as (i, j, x, y) with i < j.
+def _piece_crossings(pieces: list[CurvePiece], family: list[int]) -> list[tuple[int, int, float, float]]:
+    """Every crossing of two pieces of different families as (i, j, x, y)
+    with i < j; `family` holds one label per piece.
 
     Segment pairs go through the arrangement's x-sweep; pairs with an arc
     are pruned by exact bounding boxes and solved in closed form.  Collinear
@@ -1074,13 +1069,15 @@ def _piece_crossings(pieces: list[CurvePiece]) -> list[tuple[int, int, float, fl
     segs = [i for i, p in enumerate(pieces) if p.kind == "seg"]
     arcs = [i for i, p in enumerate(pieces) if p.kind == "arc"]
     ends = np.array([(*pieces[i].p0, *pieces[i].p1) for i in segs], dtype=float).reshape(-1, 4)
-    crossings, _overlaps = _segment_crossings(ends[:, :2], ends[:, 2:])
+    fam = np.array(family)
+    crossings, _overlaps = _segment_crossings(ends[:, :2], ends[:, 2:], fam[segs])
     out = [(segs[a], segs[b], x, y) for a, b, x, y in crossings]
     if arcs:
         boxes = np.array([_piece_bbox(p) for p in pieces])
     for n, i in enumerate(arcs):
         cand = np.array(segs + arcs[n + 1 :], dtype=int)
-        for j in cand[_boxes_meet(boxes[cand], boxes[i])].tolist():
+        cand = cand[(fam[cand] != fam[i]) & _boxes_meet(boxes[cand], boxes[i])]
+        for j in cand.tolist():
             q = pieces[j]
             pts = _seg_arc_points(q, pieces[i]) if q.kind == "seg" else _arc_arc_points(pieces[i], q)
             out.extend((min(i, j), max(i, j), x, y) for x, y in pts)
@@ -1093,8 +1090,8 @@ def pair_intersections(curves_a: list[CriticalCurve], curves_b: list[CriticalCur
     pieces = [p for c in curves_a for p in c.pieces]
     na = len(pieces)
     pieces += [p for c in curves_b for p in c.pieces]
-    hits = _piece_crossings(pieces)
-    return _dedupe_points((x, y) for i, j, x, y in hits if i < na <= j)
+    family = [0] * na + [1] * (len(pieces) - na)
+    return _dedupe_points((x, y) for _i, _j, x, y in _piece_crossings(pieces, family))
 
 
 def _dedupe_points(points):
@@ -1173,8 +1170,6 @@ def build_placement_arrangement(
     """
     e = float(eps)
     vectors = translation_vectors(shape, e)
-    if shape == CIRCLE and e >= 1.0:
-        raise EpsilonTooLarge("circle curves are only computed for eps < 1")
     prims = placement_primitives(primitives)
     segments = any(isinstance(p, Segment) for p in prims)
     if shape == CIRCLE and segments:
@@ -1182,11 +1177,7 @@ def build_placement_arrangement(
     domain = default_domain(prims, shape, e)
     build = build_segment_arrangement if segments else build_line_arrangement
     arrangement = build(prims, clip_box=domain.expanded(1.0 + e + 0.25))
-    warnings: list = []
-    regions_cache: dict = {}
-    curves: list[CriticalCurve] = []
-    for tau in vectors.vectors:
-        curves.extend(collect_S(tau, arrangement, e, domain, regions_cache, warnings))
+    curves, warnings = collect_S(vectors, arrangement, domain)
     translates = contact_curves(prims, shape, domain) if include_line_translates else []
     counts = _overlay_counts(curves + translates, domain)
     return PlacementArrangement(
@@ -1218,7 +1209,7 @@ def _overlay_counts(curves: list[CriticalCurve], domain: BBox) -> dict:
         return idx
 
     per_piece_points: list[list[tuple[float, float]]] = [list(p.endpoints()) for p in pieces]
-    for i, j, x, y in _piece_crossings(pieces):
+    for i, j, x, y in _piece_crossings(pieces, list(range(len(pieces)))):
         per_piece_points[i].append((x, y))
         per_piece_points[j].append((x, y))
 

@@ -239,8 +239,23 @@ def emit_result(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+# the keys each result type's readers look up
+_RESULT_KEYS = {
+    "critical": ("shape", "domain", "counts", "curves", "line_translates"),
+    "junctions": ("spacing", "bbox", "nx", "ny", "significance", "top"),
+}
+
+
 def parse_result(text: str) -> dict:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise SceneError("a result must be a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise SceneError(f"unsupported result schema {doc.get('schema')!r}")
+    kind = doc.get("type")
+    if not isinstance(kind, str) or kind not in _RESULT_KEYS:
+        raise SceneError(f"unknown result type {kind!r}")
+    missing = [key for key in _RESULT_KEYS[kind] if key not in doc]
+    if missing:
+        raise SceneError(f"{kind} result lacks {', '.join(missing)}")
     return doc

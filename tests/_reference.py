@@ -18,8 +18,11 @@
 * The square's curve construction as it was before the program clipped each
   profile strip once and cast its wall rays in numpy: profiles cast one ray
   per strip in a loop over the walls, and every (horizontal strip, vertical
-  strip) pair clips the region anew.  `reference_collect` returns what
-  `collect_S` returns for square vectors, and must return it bit for bit.
+  strip) pair clips the region anew.  `reference_collect` returns, one
+  vector at a time, what `collect_S` returns for the square's vectors, and
+  must return it bit for bit.
+* `curves_by_vector`: `collect_S` over a whole arrangement, clipped to its
+  frame, grouped by vector, for tests that look at one vector's curves.
 * `reference_verify`: `oracle.verify` as it was before it checked each
   curve's samples in one batch, one placement at a time through
   `reference_supports` (`is_epsilon_placement` plus witness containment, or
@@ -66,15 +69,18 @@ from critplace.placement import (
     _CORNER_QUADRANT,
     _QUADRANT_LOOK,
     CriticalCurve,
+    DegenerateStrip,
     TranslationVector,
-    _CellRegions,
     _cell_reaches,
     _chain_is_convex,
+    _cross_section_solutions,
     _ProfileStrip,
     _stitch_chains,
     clip_curve_to_box,
+    collect_S,
     edge_curve,
     seg_piece,
+    translation_vectors,
 )
 
 
@@ -130,14 +136,16 @@ def segment_intersection(
     return None
 
 
-def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, slack: float = 1e-9):
+def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray, slack: float = 1e-9):
     """What `arrangement._segment_crossings` returns, from a loop over every
-    pair whose boxes come within slack of each other: the crossings, and the
-    ends of collinear overlaps."""
+    pair of different families whose boxes come within slack of each other:
+    the crossings, and the ends of collinear overlaps."""
     segs = [(Point(*a), Point(*b)) for a, b in zip(P0.tolist(), P1.tolist())]
     out, overlaps = [], set()
     for i, (p0, p1) in enumerate(segs):
         for j in range(i + 1, len(segs)):
+            if family[i] == family[j]:
+                continue
             q0, q1 = segs[j]
             if max(p0.x, p1.x) < min(q0.x, q1.x) - slack or max(q0.x, q1.x) < min(p0.x, p1.x) - slack:
                 continue
@@ -375,12 +383,7 @@ class ReferenceRegion:
         self.cell_id = cell_id
         self.polygon = polygon
         self.walls = walls
-        self.profiles: dict = {}
-
-    def profile(self, direction: str) -> list[_ProfileStrip]:
-        if direction not in self.profiles:
-            self.profiles[direction] = _direction_profile(self, direction)
-        return self.profiles[direction]
+        self.profiles = {d: _direction_profile(self, d) for d in ("left", "right", "down", "up")}
 
 
 def reference_regions(arrangement: Arrangement, cell_id: int) -> list[ReferenceRegion]:
@@ -509,8 +512,8 @@ def _level_segment_in_poly(poly: np.ndarray, P: float, Q: float, R: float, level
 
 def _corner_level_segments(region: ReferenceRegion, look_x: float, look_y: float, eps: float):
     """Exact level-set segments of the distance-sum inside one region."""
-    ph = region.profile("left" if look_x < 0 else "right")
-    pv = region.profile("down" if look_y < 0 else "up")
+    ph = region.profiles["left" if look_x < 0 else "right"]
+    pv = region.profiles["down" if look_y < 0 else "up"]
     segs = []
     for sh in ph:
         if sh.open_side:
@@ -563,25 +566,36 @@ def corner_curve(cell_id: int, regions: list[ReferenceRegion], tau: TranslationV
 
 
 def reference_collect(
-    tau: TranslationVector,
-    arrangement: Arrangement,
-    eps: float,
-    domain: BBox | None = None,
-    warnings: list | None = None,
+    tau: TranslationVector, arrangement: Arrangement, eps: float, domain: BBox, strips: list
 ) -> list[CriticalCurve]:
-    """`collect_S` for a square vector, with nothing cached between vectors."""
+    """`collect_S` for one square vector, with nothing kept between vectors;
+    a cell's degenerate strips of one orientation go into `strips` unless an
+    earlier vector put them there."""
+    orientation = "horizontal" if tau.label in ("top", "bottom") else "vertical"
     curves: list[CriticalCurve] = []
     for cell in arrangement.cells:
-        if domain is not None and not _cell_reaches(arrangement, cell.id, domain, 1.0 + eps):
+        if not _cell_reaches(arrangement, cell.id, domain, 1.0 + eps):
             continue
         regions = reference_regions(arrangement, cell.id)
         if tau.kind == "corner":
             curves.extend(corner_curve(cell.id, regions, tau, eps))
-        else:
-            curves.extend(edge_curve(cell.id, _CellRegions(regions), tau, eps, warnings))
-    if domain is not None:
-        curves = [c for c in (clip_curve_to_box(c, domain) for c in curves) if c]
-    return curves
+            continue
+        windows, degenerate = _cross_section_solutions(regions, orientation, eps)
+        curves.extend(edge_curve(cell.id, {orientation: windows}, tau))
+        if all((s.cell_id, s.orientation) != (cell.id, orientation) for s in strips):
+            strips.extend(DegenerateStrip(cell.id, orientation, lo, hi) for lo, hi in degenerate)
+    return [c for c in (clip_curve_to_box(c, domain) for c in curves) if c]
+
+
+def curves_by_vector(arrangement: Arrangement, shape: str, eps: float) -> dict:
+    """`collect_S` over a whole arrangement, its curves clipped to the
+    arrangement's frame, grouped by vector in vector order."""
+    vectors = translation_vectors(shape, eps)
+    curves, _strips = collect_S(vectors, arrangement, arrangement.clip_box)
+    out: dict[TranslationVector, list[CriticalCurve]] = {tau: [] for tau in vectors.vectors}
+    for curve in curves:
+        out[curve.vector].append(curve)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from critplace.placement import (
     translation_vectors,
 )
 
-from _reference import in_cell_or_near, reference_ring_ok
+from _reference import curves_by_vector, in_cell_or_near, reference_ring_ok
 
 EPS = 0.5
 
@@ -49,7 +49,7 @@ def test_ellipse_semi_axes_match_closed_form():
     lines = _wedge_lines(1.0)
     arr = build_line_arrangement(lines)
     vs = translation_vectors(CIRCLE, EPS)
-    curves = collect_S(_tau_at(vs, 0.0), arr, EPS)
+    curves = curves_by_vector(arr, CIRCLE, EPS)[_tau_at(vs, 0.0)]
     arcs = [p for c in curves for p in c.pieces if p.kind == "arc"]
     assert arcs
     near, far = _axes(1.0)
@@ -65,14 +65,13 @@ def test_ellipse_semi_axes_match_closed_form():
 def test_arc_points_satisfy_ellipse_and_chord_law():
     lines = _wedge_lines(1.0)
     arr = build_line_arrangement(lines)
-    vs = translation_vectors(CIRCLE, EPS)
     a = 1.0
     near, _far = _axes(a)
     A2, B2 = near[0] ** 2, near[1] ** 2
     n_eq = 0
     n_chord = 0
-    for tau in vs.vectors:
-        for c in collect_S(tau, arr, EPS):
+    for curves in curves_by_vector(arr, CIRCLE, EPS).values():
+        for c in curves:
             for piece in c.pieces:
                 if piece.kind != "arc":
                     continue
@@ -104,10 +103,9 @@ def test_degenerate_angle_gives_straight_piece():
     a = math.tan(EPS / 2)
     lines = _wedge_lines(a)
     arr = build_line_arrangement(lines)
-    vs = translation_vectors(CIRCLE, EPS)
     found = []
-    for v in vs.vectors:
-        for c in collect_S(v, arr, EPS):
+    for curves in curves_by_vector(arr, CIRCLE, EPS).values():
+        for c in curves:
             for p in c.pieces:
                 if p.kind == "arc":
                     found.append(math.hypot(*p.vec_a))
@@ -119,10 +117,7 @@ def test_eps_too_large_rejected():
     lines = _wedge_lines(1.0)
     arr = build_line_arrangement(lines)
     with pytest.raises(EpsilonTooLarge):
-        from critplace.circles import circle_cell_curves
-
-        vs = translation_vectors(CIRCLE, 0.9)
-        circle_cell_curves(0, arr, vs.vectors[0], 1.2)
+        collect_S(translation_vectors(CIRCLE, 1.2), arr, arr.clip_box)
     with pytest.raises(EpsilonTooLarge):
         build_placement_arrangement(lines, 1.2, CIRCLE)
 
@@ -131,10 +126,9 @@ def test_constant_components_per_cell_vector():
     for seed in (31, 32, 33):
         lines = random_lines(3, seed)
         arr = build_line_arrangement(lines)
-        vs = translation_vectors(CIRCLE, EPS)
-        for v in vs.vectors[::3]:
+        for curves in list(curves_by_vector(arr, CIRCLE, EPS).values())[::3]:
             per_cell = {}
-            for c in collect_S(v, arr, EPS):
+            for c in curves:
                 per_cell[c.cell_id] = per_cell.get(c.cell_id, 0) + 1
             # Constant bound per (cell, vector): two gap-splits times four
             # per-direction crossings
@@ -158,8 +152,8 @@ def test_blunt_cell_has_no_concave_splits():
             tri = cell.id
     assert tri is not None
     total = 0
-    for v in vs.vectors:
-        for c in collect_S(v, arr, EPS):
+    for curves in curves_by_vector(arr, CIRCLE, EPS).values():
+        for c in curves:
             if c.cell_id != tri:
                 continue
             total += 1
@@ -173,10 +167,9 @@ def test_sharp_cell_splits_concave_arc():
     a = math.tan(EPS / 2) * 0.5
     lines = _wedge_lines(a)
     arr = build_line_arrangement(lines)
-    vs = translation_vectors(CIRCLE, EPS)
     flags = []
-    for v in vs.vectors:
-        for c in collect_S(v, arr, EPS):
+    for curves in curves_by_vector(arr, CIRCLE, EPS).values():
+        for c in curves:
             flags.append(c.convex_flag)
     assert False in flags
 

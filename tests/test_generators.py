@@ -6,6 +6,8 @@ from critplace.generators import cross_trajectories, lower_bound_lines, random_l
 from critplace.geom import Point
 from critplace.junctions import assess
 
+from _reference import curves_by_vector
+
 
 def test_lower_bound_counts_and_audit():
     lines = lower_bound_lines(8, 0.25)
@@ -86,15 +88,13 @@ def test_cross_trajectories_deterministic():
 def test_lower_bound_piece_count_quadratic():
     # pieces of one vector's curve family stay bounded by a constant times
     # n^2 across doublings
-    from critplace.placement import collect_S, translation_vectors
-
-    vs = translation_vectors("square", 0.25)
-    tr = next(v for v in vs.vectors if v.label == "tr")
     density = {}
     for n in (8, 16):
         lines = lower_bound_lines(n, 0.25)
         arr = build_line_arrangement(lines)
-        pieces = sum(len(c.pieces) for c in collect_S(tr, arr, 0.25))
+        by_vector = curves_by_vector(arr, "square", 0.25)
+        tr = next(v for v in by_vector if v.label == "tr")
+        pieces = sum(len(c.pieces) for c in by_vector[tr])
         density[n] = pieces / (n * n)
     assert density[16] <= 2.0 * density[8]
 

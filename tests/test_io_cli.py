@@ -196,6 +196,56 @@ def test_cli_bad_usage(tmp_path):
                  "--in", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "o")]) == 1
 
 
+def _one_error_line(capsys) -> str:
+    cap = capsys.readouterr()
+    err = cap.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and cap.out == ""
+    return err[0]
+
+
+def test_cli_input_that_is_a_directory(tmp_path, capsys):
+    code = main(["critical", "--shape", "square", "--eps", "0.25",
+                 "--in", str(tmp_path), "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("oracle-check", '{"schema": 1}', "unknown result type None"),
+    ("render", '{"schema": 1}', "unknown result type None"),
+    ("render", "[1, 2]", "JSON object"),
+    ("render", '{"schema": 1, "type": ["critical"]}', "unknown result type ['critical']"),
+    ("render", '{"schema": 1, "type": "critical", "shape": "square"}',
+     "critical result lacks domain, counts, curves, line_translates"),
+    ("render", '{"schema": 1, "type": "junctions", "bbox": [0, 0, 1, 1]}',
+     "junctions result lacks spacing, nx, ny, significance, top"),
+    ("oracle-check", None, "holds a junctions result, not critical curves"),
+], ids=["oracle-check-no-type", "render-no-type", "render-list", "render-list-type", "critical-keys",
+        "junctions-keys", "oracle-check-junctions"])
+def test_cli_refuses_a_malformed_result(tmp_path, capsys, command, text, message):
+    doc = tmp_path / "result.json"
+    if text is None:
+        assert main(["junctions", "--eps", "0.3", "--spacing", "0.25", "--k", "1",
+                     "--in", str(SCENES / "crossing_walks.txt"), "--out", str(doc)]) == 0
+        capsys.readouterr()
+    else:
+        doc.write_text(text)
+    if command == "render":
+        argv = ["render", "--in", str(doc), "--out", str(tmp_path / "p.svg")]
+    else:
+        argv = ["oracle-check", "--eps", "0.3", "--resolution", "0.03",
+                "--in", str(SCENES / "three_lines.txt"), "--curves", str(doc)]
+    assert main(argv) == 1
+    assert message in _one_error_line(capsys)
+
+
+def test_cli_junctions_without_trajectories(tmp_path, capsys):
+    code = main(["junctions", "--eps", "0.3", "--spacing", "0.25", "--k", "1",
+                 "--in", str(SCENES / "three_lines.txt"), "--out", str(tmp_path / "j.json")])
+    assert code == 1
+    assert _one_error_line(capsys) == "error: scene has no trajectories"
+
+
 def test_cli_geometry_error_is_an_input_error(tmp_path, capsys):
     # eps 1.2 passes the quarter-perimeter check of the circle but its
     # curves are only computed for eps < 1

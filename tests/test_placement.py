@@ -12,10 +12,12 @@ from critplace.placement import (
     CriticalCurve,
     CurvePiece,
     _arc_arc_points,
+    _dedupe_points,
     _first_wall_hits,
     _level_segment_in_poly,
     _overlay_counts,
     _piece_bbox,
+    _piece_crossings,
     build_placement_arrangement,
     cell_regions,
     collect_S,
@@ -30,6 +32,7 @@ from _reference import (
     chain_points,
     f_value,
     in_cell_or_near,
+    curves_by_vector,
     reference_collect,
     reference_regions,
     sample_points,
@@ -125,7 +128,7 @@ def _corner(vs, label):
 def test_corner_curve_quadrant_example():
     arr = build_line_arrangement([Y_AXIS, X_AXIS])
     vs = translation_vectors(SQUARE, 0.25)
-    curves = collect_S(_corner(vs, "tr"), arr, 0.25)
+    curves = curves_by_vector(arr, SQUARE, 0.25)[_corner(vs, "tr")]
     assert len(curves) == 1
     (curve,) = curves
     pts = chain_points(curve)
@@ -146,7 +149,7 @@ def test_corner_curve_small_cell_empty():
     arr = build_line_arrangement(lines)
     vs = translation_vectors(SQUARE, 0.5)
     small = locate(Point(0.05, 0.05), arr)
-    curves = [c for c in collect_S(_corner(vs, "tr"), arr, 0.5) if c.cell_id == small]
+    curves = [c for c in curves_by_vector(arr, SQUARE, 0.5)[_corner(vs, "tr")] if c.cell_id == small]
     assert curves == []
 
 
@@ -156,7 +159,7 @@ def test_corner_curve_two_components_in_sliver():
     lines = random_lines(3, 1)
     arr = build_line_arrangement(lines)
     vs = translation_vectors(SQUARE, 0.3)
-    curves = [c for c in collect_S(_corner(vs, "tr"), arr, 0.3) if c.cell_id == 2]
+    curves = [c for c in curves_by_vector(arr, SQUARE, 0.3)[_corner(vs, "tr")] if c.cell_id == 2]
     assert len(curves) == 2
     for c in curves:
         assert c.convex_flag
@@ -170,8 +173,9 @@ def test_corner_component_count_at_most_two():
         lines = random_lines(3, seed)
         arr = build_line_arrangement(lines)
         vs = translation_vectors(SQUARE, 0.3)
+        by_vector = curves_by_vector(arr, SQUARE, 0.3)
         for label in ("bl", "br", "tr", "tl"):
-            curves = collect_S(_corner(vs, label), arr, 0.3)
+            curves = by_vector[_corner(vs, label)]
             per_cell = {}
             for c in curves:
                 per_cell[c.cell_id] = per_cell.get(c.cell_id, 0) + 1
@@ -185,9 +189,10 @@ def test_corner_chain_vertices_align_with_cell_vertices():
         vs = translation_vectors(SQUARE, 0.3)
         vx = {round(float(v[0]), 6) for v in arr.verts}
         vy = {round(float(v[1]), 6) for v in arr.verts}
+        by_vector = curves_by_vector(arr, SQUARE, 0.3)
         for label in ("bl", "br", "tr", "tl"):
             tau = _corner(vs, label)
-            for curve in collect_S(tau, arr, 0.3):
+            for curve in by_vector[tau]:
                 pts = chain_points(curve)
                 for x, y in pts[1:-1]:  # interior kinks only
                     bx = round(x + tau.dx, 6)
@@ -207,7 +212,7 @@ def test_edge_curve_slope_four_example():
         v for v in vs.vectors if v.label == "top" and abs(v.dx) < 1e-12
     )
     wedge = locate(Point(0.1, 0.3), arr)
-    curves = [c for c in collect_S(top_mid, arr, 0.25) if c.cell_id == wedge]
+    curves = [c for c in curves_by_vector(arr, SQUARE, 0.25)[top_mid] if c.cell_id == wedge]
     assert len(curves) == 1
     (piece,) = curves[0].pieces
     assert piece.p0[1] == pytest.approx(-0.3)
@@ -220,15 +225,17 @@ def test_edge_curve_wide_strip_empty():
     arr = build_line_arrangement(lines)
     vs = translation_vectors(SQUARE, 0.25)
     strip = locate(Point(0.15, 0.0), arr)
-    for v in vs.vectors:
+    for v, curves in curves_by_vector(arr, SQUARE, 0.25).items():
         if v.kind == "edge":
-            assert [c for c in collect_S(v, arr, 0.25) if c.cell_id == strip] == []
+            assert [c for c in curves if c.cell_id == strip] == []
 
 
 def test_edge_curve_degenerate_strip_flagged():
     lines = [Y_AXIS, Line(Point(0.25, -1), Point(0.25, 1))]
     pa = build_placement_arrangement(lines, 0.25, SQUARE)
-    assert any(w.orientation == "horizontal" for w in pa.warnings)
+    strip = locate(Point(0.125, 0.0), pa.arrangement)
+    # one strip, reported once, not once for each of the six horizontal vectors
+    assert [(w.cell_id, w.orientation) for w in pa.warnings] == [(strip, "horizontal")]
     # the degenerate two-dimensional set is not returned as curves
     strip_curves = [
         c
@@ -242,11 +249,10 @@ def test_edge_curve_degenerate_strip_flagged():
 def test_edge_windows_at_most_eps_long():
     lines = random_lines(4, 19)
     arr = build_line_arrangement(lines)
-    vs = translation_vectors(SQUARE, 0.4)
-    for v in vs.vectors:
+    for v, curves in curves_by_vector(arr, SQUARE, 0.4).items():
         if v.kind != "edge":
             continue
-        for curve in collect_S(v, arr, 0.4):
+        for curve in curves:
             for piece in curve.pieces:
                 assert piece.length() <= 0.4 + 1e-9
 
@@ -258,15 +264,15 @@ def test_edge_windows_at_most_eps_long():
 def test_collect_s_no_lines():
     arr = build_line_arrangement([])
     vs = translation_vectors(SQUARE, 0.25)
-    assert collect_S(vs.vectors[0], arr, 0.25) == []
+    assert collect_S(vs, arr, arr.clip_box) == ([], [])
 
 
 def test_collect_s_crossing_lines_single_quadrant():
     arr = build_line_arrangement([Y_AXIS, X_AXIS])
     vs = translation_vectors(SQUARE, 0.25)
+    by_vector = curves_by_vector(arr, SQUARE, 0.25)
     for label in ("bl", "br", "tr", "tl"):
-        curves = collect_S(_corner(vs, label), arr, 0.25)
-        assert len(curves) == 1
+        assert len(by_vector[_corner(vs, label)]) == 1
 
 
 def test_level_set_soundness_samples():
@@ -306,10 +312,10 @@ def _disjoint_strip_pairs(arr) -> int:
         for region in reference_regions(arr, cell.id):
             for look_x, look_y in _QUADRANT_LOOK.values():
                 verticals = [
-                    s for s in region.profile("down" if look_y < 0 else "up")
+                    s for s in region.profiles["down" if look_y < 0 else "up"]
                     if not s.open_side and abs(s.line[1]) > 1e-12
                 ]
-                for sh in region.profile("left" if look_x < 0 else "right"):
+                for sh in region.profiles["left" if look_x < 0 else "right"]:
                     if sh.open_side or abs(sh.line[0]) <= 1e-12:
                         continue
                     band = _clip_convex(region.polygon, 1, sh.lo, sh.hi)
@@ -336,10 +342,8 @@ def test_square_curves_equal_the_per_pair_reference(prims, eps):
         assert any(cell.holes for cell in arr.cells)
     assert _disjoint_strip_pairs(arr) > 0
     for cell in arr.cells:
-        regions = cell_regions(arr, cell.id).regions
-        for new, ref in zip(regions, reference_regions(arr, cell.id), strict=True):
-            for direction in ("left", "right", "down", "up"):
-                assert new.profile(direction) == ref.profile(direction)
+        for new, ref in zip(cell_regions(arr, cell.id), reference_regions(arr, cell.id), strict=True):
+            assert new.profiles == ref.profiles
     warnings = []
     ref_curves = [
         c for tau in pa.vectors.vectors
@@ -383,19 +387,14 @@ def test_wall_rays_equal_the_looped_reference():
 def test_pair_intersections_disjoint():
     arr = build_line_arrangement([Y_AXIS, X_AXIS])
     vs = translation_vectors(SQUARE, 0.25)
-    a = collect_S(_corner(vs, "tr"), arr, 0.25)
-    b = collect_S(_corner(vs, "bl"), arr, 0.25)
-    assert pair_intersections(a, b) == []
+    by_vector = curves_by_vector(arr, SQUARE, 0.25)
+    assert pair_intersections(by_vector[_corner(vs, "tr")], by_vector[_corner(vs, "bl")]) == []
 
 
 def test_pair_intersections_are_double_placements():
     lines = random_lines(4, 28)
     arr = build_line_arrangement(lines)
-    vs = translation_vectors(SQUARE, 0.4)
-    cache = {}
-    families = {
-        v.s: collect_S(v, arr, 0.4, regions_cache=cache) for v in vs.vectors
-    }
+    families = {v.s: curves for v, curves in curves_by_vector(arr, SQUARE, 0.4).items()}
     keys = sorted(families)
     found = 0
     for i in range(len(keys)):
@@ -405,6 +404,26 @@ def test_pair_intersections_are_double_placements():
                 ok, wit = is_epsilon_placement(p, lines, SQUARE, 0.4)
                 assert ok
                 found += 1
+    assert found > 0
+
+
+@pytest.mark.parametrize("shape, eps", [(SQUARE, 0.4), (CIRCLE, 0.5)])
+def test_pair_intersections_skip_only_pairs_within_a_family(shape, eps):
+    # the same points as crossing every piece with every other and keeping
+    # the pairs across the two families
+    pa = build_placement_arrangement(random_lines(4, 28), eps, shape, include_line_translates=True)
+    families: dict = {}
+    for curve in pa.curves:
+        families.setdefault(curve.vector.s, []).append(curve)
+    families = list(families.values()) + [pa.line_translates]
+    found = 0
+    for curves_a, curves_b in zip(families, families[1:] + families[:1]):
+        pieces = [p for c in curves_a + curves_b for p in c.pieces]
+        na = sum(len(c.pieces) for c in curves_a)
+        every = _piece_crossings(pieces, list(range(len(pieces))))
+        expected = _dedupe_points((x, y) for i, j, x, y in every if i < na <= j)
+        assert pair_intersections(curves_a, curves_b) == expected
+        found += len(expected)
     assert found > 0
 
 
