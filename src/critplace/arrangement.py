@@ -5,11 +5,12 @@ the supporting primitive, faces are traced by walking twin/rotation order at
 every vertex.  One rule decides where walls meet: a wall is split at its two
 ends and where `_segment_crossings` (the x-sweep the placement overlay uses
 for its straight pieces too) reports a crossing or the end of a collinear
-overlap, and nowhere else; an end that misses another wall by more than the
-sweep's parameter slack dangles.  A face walk is a cell when its signed area
-is positive relative to its size.  Nonconvex cells of segment arrangements
-can be partitioned into convex subcells by shooting axis-parallel rays from
-reflex vertices; each ray ends at a split of the wall it hits.
+overlap within `SNAP` of both, and nowhere else, by `_split_pieces`, the
+splitting kernel the placement overlay shares.  A face walk is a cell when
+its signed area is positive relative to its size.  Nonconvex cells of
+segment arrangements can be partitioned into convex subcells by shooting
+axis-parallel rays from reflex vertices; each ray ends at a split of the
+wall it hits.
 """
 
 from __future__ import annotations
@@ -32,16 +33,12 @@ from .geom import (
 # for the clip box frame, ("ray", k) for convex-decomposition rays.
 Tag = tuple[str, int | str]
 
-# Vertices this close in both coordinates are one.
+# Points this close in both coordinates are one vertex; walls this close meet.
 SNAP = 1e-9
 # A face walk is a cell only when its signed area, taken about its first
 # vertex, exceeds this share of the sum of its terms' sizes: a relative cut
 # keeps thin cells of nearly concurrent lines and drops rounding residue.
 FACE_AREA_REL = 1e-12
-# A crossing may lie this far outside either segment's parameter range (and
-# a box this far from another's) and still count: ends that touch within
-# rounding meet.
-CROSS_SLACK = 1e-9
 # Segments whose direction cross product is at most this are parallel: they
 # share no single crossing, and dividing by it would amplify rounding.
 PARALLEL_DET = 1e-13
@@ -51,6 +48,22 @@ CONVEX_TURN_TOL = 1e-9
 # Perturbation rounds before the lines are declared degenerate; each doubles
 # the offset, so the last is 128 times the first.
 GENERAL_POSITION_ROUNDS = 8
+# A hole's probe sits this share of its longest step inside the face it bounds.
+PROBE_NUDGE = 1e-7
+# A corner angle below this is an antenna's dangling end: a full turn inside.
+ANTENNA_TURN = 1e-12
+# An angle at most this over pi is straight: no reflex corner, no ray needed.
+STRAIGHT_SLACK = 1e-9
+# A candidate ray within this angle of a corner's walls runs along a wall.
+RAY_ANGLE_MARGIN = 1e-7
+# A wall whose cross product with a ray is at most this runs along it.
+SHOT_PARALLEL = 1e-14
+# A hit this close to the ray's origin is its own corner, not a wall ahead.
+SHOT_START = 1e-9
+# A ray passing this far (in wall parameter) past a wall's end still hits it.
+SHOT_WALL_SLACK = 1e-12
+# Points the vertex merge tests at once, which bounds its temporaries.
+MERGE_CHUNK = 1024
 
 
 class DegenerateInput(GeometryError):
@@ -147,20 +160,6 @@ class Arrangement:
         """V - E + F = 1 + C; equals the classic 2 when connected (C = 1)."""
         return self.euler_characteristic() == 1 + self.n_components
 
-    def interior_vertex_ids(self) -> list[int]:
-        b = self.clip_box
-        out = []
-        for i, (x, y) in enumerate(self.verts):
-            on_frame = (
-                abs(x - b.xmin) <= SNAP
-                or abs(x - b.xmax) <= SNAP
-                or abs(y - b.ymin) <= SNAP
-                or abs(y - b.ymax) <= SNAP
-            )
-            if not on_frame:
-                out.append(i)
-        return out
-
     # -- per-cell geometry -------------------------------------------------
 
     def cell_polygon(self, cell_id: int) -> np.ndarray:
@@ -239,25 +238,6 @@ class ConvexSubcell:
 # subdivision construction from a soup of tagged walls
 # ---------------------------------------------------------------------------
 
-class _VertexPool:
-    def __init__(self):
-        self.points: list[tuple[float, float]] = []
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-
-    def add(self, x: float, y: float) -> int:
-        kx, ky = round(x / (SNAP * 4.0)), round(y / (SNAP * 4.0))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for idx in self.buckets.get((kx + dx, ky + dy), ()):
-                    px, py = self.points[idx]
-                    if abs(px - x) <= SNAP and abs(py - y) <= SNAP:
-                        return idx
-        idx = len(self.points)
-        self.points.append((x, y))
-        self.buckets.setdefault((kx, ky), []).append(idx)
-        return idx
-
-
 def _walk_area(P, walk: list[int]) -> tuple[float, float]:
     """Signed area of a closed walk over the points P, taken about its first
     vertex, and the sum of the sizes of its terms."""
@@ -292,34 +272,19 @@ def _point_segment_dist(x: float, y: float, p0: Point, p1: Point) -> float:
     return math.hypot(x - p0.x - t * dx, y - p0.y - t * dy)
 
 
-def _count_components(n: int, pairs) -> int:
-    """Connected components of the graph on vertices 0..n-1 with these edges."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(i) for i in range(n)})
-
-
-def _segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray):
+def _segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray, snap: float):
     """Where segments P0[k]-P1[k] of different families meet, as two sorted
     lists of (i, j, x, y) with i < j: the crossings, and the ends of
     collinear overlaps.
 
     An x-sweep over the segments sorted by left end pairs each segment with
     the ones of other families that start before it ends and share its
-    y-range; `family` holds one label per segment.  A crossing
-    lies on segment i, at its parameter clamped to [0, 1].  Parallel segments
-    never cross; when a pair lies on one line within the slack, each end of
-    either that falls in the other's range is an overlap end of the pair.
+    y-range, both within snap; `family` holds one label per segment.  Two
+    segments meet when their crossing lies at most snap outside either one
+    (a parameter slack of snap over its length); the crossing lies on
+    segment i, at its parameter clamped to [0, 1].  Parallel segments never
+    cross; each end of one that lies within snap of the other is an overlap
+    end of the pair.
     """
     D = P1 - P0
     xmin = np.minimum(P0[:, 0], P1[:, 0])
@@ -328,17 +293,18 @@ def _segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray):
     ymax = np.maximum(P0[:, 1], P1[:, 1])
     order = np.argsort(xmin, kind="stable")
     # sweep position of the first segment that starts past each one's end
-    stops = np.searchsorted(xmin[order], xmax[order] + CROSS_SLACK, side="right").tolist()
+    stops = np.searchsorted(xmin[order], xmax[order] + snap, side="right").tolist()
     out, parallel = [], []
-    # a parallel pair may divide by zero; its ok entry is false
+    # a parallel pair or a point segment may divide by zero; its ok entry is false
     with np.errstate(divide="ignore", invalid="ignore"):
+        slack = snap / np.hypot(D[:, 0], D[:, 1])
         for pos, k in enumerate(order.tolist()):
             if stops[pos] <= pos + 1:
                 continue
             js = order[pos + 1 : stops[pos]]
             js = js[
-                (ymin[js] <= ymax[k] + CROSS_SLACK)
-                & (ymax[js] >= ymin[k] - CROSS_SLACK)
+                (ymin[js] <= ymax[k] + snap)
+                & (ymax[js] >= ymin[k] - snap)
                 & (family[js] != family[k])
             ]
             if js.size == 0:
@@ -352,34 +318,118 @@ def _segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray):
             par = np.abs(det) <= PARALLEL_DET
             if par.any():
                 parallel.append((a[par], b[par]))
-            ok = ~par & (t >= -CROSS_SLACK) & (t <= 1.0 + CROSS_SLACK)
-            ok &= (u >= -CROSS_SLACK) & (u <= 1.0 + CROSS_SLACK)
+            ok = ~par & (t >= -slack[a]) & (t <= 1.0 + slack[a])
+            ok &= (u >= -slack[b]) & (u <= 1.0 + slack[b])
             a, t = a[ok], np.minimum(np.maximum(t[ok], 0.0), 1.0)
             x = P0[a, 0] + t * D[a, 0]
             y = P0[a, 1] + t * D[a, 1]
             out.extend(zip(a.tolist(), b[ok].tolist(), x.tolist(), y.tolist()))
-        overlaps = _overlap_ends(P0, P1, *map(np.concatenate, zip(*parallel))) if parallel else []
+        pairs = map(np.concatenate, zip(*parallel))
+        overlaps = _overlap_ends(P0, P1, *pairs, snap) if parallel else []
     out.sort()
     return out, sorted(set(overlaps))
 
 
-def _overlap_ends(P0: np.ndarray, P1: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _overlap_ends(P0: np.ndarray, P1: np.ndarray, a: np.ndarray, b: np.ndarray, snap: float):
     """(a, b, x, y) for each end of one segment of a parallel pair that lies
-    on the other: off its line by at most CROSS_SLACK times the shorter
-    length, at a parameter within CROSS_SLACK of [0, 1]."""
+    within snap of the other: off its line by at most snap, and at most
+    snap past either of its ends."""
     out = []
     for s, o in ((a, b), (b, a)):
         d = P1[o] - P0[o]
         L2 = (d * d).sum(axis=1)
-        # |cross(d, e)| is the end's offset times |d|
-        reach2 = CROSS_SLACK**2 * L2 * np.minimum(L2, ((P1[s] - P0[s]) ** 2).sum(axis=1))
+        slack = snap / np.sqrt(L2)
         for E in (P0[s], P1[s]):
             e = E - P0[o]
             par = (e * d).sum(axis=1) / L2
-            ok = (d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]) ** 2 <= reach2
-            ok &= (par >= -CROSS_SLACK) & (par <= 1.0 + CROSS_SLACK)
+            # |cross(d, e)| is the end's offset times |d|
+            ok = (d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]) ** 2 <= snap * snap * L2
+            ok &= (par >= -slack) & (par <= 1.0 + slack)
             out.extend(zip(a[ok].tolist(), b[ok].tolist(), E[ok, 0].tolist(), E[ok, 1].tolist()))
     return out
+
+
+def _merge_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Union-find over 0..n-1 joined by the pairs (a[k], b[k]): each label is
+    the smallest index joined to it.  Each round hooks the larger root of
+    every pair still apart onto the smaller, then jumps labels to roots;
+    labels only fall, so a component's smallest index stays its root."""
+    label = np.arange(n)
+    while True:
+        ra, rb = label[a], label[b]
+        apart = ra != rb
+        if not apart.any():
+            return label
+        label[np.maximum(ra, rb)[apart]] = np.minimum(ra, rb)[apart]
+        while (label[label] != label).any():
+            label = label[label]
+
+
+def _snap_merge(xy: np.ndarray, snap: float) -> np.ndarray:
+    """For each of the (n, 2) points, the index of the first point merged
+    with it: points within snap of each other in both coordinates merge, and
+    so, transitively, do the points merged with them.  The points are sorted
+    by cell of a grid of side snap: points sharing a cell merge outright, and
+    each is tested against the four cells ahead of its own."""
+    n = len(xy)
+    k = np.floor(xy / snap).astype(np.int64)
+    # with return_index np.unique sorts stably, as the rest of the program
+    # does; its default sort pages in another sort kernel (0.3 MB resident)
+    ucol, _, col = np.unique(k[:, 0], return_index=True, return_inverse=True)
+    urow, _, row = np.unique(k[:, 1], return_index=True, return_inverse=True)
+    key = col * len(urow) + row
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    pairs = [(np.arange(n), order[np.searchsorted(skey, key)])]
+    # the cells ahead, (0, 1), (1, -1), (1, 0) and (1, 1), are these steps of
+    # the key away, where the column right and the rows above and below exist
+    right = np.append(ucol[1:] == ucol[:-1] + 1, False)[col]
+    above = np.append(urow[1:] == urow[:-1] + 1, False)[row]
+    below = np.append(False, urow[1:] == urow[:-1] + 1)[row]
+    there = np.column_stack([above, right & below, right, right & above])
+    steps = np.array([1, len(urow) - 1, len(urow), len(urow) + 1])
+    for s in range(0, n, MERGE_CHUNK):
+        target = key[s : s + MERGE_CHUNK, None] + steps
+        lo = np.searchsorted(skey, target).ravel()
+        hi = np.searchsorted(skey, target, side="right").ravel()
+        m = (hi - lo) * there[s : s + MERGE_CHUNK].ravel()
+        i = np.repeat(s + np.arange(len(m)) // 4, m)
+        j = order[np.repeat(lo - np.cumsum(m) + m, m) + np.arange(len(i))]
+        near = (np.abs(xy[i] - xy[j]) <= snap).all(axis=1)
+        pairs.append((i[near], j[near]))
+    return _merge_labels(n, *map(np.concatenate, zip(*pairs)))
+
+
+def _split_pieces(piece: np.ndarray, param: np.ndarray, xy: np.ndarray, snap: float, midpoint):
+    """The planar graph of pieces split where they meet, for the arrangement
+    and the placement overlay alike.
+
+    Row k puts the point xy[k] on piece[k] at parameter param[k]: each
+    piece's ends and its meetings.  Points `_snap_merge` merges are one
+    vertex, at their first row's coordinates, numbered by first appearance.
+    Consecutive rows of a piece in parameter order at different vertices
+    bound an edge; edges joining the same two vertices whose midpoints
+    (`midpoint(pieces, params)`, (m, 2)) merge are one, kept where first
+    seen.  Returns the (V, 2) vertices, the (E, 3) rows (u, v, piece) with
+    u < v, and the number of connected components."""
+    first = _snap_merge(xy, snap)
+    root = first == np.arange(len(xy))
+    reps, vid = np.flatnonzero(root), (np.cumsum(root) - 1)[first]
+    order = np.lexsort((param, piece))
+    p, t, w = piece[order], param[order], vid[order]
+    step = np.flatnonzero((p[1:] == p[:-1]) & (w[1:] != w[:-1]))
+    u, v = np.minimum(w[step], w[step + 1]), np.maximum(w[step], w[step + 1])
+    p, t = p[step], 0.5 * (t[step] + t[step + 1])
+    # only edges that join the same two vertices need their midpoints merged
+    _, _, pair = np.unique(u * len(reps) + v, return_index=True, return_inverse=True)
+    dup, mid = np.flatnonzero(np.bincount(pair)[pair] > 1), np.zeros_like(pair)
+    if dup.size:
+        mid[dup] = dup[_snap_merge(midpoint(p[dup], t[dup]), snap)]
+    keep = np.zeros(len(pair), dtype=bool)
+    keep[np.unique(pair * len(pair) + mid, return_index=True)[1]] = True
+    edges = np.column_stack([u[keep], v[keep], p[keep]])
+    labels = _merge_labels(len(reps), edges[:, 0], edges[:, 1])
+    return xy[reps], edges, int((labels == np.arange(len(reps))).sum())
 
 
 def build_subdivision(
@@ -391,43 +441,23 @@ def build_subdivision(
     """Planar subdivision of a tagged wall soup (clip frame must be included).
 
     A wall is split at its two ends and where `_segment_crossings` says it
-    meets another, and nowhere else: the sweep's parameter test is the one
-    rule for whether two walls meet.  Overlap ends are wall ends, so each
-    shared stretch of two collinear walls becomes one edge.
+    meets another within `SNAP`, and nowhere else.  Overlap ends are wall
+    ends, so each shared stretch of two collinear walls becomes one edge.
     """
-    pool = _VertexPool()
-    on_wall = [[pool.add(p0.x, p0.y), pool.add(p1.x, p1.y)] for p0, p1, _ in walls]
     ends = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _ in walls], dtype=float)
-    crossings, overlaps = _segment_crossings(ends[:, :2], ends[:, 2:], np.arange(len(walls)))
-    for i, j, x, y in crossings + overlaps:
-        vid = pool.add(x, y)
-        on_wall[i].append(vid)
-        on_wall[j].append(vid)
-
-    P = pool.points
-    edge_set: dict[tuple[int, int], Tag] = {}
-    for (p0, p1, tag), on_ids in zip(walls, on_wall):
-        dx, dy = p1.x - p0.x, p1.y - p0.y
-        L2 = dx * dx + dy * dy
-        params = sorted(
-            (((P[vid][0] - p0.x) * dx + (P[vid][1] - p0.y) * dy) / L2, vid)
-            for vid in set(on_ids)
-        )
-        for (_ta, va), (_tb, vb) in zip(params, params[1:]):
-            edge_set.setdefault((min(va, vb), max(va, vb)), tag)
-
-    edges = [(u, v, tag) for (u, v), tag in edge_set.items()]
-    cells = _extract_faces(P, edges)
-    n_components = _count_components(len(P), ((u, v) for u, v, _tag in edges))
-    arr = Arrangement(
-        verts=np.array(P, dtype=float),
-        edges=edges,
-        cells=cells,
-        clip_box=clip_box,
-        kind=kind,
-        primitives=primitives,
-        n_components=n_components,
+    P0, D = ends[:, :2], ends[:, 2:] - ends[:, :2]
+    crossings, overlaps = _segment_crossings(P0, ends[:, 2:], np.arange(len(walls)), SNAP)
+    meets = np.array(crossings + overlaps, dtype=float).reshape(-1, 4)
+    piece = np.concatenate([np.repeat(np.arange(len(walls)), 2), meets[:, :2].astype(int).ravel()])
+    xy = np.concatenate([ends.reshape(-1, 2), np.repeat(meets[:, 2:], 2, axis=0)])
+    # each row's parameter is its point's projection on its wall
+    param = ((xy - P0[piece]) * D[piece]).sum(axis=1) / (D[piece] ** 2).sum(axis=1)
+    verts, edge_rows, n_components = _split_pieces(
+        piece, param, xy, SNAP, lambda k, t: P0[k] + t[:, None] * D[k]
     )
+    edges = [(u, v, walls[k][2]) for u, v, k in edge_rows.tolist()]
+    cells = _extract_faces(verts.tolist(), edges)
+    arr = Arrangement(verts, edges, cells, clip_box, kind, primitives, n_components)
     if not arr.euler_ok():
         raise DegenerateInput(
             f"Euler check failed: V={arr.n_vertices} E={arr.n_edges} "
@@ -509,7 +539,7 @@ def _cycle_probe(P, vids: list[int]) -> tuple[float, float]:
     length = math.hypot(dx, dy)
     if length <= 0.0:
         return (float(P[vids[0]][0]), float(P[vids[0]][1]))
-    nudge = 1e-7 * length
+    nudge = PROBE_NUDGE * length
     return (
         0.5 * (P[a][0] + P[b][0]) - nudge * dy / length,
         0.5 * (P[a][1] + P[b][1]) + nudge * dx / length,
@@ -682,43 +712,31 @@ def convex_decompose(cell: Cell, arrangement: Arrangement) -> list[ConvexSubcell
 
     walls = arrangement.cell_walls(cell.id)
     rays: list[tuple[Point, Point, Tag]] = []
-    stops: dict[int, list[Point]] = {}  # wall index -> the ray ends on it
     V = arrangement.verts.tolist()
     for walk in [cell.outer] + [walk for walk, _tags in cell.holes]:
         for vp, vc, vn in zip(walk[-1:] + walk[:-1], walk, walk[1:] + walk[:1]):
             (px, py), (cx, cy), (nx, ny) = V[vp], V[vc], V[vn]
             a_out = math.atan2(ny - cy, nx - cx)
             inner = (math.atan2(py - cy, px - cx) - a_out) % (2.0 * math.pi)
-            if inner < 1e-12:
-                inner = 2.0 * math.pi  # the dangling end of an antenna
-            if inner <= math.pi + 1e-9:
+            if inner < ANTENNA_TURN:
+                inner = 2.0 * math.pi
+            if inner <= math.pi + STRAIGHT_SLACK:
                 continue
             corner = Point(cx, cy)
             candidates = []
             for dx, dy in _AXIS_DIRS:
                 rel = (math.atan2(dy, dx) - a_out) % (2.0 * math.pi)
-                if 1e-7 < rel < inner - 1e-7:
+                if RAY_ANGLE_MARGIN < rel < inner - RAY_ANGLE_MARGIN:
                     candidates.append((rel, dx, dy))
             candidates.sort()
             for rel, dx, dy in _minimal_splitting(candidates, inner):
                 hit = _shoot_ray(corner, dx, dy, walls)
-                if hit is None:
-                    continue
-                rays.append((corner, hit[0], ("ray", len(rays))))
-                stops.setdefault(hit[1], []).append(hit[0])
+                if hit is not None:
+                    rays.append((corner, hit, ("ray", len(rays))))
 
-    # a wall is split at each ray end on it, so every ray meets its wall at
-    # a shared end however short the ray is
-    sub_walls = []
-    for wi, (p0, p1, tag) in enumerate(walls):
-        chain = [p0]
-        for q in sorted(stops.get(wi, ()), key=lambda q: q.dist(p0)):
-            if min(q.dist(chain[-1]), q.dist(p1)) > SNAP:
-                chain.append(q)
-        chain.append(p1)
-        sub_walls.extend((a, b, tag) for a, b in zip(chain, chain[1:]))
+    # a ray ends on its wall, so it meets it within SNAP however short it is
     local = build_subdivision(
-        sub_walls + rays, arrangement.clip_box, arrangement.kind, arrangement.primitives
+        walls + rays, arrangement.clip_box, arrangement.kind, arrangement.primitives
     )
     out: list[ConvexSubcell] = []
     for sub in local.cells:
@@ -732,28 +750,27 @@ def _minimal_splitting(candidates, inner: float):
     """Fewest sorted ray angles that split the sector into parts <= pi."""
     from itertools import combinations
 
-    tol = 1e-9
     for size in range(1, len(candidates) + 1):
         for subset in combinations(candidates, size):
             rels = [0.0] + [c[0] for c in subset] + [inner]
-            if all(b - a <= math.pi + tol for a, b in zip(rels, rels[1:])):
+            if all(b - a <= math.pi + STRAIGHT_SLACK for a, b in zip(rels, rels[1:])):
                 return list(subset)
     return list(candidates)
 
 
-def _shoot_ray(origin: Point, dx: float, dy: float, walls) -> tuple[Point, int] | None:
-    """First wall hit by the ray, as (point, wall index)."""
-    best_t, best = math.inf, -1
-    for wi, (p0, p1, _tag) in enumerate(walls):
+def _shoot_ray(origin: Point, dx: float, dy: float, walls) -> Point | None:
+    """Where the ray first hits a wall."""
+    best_t = math.inf
+    for p0, p1, _tag in walls:
         ex, ey = p1.x - p0.x, p1.y - p0.y
         det = dx * ey - dy * ex
-        if abs(det) <= 1e-14:
+        if abs(det) <= SHOT_PARALLEL:
             continue
         rx, ry = p0.x - origin.x, p0.y - origin.y
         t = (rx * ey - ry * ex) / det
         u = (rx * dy - ry * dx) / det
-        if t > 1e-9 and -1e-12 <= u <= 1.0 + 1e-12 and t < best_t:
-            best_t, best = t, wi
-    if best < 0:
+        if t > SHOT_START and -SHOT_WALL_SLACK <= u <= 1.0 + SHOT_WALL_SLACK and t < best_t:
+            best_t = t
+    if best_t == math.inf:
         return None
-    return Point(origin.x + best_t * dx, origin.y + best_t * dy), best
+    return Point(origin.x + best_t * dx, origin.y + best_t * dy)

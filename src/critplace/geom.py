@@ -110,16 +110,6 @@ class Line:
         """Signed offset of pt from the line (positive on the (a, b) side)."""
         return self.a * pt.x + self.b * pt.y - self.c
 
-    def x_at(self, y: float) -> float:
-        if abs(self.a) <= TOL.eps_geom:
-            raise GeometryError("horizontal line has no unique x at y")
-        return (self.c - self.b * y) / self.a
-
-    def y_at(self, x: float) -> float:
-        if abs(self.b) <= TOL.eps_geom:
-            raise GeometryError("vertical line has no unique y at x")
-        return (self.c - self.a * x) / self.b
-
     def same_line(self, other: "Line") -> bool:
         """Canonical coefficients equal within eps_geom."""
         tol = TOL.eps_geom

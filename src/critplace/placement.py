@@ -26,8 +26,10 @@ import numpy as np
 from .arrangement import (
     Arrangement,
     BBox,
-    _count_components,
+    _frame_walls,
     _segment_crossings,
+    _snap_merge,
+    _split_pieces,
     build_line_arrangement,
     build_segment_arrangement,
     convex_decompose,
@@ -52,8 +54,9 @@ from .oracle import contact_holds, witnessed
 SQRT2 = math.sqrt(2.0)
 
 # Tolerances, each with its reason.
-# Points that round to one cell of this grid are one point: square chain
-# ends, family crossings and overlay vertices.
+# Points this close in both coordinates are one, and pieces that come this
+# close meet: overlay vertices and family crossings.  Square chain ends
+# that round to one cell of this grid are one.
 VERTEX_SNAP = 1e-7
 # A chain turn whose cross product (relative to steps of at least 1) is
 # below this is no turn: the chain runs straight on.
@@ -1058,19 +1061,20 @@ def _poly_roots(coeffs, lo: float, hi: float) -> list[float]:
     return roots
 
 
-def _piece_crossings(pieces: list[CurvePiece], family: list[int]) -> list[tuple[int, int, float, float]]:
-    """Every crossing of two pieces of different families as (i, j, x, y)
-    with i < j; `family` holds one label per piece.
+def _piece_crossings(pieces: list[CurvePiece], family: list[int], snap: float):
+    """Where pieces of different families meet, as two lists of (i, j, x, y)
+    with i < j: the crossings, and the ends of collinear overlaps of straight
+    pieces; `family` holds one label per piece.
 
-    Segment pairs go through the arrangement's x-sweep; pairs with an arc
-    are pruned by exact bounding boxes and solved in closed form.  Collinear
-    overlaps are no crossing here: the sweep's overlap ends are dropped.
+    Segment pairs go through the arrangement's x-sweep, which lets pieces
+    meet within snap; pairs with an arc are pruned by exact bounding boxes
+    and solved in closed form.
     """
     segs = [i for i, p in enumerate(pieces) if p.kind == "seg"]
     arcs = [i for i, p in enumerate(pieces) if p.kind == "arc"]
     ends = np.array([(*pieces[i].p0, *pieces[i].p1) for i in segs], dtype=float).reshape(-1, 4)
     fam = np.array(family)
-    crossings, _overlaps = _segment_crossings(ends[:, :2], ends[:, 2:], fam[segs])
+    crossings, overlaps = _segment_crossings(ends[:, :2], ends[:, 2:], fam[segs], snap)
     out = [(segs[a], segs[b], x, y) for a, b, x, y in crossings]
     if arcs:
         boxes = np.array([_piece_bbox(p) for p in pieces])
@@ -1081,24 +1085,21 @@ def _piece_crossings(pieces: list[CurvePiece], family: list[int]) -> list[tuple[
             q = pieces[j]
             pts = _seg_arc_points(q, pieces[i]) if q.kind == "seg" else _arc_arc_points(pieces[i], q)
             out.extend((min(i, j), max(i, j), x, y) for x, y in pts)
-    return out
+    return out, [(segs[a], segs[b], x, y) for a, b, x, y in overlaps]
 
 
 def pair_intersections(curves_a: list[CriticalCurve], curves_b: list[CriticalCurve]) -> list[Point]:
-    """Sorted, deduplicated points where a piece of one curve set crosses a
-    piece of the other; collinear overlaps count as no crossing."""
+    """Sorted points where a piece of one curve set crosses a piece of the
+    other, merged at VERTEX_SNAP as the overlay merges its vertices;
+    collinear overlaps count as no crossing."""
     pieces = [p for c in curves_a for p in c.pieces]
     na = len(pieces)
     pieces += [p for c in curves_b for p in c.pieces]
     family = [0] * na + [1] * (len(pieces) - na)
-    return _dedupe_points((x, y) for _i, _j, x, y in _piece_crossings(pieces, family))
-
-
-def _dedupe_points(points):
-    seen = {}
-    for x, y in points:
-        seen[(round(x / VERTEX_SNAP), round(y / VERTEX_SNAP))] = (x, y)
-    return [Point(x, y) for x, y in sorted(seen.values())]
+    crossings, _overlaps = _piece_crossings(pieces, family, VERTEX_SNAP)
+    xy = np.array([(x, y) for _i, _j, x, y in crossings], dtype=float).reshape(-1, 2)
+    first = xy[_snap_merge(xy, VERTEX_SNAP) == np.arange(len(xy))]
+    return [Point(x, y) for x, y in sorted(first.tolist())]
 
 
 @dataclass
@@ -1186,78 +1187,48 @@ def build_placement_arrangement(
 
 
 def _overlay_counts(curves: list[CriticalCurve], domain: BBox) -> dict:
-    """Vertex/edge/face counts of the curve overlay plus the domain frame."""
-    pieces: list[CurvePiece] = [p for c in curves for p in c.pieces]
-    frame = [
-        seg_piece(domain.xmin, domain.ymin, domain.xmax, domain.ymin),
-        seg_piece(domain.xmax, domain.ymin, domain.xmax, domain.ymax),
-        seg_piece(domain.xmax, domain.ymax, domain.xmin, domain.ymax),
-        seg_piece(domain.xmin, domain.ymax, domain.xmin, domain.ymin),
-    ]
-    pieces = pieces + frame
+    """Vertex/edge/face counts of the curve overlay plus the domain frame:
+    the arrangement's kernel `_split_pieces` splits the pieces at VERTEX_SNAP
+    where `_piece_crossings` says they meet, overlap ends included.  A flat
+    arc enters as its straight chord, so that it splits like one."""
+    pieces = [
+        seg_piece(*p.endpoints()[0], *p.endpoints()[1])
+        if p.kind == "arc" and _arc_coords(p, 1.0, 0.0) is None
+        else p
+        for c in curves
+        for p in c.pieces
+    ] + [seg_piece(a.x, a.y, b.x, b.y) for a, b, _tag in _frame_walls(domain)]
+    crossings, overlaps = _piece_crossings(pieces, list(range(len(pieces))), VERTEX_SNAP)
+    meets = np.array(crossings + overlaps, dtype=float).reshape(-1, 4)
+    del crossings, overlaps  # their tuples need not outlive the array
+    # a piece runs at origin + f(t) first + g(t) second: f, g = t, 0 or sin, cos
+    arc = np.array([p.kind == "arc" for p in pieces])
+    origin = np.array([p.center if p.kind == "arc" else p.p0 for p in pieces], dtype=float)
+    first = np.array(
+        [p.vec_a if p.kind == "arc" else (p.p1[0] - p.p0[0], p.p1[1] - p.p0[1]) for p in pieces]
+    )
+    second = np.array([p.vec_b if p.kind == "arc" else (0.0, 0.0) for p in pieces], dtype=float)
 
-    pool: dict[tuple[int, int], int] = {}
-    coords: list[tuple[float, float]] = []
+    def at(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        f, g = np.where(arc[k], np.sin(t), t), np.where(arc[k], np.cos(t), 0.0)
+        return origin[k] + f[:, None] * first[k] + g[:, None] * second[k]
 
-    def vid(x: float, y: float) -> int:
-        key = (round(x / VERTEX_SNAP), round(y / VERTEX_SNAP))
-        if key in pool:
-            return pool[key]
-        idx = len(coords)
-        pool[key] = idx
-        coords.append((x, y))
-        return idx
-
-    per_piece_points: list[list[tuple[float, float]]] = [list(p.endpoints()) for p in pieces]
-    for i, j, x, y in _piece_crossings(pieces, list(range(len(pieces)))):
-        per_piece_points[i].append((x, y))
-        per_piece_points[j].append((x, y))
-
-    edge_keys: set[tuple] = set()
-    adj_edges: list[tuple[int, int]] = []
-    for i, piece in enumerate(pieces):
-        pts = per_piece_points[i]
-        params = sorted(set(_piece_param(piece, x, y) for x, y in pts))
-        prev_vid = None
-        prev_t = None
-        for t in params:
-            x, y = _piece_eval(piece, t)
-            v = vid(x, y)
-            if prev_vid is not None and v != prev_vid:
-                mid = _piece_eval(piece, 0.5 * (prev_t + t))
-                key = (
-                    min(prev_vid, v),
-                    max(prev_vid, v),
-                    round(mid[0] / 1e-6),
-                    round(mid[1] / 1e-6),
-                )
-                if key not in edge_keys:
-                    edge_keys.add(key)
-                    adj_edges.append((prev_vid, v))
-            prev_vid, prev_t = v, t
-
-    V = len(coords)
-    E = len(adj_edges)
-    F = 1 + _count_components(V, adj_edges) + E - V
-    return {"vertices": V, "edges": E, "faces": F}
-
-
-def _piece_param(piece: CurvePiece, x: float, y: float) -> float:
-    if piece.kind == "seg":
-        dx, dy = piece.p1[0] - piece.p0[0], piece.p1[1] - piece.p0[1]
-        L2 = dx * dx + dy * dy
-        if L2 <= 0.0:
-            return 0.0
-        t = ((x - piece.p0[0]) * dx + (y - piece.p0[1]) * dy) / L2
-        return min(max(t, 0.0), 1.0)
-    psi = _arc_param(piece, x, y)
-    return piece.psi0 if psi is None else psi
-
-
-def _piece_eval(piece: CurvePiece, t: float):
-    if piece.kind == "seg":
-        return (
-            piece.p0[0] + t * (piece.p1[0] - piece.p0[0]),
-            piece.p0[1] + t * (piece.p1[1] - piece.p0[1]),
-        )
-    return piece.arc_point(t)
+    # rows: both ends of every piece, then both pieces of every meeting, a
+    # segment's at its projection and an arc's at its angle
+    k = meets[:, :2].astype(int).ravel()
+    xy = np.repeat(meets[:, 2:], 2, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((xy - origin[k]) * first[k]).sum(axis=1) / (first[k] ** 2).sum(axis=1)
+    for r in np.flatnonzero(arc[k]).tolist():
+        psi = _arc_param(pieces[k[r]], *xy[r])
+        t[r] = pieces[k[r]].psi0 if psi is None else psi
+    ends = [(p.psi0, p.psi1) if p.kind == "arc" else (0.0, 1.0) for p in pieces]
+    verts, edges, n_components = _split_pieces(
+        np.concatenate([np.repeat(np.arange(len(pieces)), 2), k]),
+        np.concatenate([np.ravel(ends), t]),
+        np.concatenate([[e for p in pieces for e in p.endpoints()], xy]),
+        VERTEX_SNAP,
+        at,
+    )
+    V, E = len(verts), len(edges)
+    return {"vertices": V, "edges": E, "faces": 1 + n_components + E - V}

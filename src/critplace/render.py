@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .arrangement import bbox_of_points
 from .geom import _line_in_box
-from .sceneio import Scene, curves_from_result, fmt
+from .sceneio import Scene, curves_from_result, domain_from_result, fmt
 
 _MARGIN = 0.05  # fraction of the view added around the data
 
@@ -49,7 +49,8 @@ def render_svg(result: dict | None, scene: Scene | None = None) -> str:
     if result is not None and result.get("type") == "junctions":
         xmin, ymin, xmax, ymax = result["bbox"]
     elif result is not None:
-        xmin, ymin, xmax, ymax = result["domain"]
+        b = domain_from_result(result)
+        xmin, ymin, xmax, ymax = b.xmin, b.ymin, b.xmax, b.ymax
     elif scene is not None:
         pts = [
             (p.x, p.y)

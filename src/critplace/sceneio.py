@@ -124,17 +124,35 @@ def _piece_doc(piece: CurvePiece) -> dict:
     }
 
 
+_NUMBER = (int, float)
+# the number pairs each piece kind holds, and the fields of a vector
+_PIECE_PAIRS = {"seg": ("p0", "p1"), "arc": ("center", "vec_a", "vec_b", "psi")}
+_VECTOR_FIELDS = (("dx", _NUMBER), ("dy", _NUMBER), ("kind", str), ("label", str), ("s", _NUMBER))
+
+
+def _field(doc, key: str, kind):
+    """doc[key] when doc is an object whose key holds a value of this type
+    (a bool is no number); SceneError otherwise."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SceneError(f"result field {key!r} is missing or mistyped")
+    return value
+
+
+def _numbers(doc, key: str, n: int) -> tuple:
+    value = _field(doc, key, list)
+    if len(value) != n or any(isinstance(v, bool) or not isinstance(v, _NUMBER) for v in value):
+        raise SceneError(f"result field {key!r} must hold {n} numbers")
+    return tuple(value)
+
+
 def _piece_from_doc(doc: dict) -> CurvePiece:
-    if doc["kind"] == "seg":
-        return CurvePiece("seg", p0=tuple(doc["p0"]), p1=tuple(doc["p1"]))
-    return CurvePiece(
-        "arc",
-        center=tuple(doc["center"]),
-        vec_a=tuple(doc["vec_a"]),
-        vec_b=tuple(doc["vec_b"]),
-        psi0=doc["psi"][0],
-        psi1=doc["psi"][1],
-    )
+    kind = _field(doc, "kind", str)
+    if kind not in _PIECE_PAIRS:
+        raise SceneError(f"unknown piece kind {kind!r}")
+    pairs = {key: _numbers(doc, key, 2) for key in _PIECE_PAIRS[kind]}
+    psi0, psi1 = pairs.pop("psi", (0.0, 0.0))
+    return CurvePiece(kind, psi0=psi0, psi1=psi1, **pairs)
 
 
 def _curve_doc(curve: CriticalCurve) -> dict:
@@ -158,14 +176,15 @@ def _curve_doc(curve: CriticalCurve) -> dict:
 
 
 def _curve_from_doc(doc: dict) -> CriticalCurve:
+    cell = _field(doc, "cell", int)
     vec = None
     if doc.get("vector"):
-        v = doc["vector"]
-        vec = TranslationVector(v["dx"], v["dy"], v["kind"], v["label"], v["s"])
+        v = _field(doc, "vector", dict)
+        vec = TranslationVector(*(_field(v, key, kind) for key, kind in _VECTOR_FIELDS))
     return CriticalCurve(
-        doc["cell"],
+        cell,
         vec,
-        [_piece_from_doc(p) for p in doc["pieces"]],
+        [_piece_from_doc(p) for p in _field(doc, "pieces", list)],
         bool(doc.get("convex", True)),
         doc.get("curve_kind", "gap"),
     )
@@ -194,14 +213,13 @@ def result_from_placement(pa: PlacementArrangement) -> dict:
 
 
 def curves_from_result(doc: dict) -> tuple[list[CriticalCurve], list[CriticalCurve]]:
-    gap = [_curve_from_doc(c) for c in doc.get("curves", [])]
-    contact = [_curve_from_doc(c) for c in doc.get("line_translates", [])]
+    gap = [_curve_from_doc(c) for c in _field(doc, "curves", list)]
+    contact = [_curve_from_doc(c) for c in _field(doc, "line_translates", list)]
     return gap, contact
 
 
 def domain_from_result(doc: dict) -> BBox:
-    xmin, ymin, xmax, ymax = doc["domain"]
-    return BBox(xmin, ymin, xmax, ymax)
+    return BBox(*_numbers(doc, "domain", 4))
 
 
 def result_from_junctions(grid, top, eps: float) -> dict:

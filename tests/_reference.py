@@ -6,6 +6,7 @@
   `pairwise_segment_crossings`, the O(n^2) loop over it that split the
   arrangement's walls before the x-sweep did, with the overlap ends of
   collinear pairs.
+* `interior_vertex_ids`: the arrangement vertices off its clip frame.
 * `reference_extract_faces`: the arrangement's face tracer as it was before
   it sorted each vertex's ring once and assigned holes in numpy.
 * `in_cell_or_near`: point-in-cell with a slack band around the boundary.
@@ -39,6 +40,7 @@ import math
 import numpy as np
 
 from critplace.arrangement import (
+    SNAP,
     Arrangement,
     BBox,
     Cell,
@@ -112,14 +114,16 @@ def sample_points(curve: CriticalCurve, spacing: float) -> np.ndarray:
 
 
 def segment_intersection(
-    a0: Point, a1: Point, b0: Point, b1: Point, tol: float = 1e-12
+    a0: Point, a1: Point, b0: Point, b1: Point, tol: float = 1e-12, tol_b: float | None = None
 ) -> tuple[float, float, Point] | None:
     """Proper intersection of segments a and b.
 
     Returns (t, u, point) with t, u in [0, 1] such that
     point = a0 + t*(a1-a0) = b0 + u*(b1-b0), or None when the segments are
-    parallel or miss each other.  Endpoint touches within tol count as hits.
+    parallel or miss each other.  Endpoint touches within tol of parameter
+    (within tol_b on b, when given) count as hits.
     """
+    tol_b = tol if tol_b is None else tol_b
     dax, day = a1.x - a0.x, a1.y - a0.y
     dbx, dby = b1.x - b0.x, b1.y - b0.y
     det = dax * dby - day * dbx
@@ -129,17 +133,18 @@ def segment_intersection(
     rx, ry = b0.x - a0.x, b0.y - a0.y
     t = (rx * dby - ry * dbx) / det
     u = (rx * day - ry * dax) / det
-    if -tol <= t <= 1.0 + tol and -tol <= u <= 1.0 + tol:
+    if -tol <= t <= 1.0 + tol and -tol_b <= u <= 1.0 + tol_b:
         t = min(max(t, 0.0), 1.0)
         u = min(max(u, 0.0), 1.0)
         return (t, u, Point(a0.x + t * dax, a0.y + t * day))
     return None
 
 
-def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray, slack: float = 1e-9):
+def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray, snap: float):
     """What `arrangement._segment_crossings` returns, from a loop over every
-    pair of different families whose boxes come within slack of each other:
-    the crossings, and the ends of collinear overlaps."""
+    pair of different families whose boxes come within snap of each other:
+    the crossings at most snap outside both segments, and the ends of
+    collinear overlaps."""
     segs = [(Point(*a), Point(*b)) for a, b in zip(P0.tolist(), P1.tolist())]
     out, overlaps = [], set()
     for i, (p0, p1) in enumerate(segs):
@@ -147,34 +152,40 @@ def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarra
             if family[i] == family[j]:
                 continue
             q0, q1 = segs[j]
-            if max(p0.x, p1.x) < min(q0.x, q1.x) - slack or max(q0.x, q1.x) < min(p0.x, p1.x) - slack:
+            if max(p0.x, p1.x) < min(q0.x, q1.x) - snap or max(q0.x, q1.x) < min(p0.x, p1.x) - snap:
                 continue
-            if max(p0.y, p1.y) < min(q0.y, q1.y) - slack or max(q0.y, q1.y) < min(p0.y, p1.y) - slack:
+            if max(p0.y, p1.y) < min(q0.y, q1.y) - snap or max(q0.y, q1.y) < min(p0.y, p1.y) - snap:
                 continue
             det = (p1.x - p0.x) * (q1.y - q0.y) - (p1.y - p0.y) * (q1.x - q0.x)
             if abs(det) <= 1e-13:
-                overlaps.update(_overlap_ends(i, j, segs, slack))
+                overlaps.update(_overlap_ends(i, j, segs, snap))
                 continue
-            hit = segment_intersection(p0, p1, q0, q1, tol=1e-12)
+            hit = segment_intersection(p0, p1, q0, q1, snap / p0.dist(p1), snap / q0.dist(q1))
             if hit is not None:
                 out.append((i, j, hit[2].x, hit[2].y))
     return out, sorted(overlaps)
 
 
-def _overlap_ends(i: int, j: int, segs, slack: float):
-    """Each end of segment i or j that lies on the other: off its line by at
-    most slack times the shorter length, at a parameter within slack of [0, 1]."""
+def _overlap_ends(i: int, j: int, segs, snap: float):
+    """Each end of segment i or j that lies within snap of the other: off
+    its line by at most snap, and at most snap past either of its ends."""
     for s, o in ((i, j), (j, i)):
         (o0, o1), (s0, s1) = segs[o], segs[s]
         dx, dy = o1.x - o0.x, o1.y - o0.y
         L2 = dx * dx + dy * dy
-        short2 = min(L2, (s1.x - s0.x) ** 2 + (s1.y - s0.y) ** 2)
         for e in (s0, s1):
             ex, ey = e.x - o0.x, e.y - o0.y
-            if L2 <= 0.0 or (dx * ey - dy * ex) ** 2 > slack**2 * L2 * short2:
+            if L2 <= 0.0 or (dx * ey - dy * ex) ** 2 > snap * snap * L2:
                 continue
-            if -slack <= (ex * dx + ey * dy) / L2 <= 1.0 + slack:
+            if -snap <= (ex * dx + ey * dy) / math.sqrt(L2) <= math.sqrt(L2) + snap:
                 yield (i, j, e.x, e.y)
+
+
+def interior_vertex_ids(arr: Arrangement) -> list[int]:
+    """Ids of the vertices farther than SNAP from every side of the clip box."""
+    b, (x, y) = arr.clip_box, arr.verts.T
+    off = (np.abs(x - b.xmin) > SNAP) & (np.abs(x - b.xmax) > SNAP)
+    return np.flatnonzero(off & (np.abs(y - b.ymin) > SNAP) & (np.abs(y - b.ymax) > SNAP)).tolist()
 
 
 def reference_extract_faces(pts, edges) -> list[Cell]:
@@ -290,11 +301,11 @@ def f_value(a: Point, lines: list[Line], quadrant: str) -> float:
     best_y = math.inf
     for ln in lines:
         if abs(ln.a) > 1e-12:
-            t = (ln.x_at(a.y) - a.x) * look_x
+            t = ((ln.c - ln.b * a.y) / ln.a - a.x) * look_x
             if t > 1e-12:
                 best_x = min(best_x, t)
         if abs(ln.b) > 1e-12:
-            t = (ln.y_at(a.x) - a.y) * look_y
+            t = ((ln.c - ln.a * a.x) / ln.b - a.y) * look_y
             if t > 1e-12:
                 best_y = min(best_y, t)
     if not (math.isfinite(best_x) and math.isfinite(best_y)):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import critplace.arrangement
-from _reference import pairwise_segment_crossings, reference_extract_faces, segment_intersection
+from _reference import (
+    interior_vertex_ids,
+    pairwise_segment_crossings,
+    reference_extract_faces,
+    segment_intersection,
+)
 from critplace.arrangement import (
     OnBoundary,
     build_line_arrangement,
@@ -36,7 +41,7 @@ def test_two_crossing_lines():
     arr = build_line_arrangement(
         [Line(Point(0, -1), Point(0, 1)), Line(Point(-1, 0), Point(1, 0))]
     )
-    assert len(arr.interior_vertex_ids()) == 1
+    assert len(interior_vertex_ids(arr)) == 1
     assert len(arr.cells) == 4
     assert arr.euler_ok()
 
@@ -48,7 +53,7 @@ def test_three_lines_cell_count():
         Line(Point(-1, 1), Point(1, -0.8)),
     ]
     arr = build_line_arrangement(lines)
-    assert len(arr.interior_vertex_ids()) == 3
+    assert len(interior_vertex_ids(arr)) == 3
     assert len(arr.cells) == (3 * 3 + 3 + 2) // 2  # (n^2 + n + 2) / 2 = 7
     assert arr.euler_ok()
 
@@ -64,7 +69,7 @@ def test_random_lines_interior_vertices(n, seed):
             if abs(det) > 1e-12:
                 expected += 1
     arr = build_line_arrangement(lines)
-    assert len(arr.interior_vertex_ids()) == expected == n * (n - 1) // 2
+    assert len(interior_vertex_ids(arr)) == expected == n * (n - 1) // 2
     assert len(arr.cells) == (n * n + n + 2) // 2
     assert arr.euler_ok()
     # all line-arrangement cells are convex
@@ -78,7 +83,7 @@ def test_segment_crossing_counts():
     ]
     arr = build_segment_arrangement(segs)
     # 4 endpoints + 1 crossing inside the box
-    assert len(arr.interior_vertex_ids()) == 5
+    assert len(interior_vertex_ids(arr)) == 5
     assert len(arr.cells) == 1
     assert arr.euler_ok()
 
@@ -112,7 +117,7 @@ def test_random_segments_vertex_count():
             if hit is not None:
                 crossings += 1
     arr = build_segment_arrangement(segs)
-    assert len(arr.interior_vertex_ids()) == 2 * len(segs) + crossings
+    assert len(interior_vertex_ids(arr)) == 2 * len(segs) + crossings
     assert arr.euler_ok()
 
 
@@ -364,3 +369,29 @@ def test_duplicate_lines_get_perturbed():
     # after perturbation the two verticals are distinct parallels: 3 cells
     assert len(arr.cells) == 3
     assert arr.euler_ok()
+
+
+def _pairwise_merge(xy: np.ndarray, snap: float) -> list[int]:
+    """The first index merged with each point, from a test of every pair."""
+    label = list(range(len(xy)))
+    for i in range(len(xy)):
+        for j in range(i):
+            if abs(xy[i] - xy[j]).max() <= snap:
+                old, new = max(label[i], label[j]), min(label[i], label[j])
+                label = [new if lab == old else lab for lab in label]
+    return label
+
+
+@pytest.mark.parametrize("chunk", [1, 7, critplace.arrangement.MERGE_CHUNK])
+def test_snap_merge_matches_a_pairwise_union_find(monkeypatch, chunk):
+    # clusters of near points, chains whose ends are farther apart than the
+    # snap but join through the points between, and points on one vertical
+    rng = np.random.default_rng(5)
+    snap = 1e-3
+    centers = rng.uniform(-1, 1, (30, 2))
+    near = np.repeat(centers, 4, axis=0) + rng.uniform(-0.6 * snap, 0.6 * snap, (120, 2))
+    chain = np.column_stack([0.3 + 0.9 * snap * np.arange(6), np.full(6, 0.7)])
+    column = np.column_stack([np.full(40, -0.25), rng.uniform(-1, 1, 40)])
+    xy = rng.permutation(np.concatenate([near, chain, column, rng.uniform(-1, 1, (60, 2))]))
+    monkeypatch.setattr(critplace.arrangement, "MERGE_CHUNK", chunk)
+    assert critplace.arrangement._snap_merge(xy, snap).tolist() == _pairwise_merge(xy, snap)

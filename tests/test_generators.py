@@ -6,7 +6,7 @@ from critplace.generators import cross_trajectories, lower_bound_lines, random_l
 from critplace.geom import Point
 from critplace.junctions import assess
 
-from _reference import curves_by_vector
+from _reference import curves_by_vector, interior_vertex_ids
 
 
 def test_lower_bound_counts_and_audit():
@@ -15,7 +15,7 @@ def test_lower_bound_counts_and_audit():
     # no two parallel, no three concurrent is audited inside the generator;
     # the arrangement sees the full C(8,2) vertex count
     arr = build_line_arrangement(lines)
-    assert len(arr.interior_vertex_ids()) == 28
+    assert len(interior_vertex_ids(arr)) == 28
 
 
 def test_lower_bound_interior_cell_sizes():

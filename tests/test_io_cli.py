@@ -210,6 +210,11 @@ def test_cli_input_that_is_a_directory(tmp_path, capsys):
     _one_error_line(capsys)
 
 
+# a critical result whose keys are all there but whose values are not
+_EMPTY_CURVE = ('{"schema": 1, "type": "critical", "shape": "square", "domain": DOMAIN, '
+                '"counts": {}, "curves": [{}], "line_translates": []}')
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("oracle-check", '{"schema": 1}', "unknown result type None"),
     ("render", '{"schema": 1}', "unknown result type None"),
@@ -220,8 +225,12 @@ def test_cli_input_that_is_a_directory(tmp_path, capsys):
     ("render", '{"schema": 1, "type": "junctions", "bbox": [0, 0, 1, 1]}',
      "junctions result lacks spacing, nx, ny, significance, top"),
     ("oracle-check", None, "holds a junctions result, not critical curves"),
+    ("render", _EMPTY_CURVE.replace("DOMAIN", "[0, 0, 1, 1]"), "'cell' is missing or mistyped"),
+    ("oracle-check", _EMPTY_CURVE.replace("DOMAIN", "[0, 0, 1, 1]"), "'cell' is missing or mistyped"),
+    ("render", _EMPTY_CURVE.replace("DOMAIN", "5"), "'domain' is missing or mistyped"),
 ], ids=["oracle-check-no-type", "render-no-type", "render-list", "render-list-type", "critical-keys",
-        "junctions-keys", "oracle-check-junctions"])
+        "junctions-keys", "oracle-check-junctions", "render-empty-curve", "oracle-check-empty-curve",
+        "render-number-domain"])
 def test_cli_refuses_a_malformed_result(tmp_path, capsys, command, text, message):
     doc = tmp_path / "result.json"
     if text is None:
@@ -257,8 +266,8 @@ def test_cli_geometry_error_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scene_text, counts", [
-    ("L -1 -1 1 1\nL -1 1 1 -1\nL 0 -1 0 1\n", "(V=100 E=98 F=10)"),
-    ("L -1 -1 1 1\nL -1 1 1 -1\nL 0 -1 0 1\nL -1 0.3 1 0.1\n", "(V=197 E=211 F=30)"),
+    ("L -1 -1 1 1\nL -1 1 1 -1\nL 0 -1 0 1\n", "(V=100 E=112 F=14)"),
+    ("L -1 -1 1 1\nL -1 1 1 -1\nL 0 -1 0 1\nL -1 0.3 1 0.1\n", "(V=197 E=234 F=40)"),
 ], ids=["three", "three-and-one"])
 def test_cli_critical_over_concurrent_lines(tmp_path, capsys, scene_text, counts):
     scene, out = tmp_path / "scene.txt", tmp_path / "r.json"

@@ -185,8 +185,8 @@ def test_verify_fault_injection():
 
 
 @pytest.mark.parametrize("extra, counts", [
-    ([], (137, 202, 71)),
-    ([Line(Point(-1, 0.3), Point(1, 0.1))], (316, 494, 186)),
+    ([], (137, 214, 79)),
+    ([Line(Point(-1, 0.3), Point(1, 0.1))], (316, 518, 204)),
 ], ids=["three", "three-and-one"])
 def test_verify_concurrent_lines(extra, counts):
     # three lines through one point: general position leaves a cell of area

@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from critplace.arrangement import BBox, OnBoundary, build_line_arrangement, locate
-from critplace.generators import random_lines
+from critplace.arrangement import (
+    BBox,
+    OnBoundary,
+    _snap_merge,
+    build_line_arrangement,
+    build_segment_arrangement,
+    locate,
+)
+from critplace.generators import lower_bound_lines, random_lines
 from critplace.geom import CIRCLE, SQUARE, GeometryError, Line, Point, Segment
 from critplace.oracle import dense_scan, is_epsilon_placement, verify
 from critplace.placement import (
     _QUADRANT_LOOK,
+    VERTEX_SNAP,
     CriticalCurve,
     CurvePiece,
     _arc_arc_points,
-    _dedupe_points,
     _first_wall_hits,
     _level_segment_in_poly,
     _overlay_counts,
@@ -22,6 +29,7 @@ from critplace.placement import (
     cell_regions,
     collect_S,
     pair_intersections,
+    seg_piece,
     translation_vectors,
 )
 
@@ -420,8 +428,10 @@ def test_pair_intersections_skip_only_pairs_within_a_family(shape, eps):
     for curves_a, curves_b in zip(families, families[1:] + families[:1]):
         pieces = [p for c in curves_a + curves_b for p in c.pieces]
         na = sum(len(c.pieces) for c in curves_a)
-        every = _piece_crossings(pieces, list(range(len(pieces))))
-        expected = _dedupe_points((x, y) for i, j, x, y in every if i < na <= j)
+        every, _overlaps = _piece_crossings(pieces, list(range(len(pieces))), VERTEX_SNAP)
+        xy = np.array([(x, y) for i, j, x, y in every if i < na <= j]).reshape(-1, 2)
+        first = xy[_snap_merge(xy, VERTEX_SNAP) == np.arange(len(xy))].tolist()
+        expected = [Point(x, y) for x, y in sorted(first)]
         assert pair_intersections(curves_a, curves_b) == expected
         found += len(expected)
     assert found > 0
@@ -646,3 +656,77 @@ def test_arc_box_pruning_keeps_counts(monkeypatch):
         "critplace.placement._piece_bbox", lambda piece: (-np.inf, -np.inf, np.inf, np.inf)
     )
     assert _overlay_counts(curves, pa.domain) == pa.counts
+
+
+def _moved(prims, f):
+    return [type(p)(Point(*f(p.p.x, p.p.y)), Point(*f(p.q.x, p.q.y))) for p in prims]
+
+
+NOISE_VARIANTS = {
+    "shifted": lambda ps: _moved(ps, lambda x, y: (x + 0.37, y - 0.21)),
+    "rotated": lambda ps: _moved(ps, lambda x, y: (-y, x)),
+    "mirrored": lambda ps: _moved(ps, lambda x, y: (x, -y)),
+    "reversed": lambda ps: ps[::-1],
+}
+
+
+@pytest.mark.parametrize("lines, eps, shape, translates", [
+    (random_lines(3, 31), 0.8, CIRCLE, False),
+    (random_lines(3, 31), 0.8, CIRCLE, True),
+    (lower_bound_lines(16, 0.25), 0.25, SQUARE, True),
+], ids=["circle", "circle-translates", "square-lower-bound"])
+def test_overlay_counts_do_not_depend_on_noise(lines, eps, shape, translates):
+    # moved by a symmetry of the shape or given in reverse order, the scene
+    # has the same placement arrangement size
+    def counts(prims):
+        return build_placement_arrangement(prims, eps, shape, include_line_translates=translates).counts
+
+    expected = counts(lines)
+    for name, variant in NOISE_VARIANTS.items():
+        assert counts(variant(lines)) == expected, name
+
+
+def _random_segments(n: int, seed: int, half: float = 2.0) -> list[Segment]:
+    """The segment scenes of the benchmark: n segments with both ends in
+    [-half, half]^2, lengths 0.3-1.5."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        x0, y0 = rng.uniform(-half, half, 2)
+        length, ang = rng.uniform(0.3, 1.5), rng.uniform(0.0, 2.0 * math.pi)
+        x1, y1 = x0 + length * math.cos(ang), y0 + length * math.sin(ang)
+        if abs(x1) <= half and abs(y1) <= half:
+            out.append(Segment(Point(float(x0), float(y0)), Point(float(x1), float(y1))))
+    return out
+
+
+def test_segment_scene_counts_do_not_depend_on_its_translation():
+    # the benchmark's segments-square scene at the translations of its seeds
+    # 1 and 7: a corner-chain piece 3.2e-4 long ends 6.6e-14 past a contact
+    # translate at one and 3.4e-13 short of it at the other
+    base = _random_segments(24, 0)
+    counts = []
+    for seed in (1, 7):
+        dx, dy = (float(v) for v in np.random.default_rng(seed).uniform(-0.5, 0.5, (1, 2))[0])
+        segs = _moved(base, lambda x, y: (x + dx, y + dy))
+        counts.append(build_placement_arrangement(segs, 0.3, SQUARE, include_line_translates=True).counts)
+    assert counts[0] == counts[1]
+
+
+def test_overlay_splits_collinear_overlaps():
+    # (0,0)-(2,0) and (1,0)-(3,0) share [1, 2]: 4 vertices and 3 edges
+    curves = [CriticalCurve(-1, None, [seg_piece(0, 0, 2, 0)]), CriticalCurve(-1, None, [seg_piece(1, 0, 3, 0)])]
+    counts = _overlay_counts(curves, BBox(-5.0, -5.0, 5.0, 5.0))
+    assert (counts["vertices"], counts["edges"]) == (4 + 4, 4 + 3)
+
+
+def test_a_short_piece_meets_a_piece_it_stops_just_short_of():
+    # 3e-4 long and 3.4e-13 short: within the snap distance, but past a
+    # parameter slack of 1e-9 of its length
+    gap = 3.4e-13
+    stem = seg_piece(0.3, 3e-4 + gap, 0.3, gap)
+    floor = seg_piece(-1.0, 0.0, 1.0, 0.0)
+    counts = _overlay_counts([CriticalCurve(-1, None, [stem]), CriticalCurve(-1, None, [floor])], BBox(-3.0, -3.0, 3.0, 3.0))
+    assert (counts["vertices"], counts["edges"]) == (4 + 4, 4 + 3)
+    walls = [Segment(Point(*p.p0), Point(*p.p1)) for p in (floor, stem)]
+    assert build_segment_arrangement(walls).n_edges == 4 + 3
