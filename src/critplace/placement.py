@@ -55,8 +55,8 @@ SQRT2 = math.sqrt(2.0)
 
 # Tolerances, each with its reason.
 # Points this close in both coordinates are one, and pieces that come this
-# close meet: overlay vertices and family crossings.  Square chain ends
-# that round to one cell of this grid are one.
+# close meet: overlay vertices, family crossings and square chain ends,
+# each merged by `_snap_merge`.
 VERTEX_SNAP = 1e-7
 # A chain turn whose cross product (relative to steps of at least 1) is
 # below this is no turn: the chain runs straight on.
@@ -101,6 +101,33 @@ FLAT_SLOPE = 1e-12
 STRIP_WIDTH_TOL = 1e-9
 # Side windows whose height and wall hits round alike on this grid are one.
 WINDOW_KEY = 1e-9
+# Entries (vertex slots of a row of polygons, or walls of a ray origin) that
+# one step of the square's batched kernel holds: its arrays stay near 64 KB.
+KERNEL_CHUNK = 4096
+# Of the vector sets:
+# A perimeter coordinate this far past a whole side is still its corner.
+CORNER_S_TOL = 1e-12
+# A side (or the circle) this much longer than a whole number of eps steps
+# takes no extra vector: the spacing may pass eps by this much.
+SPACING_SLACK = 1e-12
+# Of clipping curves to the domain and of the arc kernels:
+# An arc stretch between box crossings this short (in radians) is a point.
+MIN_ARC_STEP = 1e-12
+# An arc stretch whose middle lies this far outside the box is inside it.
+BOX_SLACK = 1e-9
+# A sinusoid whose amplitude is this small is flat and has no roots.
+FLAT_AMPLITUDE = 1e-15
+# A sinusoid root this far (in radians) outside the range asked for is its end.
+ROOT_RANGE_SLACK = 1e-12
+# Bounding boxes this far apart are still tried: the margin covers the
+# rounding of an arc's extremal points.
+BOX_MEET_SLACK = 1e-9
+# A segment-arc crossing this far (in segment parameter) past a segment end
+# is on it, the slack ARC_PARAM_SLACK allows along the arc.
+SEG_PARAM_SLACK = 1e-9
+# An arc whose axes have a cross product this small is flat: it runs to and
+# fro along one line and has no implicit form.
+FLAT_ARC_DET = 1e-15
 
 
 class EpsilonTooLarge(GeometryError):
@@ -143,7 +170,7 @@ _ORIGIN = Point(0.0, 0.0)
 def _square_vector_at(s: float) -> TranslationVector:
     side = int(s % 4.0)
     frac = (s % 4.0) - side
-    if frac <= 1e-12:
+    if frac <= CORNER_S_TOL:
         c = perimeter_point(PerimeterCoord(SQUARE, _ORIGIN, float(side)))
         return TranslationVector(c.x, c.y, "corner", _CORNER_LABELS[float(side)], float(side))
     c = perimeter_point(PerimeterCoord(SQUARE, _ORIGIN, s))
@@ -161,12 +188,12 @@ def translation_vectors(shape: str, eps) -> TranslationVectorSet:
     _check_eps(e, shape)
     vectors: list[TranslationVector] = []
     if shape == SQUARE:
-        per_side = max(1, math.ceil((1.0 - 1e-12) / e))
+        per_side = max(1, math.ceil((1.0 - SPACING_SLACK) / e))
         for side in range(4):
             for k in range(per_side):
                 vectors.append(_square_vector_at(side + k / per_side))
     elif shape == CIRCLE:
-        m = max(4, math.ceil((2.0 * math.pi - 1e-12) / e))
+        m = max(4, math.ceil((2.0 * math.pi - SPACING_SLACK) / e))
         for k in range(m):
             theta = 2.0 * math.pi * k / m
             vectors.append(
@@ -276,10 +303,10 @@ _CORNER_QUADRANT = {"tr": "upper_right", "tl": "upper_left", "bl": "lower_left",
 
 
 # ---------------------------------------------------------------------------
-# visibility profiles inside one convex region
+# the square's batched kernel: wall profiles and corner level segments
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _ProfileStrip:
     lo: float
     hi: float
@@ -288,6 +315,9 @@ class _ProfileStrip:
 
 
 _DIRECTIONS = ("left", "right", "down", "up")
+# a ray's step in each direction: rays to the left and right cut their
+# region into strips of y, rays down and up into strips of x
+_RAY_STEP = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)])
 
 
 @dataclass
@@ -299,184 +329,297 @@ class _Region:
     profiles: dict[str, list[_ProfileStrip]]
 
 
-def _region_span(pts: list, axis: int, value: float) -> tuple[float, float] | None:
-    """Cross-section interval of a convex polygon at axis == value."""
-    other = 1 - axis
-    hits: list[float] = []
-    m = len(pts)
-    for i in range(m):
-        a = pts[i]
-        b = pts[(i + 1) % m]
-        va, vb = a[axis], b[axis]
-        if (va > value) == (vb > value):
-            continue
-        t = (value - va) / (vb - va)
-        hits.append(a[other] + t * (b[other] - a[other]))
-    if len(hits) < 2:
-        return None
-    return (min(hits), max(hits))
+@dataclass
+class _Regions:
+    """The convex regions of a build's cells, with their profiles.
+
+    `by_cell[k]` lists the regions of cell `cells[k]`, and the arrays run
+    over all regions in that order: `cell_of` holds each region's index into
+    `cells`, `poly` its polygon padded with zeros, `count` its vertices.
+    Each row of the strip arrays is a profile strip that ends on a wall, in
+    region, direction, then strip order: its region, its direction (index
+    into _DIRECTIONS), its (lo, hi) and the wall's line (a, b, c)."""
+
+    cells: list[int]
+    by_cell: list[list[_Region]]
+    cell_of: np.ndarray
+    poly: np.ndarray
+    count: np.ndarray
+    strip_region: np.ndarray
+    strip_dir: np.ndarray
+    strip_bounds: np.ndarray
+    strip_line: np.ndarray
 
 
-def _direction_profile(poly: np.ndarray, walls, wall_array: np.ndarray, direction: str):
-    """The first wall a ray in `direction` meets from the convex polygon, as
-    strips of its cross-axis; `wall_array` holds `walls` as rows x0, y0, x1, y1."""
-    axis = 1 if direction in ("left", "right") else 0
-    vals = sorted({float(v[axis]) for v in poly})
-    lo_all, hi_all = vals[0], vals[-1]
-    ends = wall_array[:, [1, 3] if axis == 1 else [0, 2]].ravel()
-    vals.extend(ends[(lo_all + BREAK_TOL < ends) & (ends < hi_all - BREAK_TOL)])
-    vals = sorted(set(round(v, 12) for v in vals))
-    sign = -1.0 if direction in ("left", "down") else 1.0
-    dvec = (sign, 0.0) if axis == 1 else (0.0, sign)
-
-    pts = poly.tolist()
-    bounds: list[tuple[float, float]] = []
-    origins: list[tuple[float, float]] = []
-    for lo, hi in zip(vals, vals[1:]):
-        if hi - lo <= BREAK_TOL:
-            continue
-        mid = 0.5 * (lo + hi)
-        span = _region_span(pts, axis, mid)
-        if span is None:
-            continue
-        sx = 0.5 * (span[0] + span[1])
-        bounds.append((lo, hi))
-        origins.append((sx, mid) if axis == 1 else (mid, sx))
-    if not origins:
-        return []
-
-    strips: list[_ProfileStrip] = []
-    for (lo, hi), k in zip(bounds, _first_wall_hits(np.array(origins), dvec, wall_array)):
-        if k < 0 or walls[k][2][0] == "clip":
-            strips.append(_ProfileStrip(lo, hi, True, None))
-        else:
-            p0, p1, _tag = walls[k]
-            ln = Line(p0, p1)
-            strips.append(_ProfileStrip(lo, hi, False, (ln.a, ln.b, ln.c)))
-    return strips
+def _chunks(n: int, width: int) -> list[slice]:
+    """Slices of n rows, each of at most KERNEL_CHUNK entries of `width` a row."""
+    step = max(1, KERNEL_CHUNK // max(1, width))
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
-def _first_wall_hits(origins: np.ndarray, dvec, walls: np.ndarray) -> list[int]:
-    """Index of the wall each ray origins[i] + t*dvec (t > 0) meets first, or
-    -1; of walls met at the same t the first in the array wins."""
-    dx, dy = dvec
+def _pad(polys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Polygons as one (n, m, 2) array padded with zeros, and their vertex counts."""
+    count = np.array([len(p) for p in polys], dtype=np.int64)
+    pts = np.zeros((len(polys), int(count.max(initial=0)), 2))
+    pts[np.arange(pts.shape[1]) < count[:, None]] = np.concatenate([np.zeros((0, 2)), *polys])
+    return pts, count
+
+
+def _after(a: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Per-slot values of padded polygons, (n, m, ...), each moved to the slot
+    of the vertex before it: at every vertex, the next vertex's value."""
+    b = np.empty_like(a)
+    b[:, :-1] = a[:, 1:]
+    b[:, -1] = a[:, 0]
+    b[np.arange(len(a)), count - 1] = a[:, 0]
+    return b
+
+
+def _side_points(pts: np.ndarray, count: np.ndarray, f: np.ndarray, at_vertex: np.ndarray):
+    """The points a clip of padded convex polygons by f (given at each vertex
+    slot) lists, in its order: each vertex, kept where `at_vertex`, then the
+    point where its side meets f = 0, kept where f changes sign along the
+    side by more than SIDE_TOL at both ends.  Returns (n, 2m, 2) points and
+    the (n, 2m) mask of those kept."""
+    n, m = f.shape
+    valid = np.arange(m) < count[:, None]
+    fb = _after(f, count)
+    cross = valid & (np.minimum(f, fb) < -SIDE_TOL) & (np.maximum(f, fb) > SIDE_TOL)
+    # other slots divide by 1: padding holds zeros, so nothing is inf or nan
+    t = f / np.where(cross, f - fb, 1.0)
+    out = np.empty((n, m, 2, 2))
+    out[:, :, 0] = pts
+    out[:, :, 1] = pts + t[..., None] * (_after(pts, count) - pts)
+    keep = np.empty((n, m, 2), dtype=bool)
+    keep[:, :, 0], keep[:, :, 1] = valid & at_vertex, cross
+    return out.reshape(n, 2 * m, 2), keep.reshape(n, 2 * m)
+
+
+def _compact(pts: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's kept points, (n, k, 2) with an (n, k) mask, moved to its
+    front in order: a padded polygon and its count, empty below three.  The
+    padding keeps one slot at least, so that a row's min and max exist."""
+    count = keep.sum(axis=1)
+    count[count < 3] = 0
+    out = np.zeros((len(keep), max(1, int(count.max(initial=0))), 2))
+    out[np.arange(out.shape[1]) < count[:, None]] = pts[keep & (count > 0)[:, None]]
+    return out, count
+
+
+def _clip_slab(pts, count, axis: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sutherland-Hodgman clip of padded convex polygons, row i to the slab
+    lo[i] <= coordinate `axis` <= hi[i], one side of it at a time."""
+    k = pts[..., axis] - lo[:, None]
+    pts, count = _compact(*_side_points(pts, count, k, k >= -SIDE_TOL))
+    k = hi[:, None] - pts[..., axis]
+    return _compact(*_side_points(pts, count, k, k >= -SIDE_TOL))
+
+
+def _level_ends(pts, count, P, Q, R, level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip of the line P[i]*x + Q[i]*y + R[i] = level to padded convex
+    polygon i: the mask of rows where it is a segment, and its two ends.
+
+    The ends are the points of least and greatest projection x * -Q + y * P,
+    the first of equal ones in the order the polygon's sides find them.
+    The projection is two rounded products and a sum, never a matrix
+    product: one may go through BLAS, whose kernel (and rounding) depends
+    on the machine, and the projection picks the ends that are kept."""
+    P, Q, R = P[:, None], Q[:, None], R[:, None]
+    g = P * pts[..., 0] + Q * pts[..., 1] + R - level
+    cand, found = _side_points(pts, count, g, np.abs(g) <= SIDE_TOL)
+    proj = cand[..., 0] * -Q + cand[..., 1] * P
+    rows = np.arange(len(pts))
+    i0 = np.argmin(np.where(found, proj, np.inf), axis=1)
+    i1 = np.argmax(np.where(found, proj, -np.inf), axis=1)
+    two = found.sum(axis=1) >= 2
+    p0, p1 = np.where(two, proj[rows, i0], 0.0), np.where(two, proj[rows, i1], 0.0)
+    ok = two & (p1 - p0 > MIN_STEP * np.maximum(1.0, np.abs(p0)))
+    return ok, cand[rows, i0], cand[rows, i1]
+
+
+def _first_wall_hits(origins: np.ndarray, dirs, walls: np.ndarray) -> np.ndarray:
+    """Index of the wall each ray origins[i] + t*dirs[i] (t > 0) meets first,
+    or -1; of walls met at the same t the first in the array wins.  `dirs`
+    holds one step per origin, or one step for all."""
+    dirs = np.broadcast_to(np.asarray(dirs, dtype=float), origins.shape)
     ex = walls[:, 2] - walls[:, 0]
     ey = walls[:, 3] - walls[:, 1]
-    det = dx * ey - dy * ex
-    rx = walls[:, 0] - origins[:, :1]
-    ry = walls[:, 1] - origins[:, 1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rx * ey - ry * ex) / det
-        u = (dy * rx - dx * ry) / det
-    ok = (np.abs(det) > RAY_PARALLEL) & (t > RAY_START)
-    ok &= (-RAY_WALL_SLACK <= u) & (u <= 1.0 + RAY_WALL_SLACK)
-    t = np.where(ok, t, np.inf)
-    first = np.argmin(t, axis=1)
-    return np.where(ok[np.arange(len(first)), first], first, -1).tolist()
+    first = np.full(len(origins), -1)
+    for s in _chunks(len(origins), len(walls)):
+        dx, dy = dirs[s, :1], dirs[s, 1:]
+        det = dx * ey - dy * ex
+        rx = walls[:, 0] - origins[s, :1]
+        ry = walls[:, 1] - origins[s, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rx * ey - ry * ex) / det
+            u = (dy * rx - dx * ry) / det
+        ok = (np.abs(det) > RAY_PARALLEL) & (t > RAY_START)
+        ok &= (-RAY_WALL_SLACK <= u) & (u <= 1.0 + RAY_WALL_SLACK)
+        k = np.argmin(np.where(ok, t, np.inf), axis=1)
+        first[s] = np.where(ok[np.arange(len(k)), k], k, -1)
+    return first
 
 
-# ---------------------------------------------------------------------------
-# corner-vector level chains
-# ---------------------------------------------------------------------------
-
-def _clip_half(pts: list, k: list) -> list:
-    """The part of a convex polygon where k >= 0, k given at each vertex."""
-    if min(k) >= -SIDE_TOL:
-        return pts
-    out = []
-    m = len(pts)
-    for i in range(m):
-        ka, kb = k[i], k[(i + 1) % m]
-        if ka >= -SIDE_TOL:
-            out.append(pts[i])
-        if (ka > SIDE_TOL and kb < -SIDE_TOL) or (ka < -SIDE_TOL and kb > SIDE_TOL):
-            (ax, ay), (bx, by) = pts[i], pts[(i + 1) % m]
-            t = ka / (ka - kb)
-            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    return out
+def _strip_breaks(poly: np.ndarray, axis: int, ends: np.ndarray, rounded: np.ndarray) -> list[float]:
+    """A region's profile breaks along `axis`: its vertices' coordinates and
+    the wall ends (`ends`, and `rounded` to 12 digits) strictly inside its
+    extent, rounded to 12 digits and sorted.  The vertices take Python's
+    decimal rounding and the wall ends numpy's, which differs from it in
+    rare last digits; each keeps its own, so that the strips stay as they
+    have been."""
+    vals = sorted(set(poly[:, axis].tolist()))
+    breaks = {round(v, 12) for v in vals}
+    breaks.update(rounded[(vals[0] + BREAK_TOL < ends) & (ends < vals[-1] - BREAK_TOL)].tolist())
+    return sorted(breaks)
 
 
-def _clip_convex(pts: list, axis: int, lo: float, hi: float) -> list:
-    """Sutherland-Hodgman clip of a convex polygon (a list of (x, y)) to a
-    coordinate slab; fewer than three points means empty."""
-    pts = _clip_half(pts, [p[axis] - lo for p in pts])
-    if len(pts) < 3:
-        return []
-    pts = _clip_half(pts, [hi - p[axis] for p in pts])
-    return pts if len(pts) >= 3 else []
+def _section_middles(pts, count, axis: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the cross-section of padded convex polygon i at coordinate
+    axis[i] == value[i] is an interval, and its middle."""
+    valid = np.arange(pts.shape[1]) < count[:, None]
+    along = (axis == 1)[:, None]
+    va = np.where(along, pts[..., 1], pts[..., 0])
+    oa = np.where(along, pts[..., 0], pts[..., 1])
+    vb, ob = _after(va, count), _after(oa, count)
+    v = value[:, None]
+    cross = valid & ((va > v) != (vb > v))
+    hit = oa + (v - va) / np.where(cross, vb - va, 1.0) * (ob - oa)
+    span = cross.sum(axis=1) >= 2
+    lo = np.where(span, np.where(cross, hit, np.inf).min(axis=1), 0.0)
+    hi = np.where(span, np.where(cross, hit, -np.inf).max(axis=1), 0.0)
+    return span, 0.5 * (lo + hi)
 
 
-def _level_segment_in_poly(poly: list, P: float, Q: float, R: float, level: float):
-    """Clip the line P*x + Q*y + R = level to a convex polygon."""
-    pts = []
-    m = len(poly)
-    g = [P * x + Q * y + R - level for x, y in poly]
-    for i in range(m):
-        gi, gj = g[i], g[(i + 1) % m]
-        if abs(gi) <= SIDE_TOL:
-            pts.append(poly[i])
-        if (gi > SIDE_TOL and gj < -SIDE_TOL) or (gi < -SIDE_TOL and gj > SIDE_TOL):
-            t = gi / (gi - gj)
-            (ax, ay), (bx, by) = poly[i], poly[(i + 1) % m]
-            pts.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    if len(pts) < 2:
-        return None
-    # two rounded products and a sum: a numpy product may go through BLAS,
-    # whose kernel (and rounding) depends on the machine, and the projection
-    # picks the ends that are kept
-    proj = [x * -Q + y * P for x, y in pts]
-    i0 = min(range(len(proj)), key=proj.__getitem__)
-    i1 = max(range(len(proj)), key=proj.__getitem__)
-    if proj[i1] - proj[i0] <= MIN_STEP * max(1.0, abs(proj[i0])):
-        return None
-    arr = np.array(pts)
-    return (arr[i0], arr[i1])
+def cell_regions(arrangement: Arrangement, cell_ids: list[int]) -> _Regions:
+    """The convex regions of the given cells, each with its four profiles.
+
+    A region's profiles cut its extent across the rays at its vertices and
+    at the wall ends inside it; from the middle of each strip's cross-section
+    a ray finds the first wall.  The rays of one cell's regions, all four
+    directions, are cast in one `_first_wall_hits` call, and each wall hit
+    has its `Line` built once."""
+    by_cell, cell_of, polys, walls, breaks, sizes = [], [], [], [], [], []
+    for k, cell_id in enumerate(cell_ids):
+        cell = arrangement.cells[cell_id]
+        cell_walls = arrangement.cell_walls(cell_id)
+        ends = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _tag in cell_walls], dtype=float)
+        walls.append((cell_walls, ends))
+        if arrangement.kind == "lines" or (cell.convex and not cell.holes):
+            cell_polys = [arrangement.cell_polygon(cell_id)]
+        else:
+            cell_polys = [s.polygon for s in convex_decompose(cell, arrangement)]
+        by_cell.append([_Region(p, {d: [] for d in _DIRECTIONS}) for p in cell_polys])
+        cell_of += [k] * len(cell_polys)
+        along = {axis: (ends[:, cols].ravel(), np.round(ends[:, cols].ravel(), 12))
+                 for axis, cols in ((1, [1, 3]), (0, [0, 2]))}
+        for poly in cell_polys:
+            # group 2r holds region r's breaks in y, 2r + 1 those in x
+            for axis in (1, 0):
+                found = _strip_breaks(poly, axis, *along[axis])
+                breaks += found
+                sizes.append(len(found))
+            polys.append(poly)
+    regions = [r for rs in by_cell for r in rs]
+    cell_of = np.array(cell_of, dtype=np.int64)
+    pts, count = _pad(polys)
+
+    # strips: consecutive breaks of a group more than BREAK_TOL apart
+    values, group = np.array(breaks, dtype=float), np.repeat(np.arange(len(sizes)), sizes)
+    i = np.flatnonzero((group[:-1] == group[1:]) & (values[1:] - values[:-1] > BREAK_TOL))
+    lo, hi, region, axis = values[i], values[i + 1], group[i] // 2, 1 - group[i] % 2
+    mid = 0.5 * (lo + hi)
+    span, middle = np.zeros(len(i), dtype=bool), np.zeros(len(i))
+    for s in _chunks(len(i), pts.shape[1]):
+        span[s], middle[s] = _section_middles(pts[region[s]], count[region[s]], axis[s], mid[s])
+    origin = np.where((axis == 1)[:, None], np.column_stack([middle, mid]), np.column_stack([mid, middle]))
+
+    # rays: each strip's two directions, in region, direction, strip order
+    row = np.repeat(np.flatnonzero(span), 2)
+    direction = 2 * (axis[row] == 0) + np.tile([0, 1], len(row) // 2)
+    order = np.argsort(region[row] * 4 + direction, kind="stable")
+    row, direction = row[order], direction[order]
+    # each wall hit has its line built once, a tuple the strips share;
+    # line_of[k] is row k's index into `lines`, 0 (None) for an open strip
+    lines, line_of = [None], np.zeros(len(row), dtype=np.int64)
+    cut = np.searchsorted(cell_of[region[row]], np.arange(len(walls) + 1))
+    for k, (cell_walls, ends) in enumerate(walls):
+        s = slice(cut[k], cut[k + 1])
+        # return_index makes np.unique sort stably, as the rest of the program does
+        hits, _, which = np.unique(
+            _first_wall_hits(origin[row[s]], _RAY_STEP[direction[s]], ends),
+            return_index=True, return_inverse=True,
+        )
+        index = np.zeros(len(hits), dtype=np.int64)
+        for j, w in enumerate(hits.tolist()):
+            if w >= 0 and cell_walls[w][2][0] != "clip":
+                ln = Line(cell_walls[w][0], cell_walls[w][1])
+                index[j] = len(lines)
+                lines.append((ln.a, ln.b, ln.c))
+        line_of[s] = index[which]
+
+    # the strips share the break floats and line tuples
+    for r, d, k, j in zip(region[row].tolist(), direction.tolist(), i[row].tolist(), line_of.tolist()):
+        regions[r].profiles[_DIRECTIONS[d]].append(_ProfileStrip(breaks[k], breaks[k + 1], not j, lines[j]))
+    closed = line_of > 0
+    keep = row[closed]
+    return _Regions(
+        list(cell_ids), by_cell, cell_of, pts, count, region[keep], direction[closed],
+        np.column_stack([lo[keep], hi[keep]]), np.array(lines[1:]).reshape(-1, 3)[line_of[closed] - 1],
+    )
 
 
-def _corner_level_segments(region: _Region, look_x: float, look_y: float, eps: float):
-    """Exact level-set segments of the distance-sum inside one region.
+def _corner_level_segments(regions: _Regions, eps: float):
+    """Exact level-set segments of the distance sums of the four corners in
+    every region, in chunks of at most KERNEL_CHUNK vertex slots.
 
-    Each horizontal profile strip is clipped to its y-band once; the band is
-    then clipped to the vertical strips that reach its x-range.  A strip more
-    than BREAK_TOL past the band's x-range would clip it to nothing.
-    """
-    verticals = []
-    for sv in region.profiles["down" if look_y < 0 else "up"]:
-        if sv.open_side:
-            continue
-        a2, b2, c2 = sv.line
-        if abs(b2) <= AXIS_TOL:
-            continue
-        verticals.append((sv.lo, sv.hi, -look_y * a2 / b2, -look_y, look_y * c2 / b2))
-    if not verticals:
-        return []
-    poly = region.polygon.tolist()
-    segs = []
-    for sh in region.profiles["left" if look_x < 0 else "right"]:
-        if sh.open_side:
-            continue
-        a1, b1, c1 = sh.line
-        # horizontal wall distance: look left => x - (c1 - b1*y)/a1
-        if abs(a1) <= AXIS_TOL:
-            continue
-        hP = -look_x
-        hQ = -look_x * b1 / a1
-        hR = look_x * c1 / a1
-        band = _clip_convex(poly, 1, sh.lo, sh.hi)
-        if not band:
-            continue
-        xmin = min(p[0] for p in band)
-        xmax = max(p[0] for p in band)
-        for lo, hi, vP, vQ, vR in verticals:
-            if xmax - lo < -BREAK_TOL or hi - xmin < -BREAK_TOL:
-                continue
-            piece = _clip_convex(band, 0, lo, hi)
-            if not piece:
-                continue
-            hit = _level_segment_in_poly(piece, hP + vP, hQ + vQ, hR + vR, eps)
-            if hit is not None:
-                segs.append(hit)
-    return segs
+    A band is a region clipped to the y-range of a profile strip to its left
+    or right.  A pair row joins a band with a vertical profile strip of its
+    region: the strip's x-slab clips the band to the piece where both wall
+    distances are linear, and the distance sum's level line is cut from the
+    piece.  A strip more than BREAK_TOL past the band's x-range would clip
+    it to nothing and is skipped.  Returns the segments' ends, (n, 2, 2), and
+    each one's region and directions (horizontal, vertical), in region,
+    band, then vertical strip order."""
+    sd, bounds, line = regions.strip_dir, regions.strip_bounds, regions.strip_line
+    # a wall distance x - x_wall(y) looking left, y - y_wall(x) looking down,
+    # and their negatives looking right or up: P*x + Q*y + R
+    h = np.flatnonzero((sd < 2) & (np.abs(line[:, 0]) > AXIS_TOL))
+    look, (a, b, c) = _RAY_STEP[sd[h], 0], line[h].T
+    hP, hQ, hR = -look, -look * b / a, look * c / a
+    v = np.flatnonzero((sd >= 2) & (np.abs(line[:, 1]) > AXIS_TOL))
+    look, (a, b, c) = _RAY_STEP[sd[v], 1], line[v].T
+    vP, vQ, vR = -look * a / b, -look, look * c / b
+    # each band pairs with every vertical strip of its region: a run of v
+    hregion, vregion = regions.strip_region[h], regions.strip_region[v]
+    first = np.searchsorted(vregion, hregion)
+    n_pairs = np.searchsorted(vregion, hregion, side="right") - first
+    # chunks of whole bands, each band and pair one row, of at most
+    # KERNEL_CHUNK / width rows: a piece has up to four vertices more than its region
+    chunk = np.cumsum(n_pairs + 1) // max(1, KERNEL_CHUNK // (regions.poly.shape[1] + 4))
+    cut = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(h)]
+    out_ends, out_region, out_dirs = [], [], []
+    for s in (slice(lo, hi) for lo, hi in zip(cut, cut[1:])):
+        hs, r = h[s], hregion[s]
+        band, bcount = _clip_slab(regions.poly[r], regions.count[r], 1, bounds[hs, 0], bounds[hs, 1])
+        valid = np.arange(band.shape[1]) < bcount[:, None]
+        xmin = np.where(valid, band[..., 0], np.inf).min(axis=1)
+        xmax = np.where(valid, band[..., 0], -np.inf).max(axis=1)
+        n = n_pairs[s] * (bcount > 0)
+        bi = np.repeat(np.arange(len(r)), n)
+        vi = np.repeat(first[s] - np.cumsum(n) + n, n) + np.arange(len(bi))
+        near = (xmax[bi] - bounds[v[vi], 0] >= -BREAK_TOL) & (bounds[v[vi], 1] - xmin[bi] >= -BREAK_TOL)
+        bi, vi = bi[near], vi[near]
+        hb, vs = s.start + bi, v[vi]
+        piece, pcount = _clip_slab(band[bi], bcount[bi], 0, bounds[vs, 0], bounds[vs, 1])
+        ok, e0, e1 = _level_ends(piece, pcount, hP[hb] + vP[vi], hQ[hb] + vQ[vi], hR[hb] + vR[vi], eps)
+        out_ends.append(np.stack([e0[ok], e1[ok]], axis=1))
+        out_region.append(r[bi[ok]])
+        out_dirs.append(np.column_stack([sd[hs[bi[ok]]], sd[vs[ok]]]))
+    return (
+        np.concatenate([np.zeros((0, 2, 2)), *out_ends]),
+        np.concatenate([np.zeros(0, dtype=np.int64), *out_region]),
+        np.concatenate([np.zeros((0, 2), dtype=np.int64), *out_dirs]),
+    )
 
 
 def _walk_chains(ends: list) -> list[list[tuple[int, bool]]]:
@@ -517,21 +660,30 @@ def _walk_chains(ends: list) -> list[list[tuple[int, bool]]]:
     return chains
 
 
-def _stitch_chains(segs) -> list[list[tuple[float, float]]]:
-    """Join segments sharing endpoints into maximal chains, merging collinear runs.
+def _stitch_chains(segs: np.ndarray, group: np.ndarray) -> list[tuple[int, list[tuple[float, float]]]]:
+    """Join the segments of each group that share endpoints into maximal
+    chains, merging collinear runs; `segs` is (n, 2, 2), sorted by `group`.
+    Returns (group, chain) pairs, group by group.
 
-    Where two segments meet, the chain point is the end of the one the walk
-    met first: the fronts of the segments up to the chain's first segment,
-    then the backs from there on.
+    Segment ends that `_snap_merge` merges at VERTEX_SNAP, in one merge over
+    all groups, are one; a chain keeps to its group.  Where two segments
+    meet, the chain point is the end of the one the walk met first: the
+    fronts of the segments up to the chain's first segment, then the backs
+    from there on.
     """
-    ends = [tuple((round(x / VERTEX_SNAP), round(y / VERTEX_SNAP)) for x, y in s) for s in segs]
-    chains = []
-    for chain in _walk_chains(ends):
-        k = chain.index(min(chain))
-        pts = [tuple(segs[i][0 if f else 1]) for i, f in chain[: k + 1]]
-        pts += [tuple(segs[i][1 if f else 0]) for i, f in chain[k:]]
-        chains.append(_merge_collinear(pts))
-    return chains
+    if not len(segs):
+        return []
+    label = _snap_merge(segs.reshape(-1, 2), VERTEX_SNAP).reshape(-1, 2)
+    cut = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(segs)]
+    out = []
+    for s, e in zip(cut, cut[1:]):
+        pts = segs[s:e].tolist()
+        for chain in _walk_chains([tuple(k) for k in label[s:e].tolist()]):
+            k = chain.index(min(chain))
+            chain_pts = [tuple(pts[i][0 if f else 1]) for i, f in chain[: k + 1]]
+            chain_pts += [tuple(pts[i][1 if f else 0]) for i, f in chain[k:]]
+            out.append((int(group[s]), _merge_collinear(chain_pts)))
+    return out
 
 
 def _merge_collinear(chain):
@@ -570,23 +722,34 @@ def _chain_is_convex(chain) -> bool:
     return True
 
 
-def corner_curve(cell_id: int, regions: list[_Region], tau: TranslationVector, eps) -> list[CriticalCurve]:
-    """Level-set chains for a corner vector inside one cell, in placement space."""
-    e = float(eps)
-    look_x, look_y = _QUADRANT_LOOK[_CORNER_QUADRANT[tau.label]]
-    segs = []
-    for region in regions:
-        segs.extend(_corner_level_segments(region, look_x, look_y, e))
-    curves = []
-    for chain in _stitch_chains(segs):
+def corner_curve(regions: _Regions, taus: list[TranslationVector], eps) -> list[list[CriticalCurve]]:
+    """Level-set chains of the corner vectors `taus` in every cell of
+    `regions`, in placement space: one list for each vector, cell by cell."""
+    ends, region, dirs = _corner_level_segments(regions, float(eps))
+    n_cells = len(regions.cells)
+    # a chain group is one cell's segments of one corner, the corner named by
+    # its pair of directions as 0..3
+    group = (2 * dirs[:, 0] + dirs[:, 1] - 2) * n_cells + regions.cell_of[region]
+    order = np.argsort(group, kind="stable")
+    which = {}
+    for n, tau in enumerate(taus):
+        look_x, look_y = _QUADRANT_LOOK[_CORNER_QUADRANT[tau.label]]
+        which[2 * (look_x > 0) + (look_y > 0)] = n
+    out: list[list[CriticalCurve]] = [[] for _ in taus]
+    for g, chain in _stitch_chains(ends[order], group[order]):
+        corner, k = divmod(g, n_cells)
+        if corner not in which:
+            continue
+        tau = taus[which[corner]]
         pieces = [
             seg_piece(a[0] - tau.dx, a[1] - tau.dy, b[0] - tau.dx, b[1] - tau.dy)
             for a, b in zip(chain, chain[1:])
             if math.hypot(b[0] - a[0], b[1] - a[1]) > MIN_STEP
         ]
         if pieces:
-            curves.append(CriticalCurve(cell_id, tau, pieces, _chain_is_convex(chain)))
-    return curves
+            out[which[corner]].append(CriticalCurve(regions.cells[k], tau, pieces, _chain_is_convex(chain)))
+    return out
+
 
 
 # ---------------------------------------------------------------------------
@@ -674,23 +837,8 @@ def edge_curve(cell_id: int, windows: dict, tau: TranslationVector) -> list[Crit
 
 
 # ---------------------------------------------------------------------------
-# per-cell regions and the one pass over the cells
+# the one pass over the cells
 # ---------------------------------------------------------------------------
-
-def cell_regions(arrangement: Arrangement, cell_id: int) -> list[_Region]:
-    """The convex regions of one cell, each with its four profiles."""
-    cell = arrangement.cells[cell_id]
-    walls = arrangement.cell_walls(cell_id)
-    wall_array = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _tag in walls], dtype=float)
-    if arrangement.kind == "lines" or (cell.convex and not cell.holes):
-        polygons = [arrangement.cell_polygon(cell_id)]
-    else:
-        polygons = [s.polygon for s in convex_decompose(cell, arrangement)]
-    return [
-        _Region(poly, {d: _direction_profile(poly, walls, wall_array, d) for d in _DIRECTIONS})
-        for poly in polygons
-    ]
-
 
 def _cell_reaches(arrangement: Arrangement, cell_id: int, domain: BBox, reach: float) -> bool:
     poly = arrangement.cell_polygon(cell_id)
@@ -710,7 +858,9 @@ def collect_S(
     strips (horizontal ones first).
 
     Each cell's work that no vector changes is done once: a square cell's
-    profiles and side windows, a circle cell's ring pieces.
+    profiles and side windows, a circle cell's ring pieces.  The square's
+    profiles and corner chains come from one batched pass over the regions
+    of every cell.
     """
     from .circles import _ring_pieces, circle_cell_curves
 
@@ -719,24 +869,25 @@ def collect_S(
         raise EpsilonTooLarge("circle curves are only computed for eps < 1")
     per_vector: list[list[CriticalCurve]] = [[] for _ in vectors.vectors]
     strips: dict[str, list[DegenerateStrip]] = {"horizontal": [], "vertical": []}
-    for cell in arrangement.cells:
-        if not _cell_reaches(arrangement, cell.id, domain, 1.0 + e):
-            continue
-        if vectors.shape == CIRCLE:
-            rings = _ring_pieces(arrangement, cell.id, e)
+    reaching = [c.id for c in arrangement.cells if _cell_reaches(arrangement, c.id, domain, 1.0 + e)]
+    if vectors.shape == CIRCLE:
+        for cell_id in reaching:
+            rings = _ring_pieces(arrangement, cell_id, e)
             for out, tau in zip(per_vector, vectors.vectors):
-                out.extend(circle_cell_curves(cell.id, rings, tau, e))
-            continue
-        regions = cell_regions(arrangement, cell.id)
-        windows = {}
-        for orientation, found in strips.items():
-            windows[orientation], degenerate = _cross_section_solutions(regions, orientation, e)
-            found.extend(DegenerateStrip(cell.id, orientation, lo, hi) for lo, hi in degenerate)
-        for out, tau in zip(per_vector, vectors.vectors):
-            if tau.kind == "corner":
-                out.extend(corner_curve(cell.id, regions, tau, e))
-            else:
-                out.extend(edge_curve(cell.id, windows, tau))
+                out.extend(circle_cell_curves(cell_id, rings, tau, e))
+    else:
+        regions = cell_regions(arrangement, reaching)
+        corners = [k for k, tau in enumerate(vectors.vectors) if tau.kind == "corner"]
+        for k, curves in zip(corners, corner_curve(regions, [vectors.vectors[k] for k in corners], e)):
+            per_vector[k] = curves
+        for cell_id, cell_regs in zip(regions.cells, regions.by_cell):
+            windows = {}
+            for orientation, found in strips.items():
+                windows[orientation], degenerate = _cross_section_solutions(cell_regs, orientation, e)
+                found.extend(DegenerateStrip(cell_id, orientation, lo, hi) for lo, hi in degenerate)
+            for out, tau in zip(per_vector, vectors.vectors):
+                if tau.kind != "corner":
+                    out.extend(edge_curve(cell_id, windows, tau))
     clipped = (clip_curve_to_box(c, domain) for out in per_vector for c in out)
     return [c for c in clipped if c], strips["horizontal"] + strips["vertical"]
 
@@ -777,10 +928,10 @@ def _clip_piece_to_box(piece: CurvePiece, box: BBox) -> list[CurvePiece]:
     cuts = sorted(set(cuts))
     out = []
     for u0, u1 in zip(cuts, cuts[1:]):
-        if u1 - u0 <= 1e-12:
+        if u1 - u0 <= MIN_ARC_STEP:
             continue
         mx, my = piece.arc_point(0.5 * (u0 + u1))
-        if box.contains(mx, my, slack=1e-9):
+        if box.contains(mx, my, slack=BOX_SLACK):
             out.append(
                 CurvePiece(
                     "arc",
@@ -801,7 +952,7 @@ def _sinusoid_roots(A: float, B: float, C: float, lo: float, hi: float) -> list[
     sinusoid's peak, whichever side of zero rounding put it.
     """
     R = math.hypot(A, B)
-    if R <= 1e-15:
+    if R <= FLAT_AMPLITUDE:
         return []
     if abs(abs(C) - R) <= TOUCH_TOL * (1.0 + abs(C)):
         C = math.copysign(R, C)
@@ -815,7 +966,7 @@ def _sinusoid_roots(A: float, B: float, C: float, lo: float, hi: float) -> list[
         k_hi = math.ceil((hi - cand) / (2.0 * math.pi)) + 1
         for k in range(int(k_lo), int(k_hi) + 1):
             r = cand + 2.0 * math.pi * k
-            if lo - 1e-12 <= r <= hi + 1e-12:
+            if lo - ROOT_RANGE_SLACK <= r <= hi + ROOT_RANGE_SLACK:
                 roots.append(min(max(r, lo), hi))
     return roots
 
@@ -903,13 +1054,14 @@ def _piece_bbox(piece: CurvePiece) -> tuple[float, float, float, float]:
 
 
 def _boxes_meet(boxes: np.ndarray, box) -> np.ndarray:
-    """Mask of the rows of an (n, 4) box array that come within 1e-9 of one box."""
+    """Mask of the rows of an (n, 4) box array that come within
+    BOX_MEET_SLACK of one box."""
     x0, y0, x1, y1 = box
     return (
-        (boxes[:, 0] <= x1 + 1e-9)
-        & (boxes[:, 2] >= x0 - 1e-9)
-        & (boxes[:, 1] <= y1 + 1e-9)
-        & (boxes[:, 3] >= y0 - 1e-9)
+        (boxes[:, 0] <= x1 + BOX_MEET_SLACK)
+        & (boxes[:, 2] >= x0 - BOX_MEET_SLACK)
+        & (boxes[:, 1] <= y1 + BOX_MEET_SLACK)
+        & (boxes[:, 3] >= y0 - BOX_MEET_SLACK)
     )
 
 
@@ -925,7 +1077,7 @@ def _seg_arc_points(seg: CurvePiece, arc: CurvePiece):
     for psi in _sinusoid_roots(A, B, C, arc.psi0, arc.psi1):
         x, y = arc.arc_point(psi)
         t = ((x - ax) * (bx - ax) + (y - ay) * (by - ay)) / L2
-        if -1e-9 <= t <= 1.0 + 1e-9:
+        if -SEG_PARAM_SLACK <= t <= 1.0 + SEG_PARAM_SLACK:
             pts.append((x, y))
     return pts
 
@@ -935,7 +1087,7 @@ def _arc_coords(arc: CurvePiece, vx: float, vy: float):
     ax, ay = arc.vec_a
     bx, by = arc.vec_b
     det = ax * by - ay * bx
-    if abs(det) <= 1e-15:
+    if abs(det) <= FLAT_ARC_DET:
         return None
     return ((vx * by - vy * bx) / det, (ax * vy - ay * vx) / det)
 

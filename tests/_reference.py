@@ -16,10 +16,11 @@
 * `reference_ring_ok`: the validity of a circle ring piece at one parameter,
   judged from the gap profile, as the circle curves were once trimmed by
   sampling it.
-* The square's curve construction as it was before the program clipped each
-  profile strip once and cast its wall rays in numpy: profiles cast one ray
-  per strip in a loop over the walls, and every (horizontal strip, vertical
-  strip) pair clips the region anew.  `reference_collect` returns, one
+* The square's curve construction as it was before the program profiled
+  and clipped the regions of all cells in batched numpy passes: profiles
+  cast one ray per strip in a loop over the walls, and every (horizontal
+  strip, vertical strip) pair clips the region anew, one cell and one
+  corner at a time.  `reference_collect` returns, one
   vector at a time, what `collect_S` returns for the square's vectors, and
   must return it bit for bit.
 * `curves_by_vector`: `collect_S` over a whole arrangement, clipped to its
@@ -565,7 +566,8 @@ def corner_curve(cell_id: int, regions: list[ReferenceRegion], tau: TranslationV
     for region in regions:
         segs.extend(_corner_level_segments(region, look_x, look_y, e))
     curves = []
-    for chain in _stitch_chains(segs):
+    ends = np.array(segs, dtype=float).reshape(-1, 2, 2)
+    for _group, chain in _stitch_chains(ends, np.zeros(len(ends), dtype=int)):
         pieces = [
             seg_piece(a[0] - tau.dx, a[1] - tau.dy, b[0] - tau.dx, b[1] - tau.dy)
             for a, b in zip(chain, chain[1:])

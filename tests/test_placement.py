@@ -16,12 +16,14 @@ from critplace.geom import CIRCLE, SQUARE, GeometryError, Line, Point, Segment
 from critplace.oracle import dense_scan, is_epsilon_placement, verify
 from critplace.placement import (
     _QUADRANT_LOOK,
+    KERNEL_CHUNK,
+    SIDE_TOL,
     VERTEX_SNAP,
     CriticalCurve,
     CurvePiece,
     _arc_arc_points,
     _first_wall_hits,
-    _level_segment_in_poly,
+    _level_ends,
     _overlay_counts,
     _piece_bbox,
     _piece_crossings,
@@ -312,10 +314,10 @@ def _random_segments(n, seed, half=1.2):
     return out
 
 
-def _disjoint_strip_pairs(arr) -> int:
-    """(horizontal, vertical) profile strip pairs of the corner chains where
-    the vertical strip lies outside the x-range of the horizontal strip's band."""
-    count = 0
+def _reference_pairs(arr):
+    """The per-pair reference's (horizontal, vertical) profile strip pairs of
+    the corner chains, as rows (band, vertical strip, (P, Q, R)): the level
+    lines are P*x + Q*y + R = eps."""
     for cell in arr.cells:
         for region in reference_regions(arr, cell.id):
             for look_x, look_y in _QUADRANT_LOOK.values():
@@ -327,30 +329,76 @@ def _disjoint_strip_pairs(arr) -> int:
                     if sh.open_side or abs(sh.line[0]) <= 1e-12:
                         continue
                     band = _clip_convex(region.polygon, 1, sh.lo, sh.hi)
-                    if len(band) >= 3:
-                        xs = band[:, 0]
-                        count += sum(xs.max() < s.lo or xs.min() > s.hi for s in verticals)
-    return count
+                    if len(band) < 3:
+                        continue
+                    a1, b1, c1 = sh.line
+                    for sv in verticals:
+                        a2, b2, c2 = sv.line
+                        P = -look_x + -look_y * a2 / b2
+                        Q = -look_x * b1 / a1 + -look_y
+                        R = look_x * c1 / a1 + look_y * c2 / b2
+                        yield band, sv, (P, Q, R)
 
 
-@pytest.mark.parametrize("prims, eps", [
+def _disjoint_strip_pairs(pa, _chunks) -> bool:
+    """Some vertical strip lies outside the x-range of the band it is paired with."""
+    return any(
+        band[:, 0].max() < sv.lo or band[:, 0].min() > sv.hi
+        for band, sv, _line in _reference_pairs(pa.arrangement)
+    )
+
+
+def _level_line_through_a_vertex(pa, _chunks) -> bool:
+    """Some level line passes within SIDE_TOL of a vertex of its piece."""
+    eps = pa.eps
+    for band, sv, (P, Q, R) in _reference_pairs(pa.arrangement):
+        piece = _clip_convex(band, 0, sv.lo, sv.hi)
+        if len(piece) >= 3 and np.abs(P * piece[:, 0] + Q * piece[:, 1] + R - eps).min() <= SIDE_TOL:
+            return True
+    return False
+
+
+def _several_chunks(_pa, chunks) -> bool:
+    """The batched kernel cut the level lines in more than one chunk of pair
+    rows, each of at most KERNEL_CHUNK vertex slots."""
+    return len(chunks) > 1 and max(chunks) <= KERNEL_CHUNK
+
+
+@pytest.mark.parametrize("prims, eps, shows", [
     # the outer cell has the segments as holes: convex_decompose splits it
-    (_random_segments(8, 3), 0.3),
-    (random_lines(5, 12), 0.3),
+    (_random_segments(8, 3), 0.3, _disjoint_strip_pairs),
+    (random_lines(5, 12), 0.3, _disjoint_strip_pairs),
     # a horizontal and a vertical line: walls parallel to profile rays
-    (random_lines(3, 4) + [Line(Point(-1, 0.1), Point(1, 0.1)), Line(Point(-0.2, -1), Point(-0.2, 1))], 0.25),
+    (random_lines(3, 4) + [Line(Point(-1, 0.1), Point(1, 0.1)), Line(Point(-0.2, -1), Point(-0.2, 1))], 0.25,
+     _disjoint_strip_pairs),
     # a line of slope 1e10: vertical profile strips 1e-10 wide beside it,
     # which a band must not be pruned against
-    (random_lines(3, 4) + [Line(Point(0.05, -1), Point(0.05 + 2e-10, 1))], 0.25),
-], ids=["segments-with-holes", "lines", "axis-parallel-lines", "steep-line"])
-def test_square_curves_equal_the_per_pair_reference(prims, eps):
+    (random_lines(3, 4) + [Line(Point(0.05, -1), Point(0.05 + 2e-10, 1))], 0.25, _disjoint_strip_pairs),
+    # the axes and a line through (0.25, 0): in the quadrant x, y > 0 the
+    # level line x + y = 0.25 runs through that vertex of its cell
+    ([X_AXIS, Y_AXIS, Line(Point(0.25, 0.0), Point(0.75, 1.0))], 0.25, _level_line_through_a_vertex),
+    # segments that meet in a T: one ends on the middle of another
+    ([Segment(Point(-0.6, 0.0), Point(0.6, 0.0)), Segment(Point(0.1, 0.0), Point(0.3, 0.7)),
+      Segment(Point(-0.4, -0.5), Point(0.5, -0.3))], 0.3, None),
+    (lower_bound_lines(8, 0.25), 0.25, _several_chunks),
+], ids=["segments-with-holes", "lines", "axis-parallel-lines", "steep-line", "level-through-vertex",
+        "t-junction", "lower-bound-8"])
+def test_square_curves_equal_the_per_pair_reference(prims, eps, shows, monkeypatch):
+    chunks = []  # vertex slots of each chunk of pair rows the kernel cuts
+
+    def level_ends(pts, *args):
+        chunks.append(pts.shape[0] * pts.shape[1])
+        return _level_ends(pts, *args)
+
+    monkeypatch.setattr("critplace.placement._level_ends", level_ends)
     pa = build_placement_arrangement(prims, eps, SQUARE, include_line_translates=True)
     arr = pa.arrangement
     if isinstance(prims[0], Segment):
         assert any(cell.holes for cell in arr.cells)
-    assert _disjoint_strip_pairs(arr) > 0
-    for cell in arr.cells:
-        for new, ref in zip(cell_regions(arr, cell.id), reference_regions(arr, cell.id), strict=True):
+    assert shows is None or shows(pa, chunks)
+    regions = cell_regions(arr, [cell.id for cell in arr.cells])
+    for cell, new_regions in zip(arr.cells, regions.by_cell, strict=True):
+        for new, ref in zip(new_regions, reference_regions(arr, cell.id), strict=True):
             assert new.profiles == ref.profiles
     warnings = []
     ref_curves = [
@@ -386,10 +434,14 @@ def test_wall_rays_equal_the_looped_reference():
         for origin in origins.tolist():
             hit = _first_wall_hit(origin, dvec, walls)
             expected.append(-1 if hit is None else hit[1][1])
-        assert _first_wall_hits(origins, dvec, array) == expected
+        assert _first_wall_hits(origins, dvec, array).tolist() == expected
     ties = array[29:]
-    assert _first_wall_hits(origins[-3:-1], (1.0, 0.0), ties) == [1, 1]
-    assert _first_wall_hits(origins[-3:], (-1.0, 0.0), ties) == [3, 3, 3]
+    assert _first_wall_hits(origins[-3:-1], (1.0, 0.0), ties).tolist() == [1, 1]
+    assert _first_wall_hits(origins[-3:], (-1.0, 0.0), ties).tolist() == [3, 3, 3]
+    # one call for all four directions, a step per origin, as the profiles cast them
+    steps = np.repeat([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)], len(origins), axis=0)
+    each = [_first_wall_hits(origins, dvec, array) for dvec in steps[:: len(origins)]]
+    assert np.array_equal(_first_wall_hits(np.tile(origins, (4, 1)), steps, array), np.concatenate(each))
 
 
 def test_pair_intersections_disjoint():
@@ -500,9 +552,11 @@ def test_segment_scene_oracle_equivalence():
 def test_level_segment_ends_use_scalar_projection():
     # the line runs through two clusters of vertices a few ulps apart; which
     # vertex of a cluster ends the segment is decided by the projection onto
-    # (-Q, P) computed as x * -Q + y * P in doubles, whatever BLAS numpy has
+    # (-Q, P) computed as x * -Q + y * P in doubles, whatever BLAS numpy has;
+    # the batched kernel cuts all 2000 lines in one call
     rng = np.random.default_rng(11)
     ties = 0
+    polys, lines, expected = [], [], []
     for _ in range(2000):
         ang = rng.uniform(0.0, 2.0 * math.pi)
         P, Q = math.cos(ang), math.sin(ang)
@@ -525,14 +579,18 @@ def test_level_segment_ends_use_scalar_projection():
         c = (0.5 * (a[0] + b[0]) + P, 0.5 * (a[1] + b[1]) + Q)
         d = (0.5 * (a[0] + b[0]) - P, 0.5 * (a[1] + b[1]) - Q)
         a2, b2 = nudge(a), nudge(b)
-        poly = [a, a2, c, b, b2, d]
+        polys.append([a, a2, c, b, b2, d])
+        lines.append((P, Q, R, level))
         pts = [a, a2, b, b2]
         proj = [x * -Q + y * P for x, y in pts]
         ties += proj[0] == proj[1] or proj[2] == proj[3]
         i0 = min(range(4), key=proj.__getitem__)
         i1 = max(range(4), key=proj.__getitem__)
-        lo, hi = _level_segment_in_poly(poly, P, Q, R, level)
-        assert (tuple(lo.tolist()), tuple(hi.tolist())) == (pts[i0], pts[i1])
+        expected.append((pts[i0], pts[i1]))
+    P, Q, R, level = np.array(lines).T
+    ok, lo, hi = _level_ends(np.array(polys), np.full(len(polys), 6), P, Q, R, level[:, None])
+    assert ok.all()
+    assert list(zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()))) == expected
     assert ties > 0
 
 
@@ -711,6 +769,19 @@ def test_segment_scene_counts_do_not_depend_on_its_translation():
         segs = _moved(base, lambda x, y: (x + dx, y + dy))
         counts.append(build_placement_arrangement(segs, 0.3, SQUARE, include_line_translates=True).counts)
     assert counts[0] == counts[1]
+
+
+def test_segment_scene_translated_twice_keeps_its_chains():
+    # the benchmark's segments-square scene at the translation of its seed
+    # 1290081760, then moved again by (0.37, -0.21): chain ends that differ
+    # in their last bits must still join, as `_snap_merge` joins them
+    base = _random_segments(24, 0)
+    dx, dy = (float(v) for v in np.random.default_rng(1290081760).uniform(-0.5, 0.5, (1, 2))[0])
+    once = _moved(base, lambda x, y: (x + dx, y + dy))
+    twice = _moved(once, lambda x, y: (x + 0.37, y - 0.21))
+    pa = build_placement_arrangement(twice, 0.3, SQUARE, include_line_translates=True)
+    assert len(pa.curves) == 337
+    assert pa.counts == {"vertices": 3153, "edges": 5752, "faces": 2602}
 
 
 def test_overlay_splits_collinear_overlaps():
