@@ -97,11 +97,16 @@ def _cmd_critical(args) -> int:
         args.shape,
         include_line_translates=args.include_line_translates,
     )
-    Path(args.out).write_text(emit_result(result_from_placement(pa)))
-    print(
+    doc = result_from_placement(pa)
+    summary = (
         f"{len(pa.curves)} curves, complexity {pa.complexity} "
         f"(V={pa.counts['vertices']} E={pa.counts['edges']} F={pa.counts['faces']})"
     )
+    # encoding the result is the command's peak of memory: it runs with the
+    # arrangement and the curves released
+    del pa
+    Path(args.out).write_text(emit_result(doc))
+    print(summary)
     return 0
 
 

@@ -16,6 +16,13 @@ from .geom import Line, Point, Polyline
 # eps wide.  The top of the band maximizes the grid extent, which is what
 # keeps the quadratic crossing regime alive at small n*eps.
 GRID_SPACING_FACTOR = 1.39
+# Tolerances of the general-position audit, each with its reason.
+# Lines whose unit normals have a cross product this small are parallel.
+AUDIT_PARALLEL = 1e-9
+# random_lines draws again at this stricter cut, so that its scenes hold no near-parallel pair.
+RANDOM_PARALLEL = 1e-6
+# Crossings this close in both coordinates are one point: three lines meet.
+CONCURRENT_TOL = 1e-7
 
 
 def lower_bound_lines(n: int, eps: float, tilt: float = 0.005) -> list[Line]:
@@ -48,7 +55,7 @@ def lower_bound_lines(n: int, eps: float, tilt: float = 0.005) -> list[Line]:
     return lines
 
 
-def _audit_general_position(lines: list[Line], tol: float = 1e-9) -> None:
+def _audit_general_position(lines: list[Line], tol: float = AUDIT_PARALLEL) -> None:
     pts = []
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
@@ -60,7 +67,7 @@ def _audit_general_position(lines: list[Line], tol: float = 1e-9) -> None:
             pts.append((x, y))
     pts.sort()
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if abs(x0 - x1) <= 1e-7 and abs(y0 - y1) <= 1e-7:
+        if abs(x0 - x1) <= CONCURRENT_TOL and abs(y0 - y1) <= CONCURRENT_TOL:
             raise ValueError("three lines are (nearly) concurrent")
 
 
@@ -85,7 +92,7 @@ def random_lines(n: int, seed: int, bbox: BBox | None = None) -> list[Line]:
             continue
         cand = Line(Point(x0, y0), Point(x1, y1))
         try:
-            _audit_general_position(lines + [cand], tol=1e-6)
+            _audit_general_position(lines + [cand], tol=RANDOM_PARALLEL)
         except ValueError:
             continue
         lines.append(cand)

@@ -45,6 +45,14 @@ class ToleranceConfig:
 
 TOL = ToleranceConfig()
 
+# Tolerances of the slab clip and the perimeter coordinates, each with its reason.
+# A closed clip keeps an axis-parallel run this far outside the box, the rounding of a point on its side.
+CLOSED_PAD = 1e-12
+# A direction component this small is axis-parallel: dividing by it overflows the box parameters.
+PARALLEL_DIR = 1e-15
+# Coordinates stay this far below the perimeter P: s % P of a tiny negative s rounds to P itself.
+PERIMETER_END = 1e-15
+
 
 def require_positive(name: str, value: float) -> None:
     """Refuse a granularity, step or radius that is not positive and finite."""
@@ -158,12 +166,12 @@ def _slab_clip(
     By default a zero-length part counts as a miss and an axis-parallel
     direction must lie within the bounds.  closed=True treats the box as
     closed: a touch gives a zero-length interval and axis-parallel runs
-    within 1e-12 outside the bounds count as inside.
+    within CLOSED_PAD outside the bounds count as inside.
     """
     # unrolled over the two axes: junction detection calls this for every
     # trajectory edge at every grid point
-    pad = 1e-12 if closed else 0.0
-    if abs(dx) <= 1e-15:
+    pad = CLOSED_PAD if closed else 0.0
+    if abs(dx) <= PARALLEL_DIR:
         if not (xmin - pad <= px <= xmax + pad):
             return None
     else:
@@ -174,7 +182,7 @@ def _slab_clip(
             t0 = ta
         if tb < t1:
             t1 = tb
-    if abs(dy) <= 1e-15:
+    if abs(dy) <= PARALLEL_DIR:
         if not (ymin - pad <= py <= ymax + pad):
             return None
     else:
@@ -278,7 +286,7 @@ def perimeter_coordinate(shape: str, center: Point, boundary_point: Point) -> Pe
         if abs(r - 1.0) > TOL.eps_geom:
             raise NotOnBoundary(f"point {boundary_point} not on unit circle")
         s = math.atan2(dy, dx) % CIRCLE_PERIMETER
-        return PerimeterCoord(CIRCLE, center, min(s, CIRCLE_PERIMETER - 1e-15))
+        return PerimeterCoord(CIRCLE, center, min(s, CIRCLE_PERIMETER - PERIMETER_END))
     if shape != SQUARE:
         raise ValueError(f"unknown shape {shape!r}")
     if max(abs(dx), abs(dy)) - 0.5 > TOL.eps_geom or (
@@ -296,5 +304,5 @@ def perimeter_coordinate(shape: str, center: Point, boundary_point: Point) -> Pe
     else:
         s = 3.0 + (0.5 - dy)
     s %= SQUARE_PERIMETER
-    return PerimeterCoord(SQUARE, center, min(max(s, 0.0), SQUARE_PERIMETER - 1e-15))
+    return PerimeterCoord(SQUARE, center, min(max(s, 0.0), SQUARE_PERIMETER - PERIMETER_END))
 

@@ -27,6 +27,15 @@ from .geom import (
 INNER_RATIO = 0.5
 # Most grid points grid_scan assesses; each keeps an assessment in memory.
 MAX_GRID_POINTS = 1_000_000
+# Tolerances, each with its reason.
+# A clip parameter this close to 0 or 1 is its edge's end, where a run goes on or the trajectory ends.
+EDGE_END = 1e-12
+# A run's clipped end this close to the vertex before it is that vertex.
+SAME_POINT = 1e-12
+# Perimeters that differ by more than this belong to different shapes.
+SAME_PERIMETER = 1e-12
+# A vertex box more than this past the square leaves no edge the closed clip (`geom.CLOSED_PAD`) keeps.
+BOX_REACH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,15 +124,15 @@ def salient_subtrajectories(trajectories: list[Polyline], p: Point) -> list[Sali
             connects = (
                 open_run is not None
                 and last[0] == ei - 1
-                and last[1] >= 1.0 - 1e-12
-                and t0 <= 1e-12
+                and last[1] >= 1.0 - EDGE_END
+                and t0 <= EDGE_END
             )
             if not connects:
                 if open_run is not None:
                     runs.append((open_run[0], open_run[1], last[0], last[1]))
                 open_run = (ei, t0)
             last = (ei, t1)
-            if t1 < 1.0 - 1e-12:
+            if t1 < 1.0 - EDGE_END:
                 runs.append((open_run[0], open_run[1], ei, t1))
                 open_run = None
         if open_run is not None:
@@ -132,9 +141,9 @@ def salient_subtrajectories(trajectories: list[Polyline], p: Point) -> list[Sali
         for e0, t0, e1, t1 in runs:
             # endpoints must be true crossings: a piece that begins or ends
             # at a trajectory endpoint never crossed the boundary there
-            if e0 == 0 and t0 <= 1e-12:
+            if e0 == 0 and t0 <= EDGE_END:
                 continue
-            if e1 == last_edge and t1 >= 1.0 - 1e-12:
+            if e1 == last_edge and t1 >= 1.0 - EDGE_END:
                 continue
             pts = _run_points(verts, e0, t0, e1, t1)
             if len(pts) < 2:
@@ -167,7 +176,7 @@ def _run_points(verts, e0: int, t0: float, e1: int, t1: float) -> list[Point]:
     for ei in range(e0, e1):
         pts.append(verts[ei + 1])
     last = lerp(verts[e1], verts[e1 + 1], t1)
-    if last.dist(pts[-1]) > 1e-12:
+    if last.dist(pts[-1]) > SAME_POINT:
         pts.append(last)
     return pts
 
@@ -182,7 +191,7 @@ def epsilon_cluster(coords: list[PerimeterCoord], eps: float) -> ClusterSet:
         return ClusterSet(4.0, [], [])
     P = coords[0].perimeter
     for c in coords:
-        if abs(c.perimeter - P) > 1e-12:
+        if abs(c.perimeter - P) > SAME_PERIMETER:
             raise ValueError("mixed shapes in one clustering")
     svals = [c.s for c in coords]
     order = sorted(range(len(svals)), key=lambda i: svals[i])
@@ -277,9 +286,7 @@ def grid_scan(trajectories: list[Polyline], eps: float, bbox: BBox, spacing: flo
             f"spacing {spacing} gives more than {MAX_GRID_POINTS} grid points "
             f"over a {bbox.width:g} x {bbox.height:g} box"
         )
-    # a trajectory whose vertices all lie more than 1e-9 past one side of the
-    # closed square has no edge the closed clip (pad 1e-12) keeps: no salient piece
-    reach = 0.5 + 1e-9
+    reach = 0.5 + BOX_REACH
     boxed = [
         (t, bbox_of_points([(v.x, v.y) for v in t.vertices])) for t in trajectories
     ]

@@ -99,8 +99,6 @@ MIN_STEP = 1e-12
 FLAT_SLOPE = 1e-12
 # A constant cross-section this close to eps is a degenerate strip.
 STRIP_WIDTH_TOL = 1e-9
-# Side windows whose height and wall hits round alike on this grid are one.
-WINDOW_KEY = 1e-9
 # Entries (vertex slots of a row of polygons, or walls of a ray origin) that
 # one step of the square's batched kernel holds: its arrays stay near 64 KB.
 KERNEL_CHUNK = 4096
@@ -303,52 +301,35 @@ _CORNER_QUADRANT = {"tr": "upper_right", "tl": "upper_left", "bl": "lower_left",
 
 
 # ---------------------------------------------------------------------------
-# the square's batched kernel: wall profiles and corner level segments
+# the square's batched kernel: the strip table and corner level segments
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class _ProfileStrip:
-    lo: float
-    hi: float
-    open_side: bool  # first hit is the clip frame (or nothing)
-    line: tuple[float, float, float] | None  # supporting line a*x + b*y = c
-
-
-_DIRECTIONS = ("left", "right", "down", "up")
-# a ray's step in each direction: rays to the left and right cut their
-# region into strips of y, rays down and up into strips of x
-_RAY_STEP = np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)])
-
-
-@dataclass
-class _Region:
-    """Convex region of a cell and the cell's wall profiles seen from it in
-    each of the four directions (rays are transparent)."""
-
-    polygon: np.ndarray  # (m, 2) CCW
-    profiles: dict[str, list[_ProfileStrip]]
+# the steps of a strip's two rays, the one looking back first: a strip of x
+# (axis 0) looks down and up, a strip of y (axis 1) left and right
+_RAY_STEP = np.array([[(0.0, -1.0), (0.0, 1.0)], [(-1.0, 0.0), (1.0, 0.0)]])
 
 
 @dataclass
 class _Regions:
-    """The convex regions of a build's cells, with their profiles.
+    """The convex regions of a build's cells, and their strip table.
 
-    `by_cell[k]` lists the regions of cell `cells[k]`, and the arrays run
-    over all regions in that order: `cell_of` holds each region's index into
-    `cells`, `poly` its polygon padded with zeros, `count` its vertices.
-    Each row of the strip arrays is a profile strip that ends on a wall, in
-    region, direction, then strip order: its region, its direction (index
-    into _DIRECTIONS), its (lo, hi) and the wall's line (a, b, c)."""
+    The region arrays run over all regions, cell by cell: `cell_of` holds
+    each region's index into `cells`, `poly` its polygon padded with zeros,
+    `count` its vertices.  Each row of the strip arrays is a strip of a
+    region with a cross-section, in region, axis (y first), then strip
+    order: its region, its axis (1: a strip of y, whose rays look left and
+    right; 0: a strip of x, whose rays look down and up), its (lo, hi), and
+    the lines a*x + b*y = c of the first walls its two rays meet, (n, 2, 3),
+    nan where a ray meets no wall or the clip frame."""
 
     cells: list[int]
-    by_cell: list[list[_Region]]
     cell_of: np.ndarray
     poly: np.ndarray
     count: np.ndarray
     strip_region: np.ndarray
-    strip_dir: np.ndarray
+    strip_axis: np.ndarray
     strip_bounds: np.ndarray
-    strip_line: np.ndarray
+    strip_walls: np.ndarray
 
 
 def _chunks(n: int, width: int) -> list[slice]:
@@ -461,7 +442,7 @@ def _first_wall_hits(origins: np.ndarray, dirs, walls: np.ndarray) -> np.ndarray
 
 
 def _strip_breaks(poly: np.ndarray, axis: int, ends: np.ndarray, rounded: np.ndarray) -> list[float]:
-    """A region's profile breaks along `axis`: its vertices' coordinates and
+    """A region's strip breaks along `axis`: its vertices' coordinates and
     the wall ends (`ends`, and `rounded` to 12 digits) strictly inside its
     extent, rounded to 12 digits and sorted.  The vertices take Python's
     decimal rounding and the wall ends numpy's, which differs from it in
@@ -491,14 +472,14 @@ def _section_middles(pts, count, axis: np.ndarray, value: np.ndarray) -> tuple[n
 
 
 def cell_regions(arrangement: Arrangement, cell_ids: list[int]) -> _Regions:
-    """The convex regions of the given cells, each with its four profiles.
+    """The convex regions of the given cells, and their strip table.
 
-    A region's profiles cut its extent across the rays at its vertices and
-    at the wall ends inside it; from the middle of each strip's cross-section
-    a ray finds the first wall.  The rays of one cell's regions, all four
-    directions, are cast in one `_first_wall_hits` call, and each wall hit
-    has its `Line` built once."""
-    by_cell, cell_of, polys, walls, breaks, sizes = [], [], [], [], [], []
+    A region's strips cut its extent across the rays at its vertices and at
+    the wall ends inside it; from the middle of each strip's cross-section
+    two rays find the first walls.  The rays of one cell's regions are cast
+    in one `_first_wall_hits` call, and each wall hit has its `Line` built
+    once."""
+    cell_of, polys, walls, breaks, sizes = [], [], [], [], []
     for k, cell_id in enumerate(cell_ids):
         cell = arrangement.cells[cell_id]
         cell_walls = arrangement.cell_walls(cell_id)
@@ -508,7 +489,6 @@ def cell_regions(arrangement: Arrangement, cell_ids: list[int]) -> _Regions:
             cell_polys = [arrangement.cell_polygon(cell_id)]
         else:
             cell_polys = [s.polygon for s in convex_decompose(cell, arrangement)]
-        by_cell.append([_Region(p, {d: [] for d in _DIRECTIONS}) for p in cell_polys])
         cell_of += [k] * len(cell_polys)
         along = {axis: (ends[:, cols].ravel(), np.round(ends[:, cols].ravel(), 12))
                  for axis, cols in ((1, [1, 3]), (0, [0, 2]))}
@@ -519,11 +499,11 @@ def cell_regions(arrangement: Arrangement, cell_ids: list[int]) -> _Regions:
                 breaks += found
                 sizes.append(len(found))
             polys.append(poly)
-    regions = [r for rs in by_cell for r in rs]
     cell_of = np.array(cell_of, dtype=np.int64)
     pts, count = _pad(polys)
 
-    # strips: consecutive breaks of a group more than BREAK_TOL apart
+    # strips: consecutive breaks of a group more than BREAK_TOL apart, kept
+    # where the region has a cross-section at their middle
     values, group = np.array(breaks, dtype=float), np.repeat(np.arange(len(sizes)), sizes)
     i = np.flatnonzero((group[:-1] == group[1:]) & (values[1:] - values[:-1] > BREAK_TOL))
     lo, hi, region, axis = values[i], values[i + 1], group[i] // 2, 1 - group[i] % 2
@@ -531,76 +511,72 @@ def cell_regions(arrangement: Arrangement, cell_ids: list[int]) -> _Regions:
     span, middle = np.zeros(len(i), dtype=bool), np.zeros(len(i))
     for s in _chunks(len(i), pts.shape[1]):
         span[s], middle[s] = _section_middles(pts[region[s]], count[region[s]], axis[s], mid[s])
+    lo, hi, region, axis, mid, middle = (x[span] for x in (lo, hi, region, axis, mid, middle))
     origin = np.where((axis == 1)[:, None], np.column_stack([middle, mid]), np.column_stack([mid, middle]))
 
-    # rays: each strip's two directions, in region, direction, strip order
-    row = np.repeat(np.flatnonzero(span), 2)
-    direction = 2 * (axis[row] == 0) + np.tile([0, 1], len(row) // 2)
-    order = np.argsort(region[row] * 4 + direction, kind="stable")
-    row, direction = row[order], direction[order]
-    # each wall hit has its line built once, a tuple the strips share;
-    # line_of[k] is row k's index into `lines`, 0 (None) for an open strip
-    lines, line_of = [None], np.zeros(len(row), dtype=np.int64)
-    cut = np.searchsorted(cell_of[region[row]], np.arange(len(walls) + 1))
+    # rays: each strip's two, in row order, one call per cell
+    line = np.full((len(region), 2, 3), np.nan)
+    cut = np.searchsorted(cell_of[region], np.arange(len(walls) + 1))
     for k, (cell_walls, ends) in enumerate(walls):
         s = slice(cut[k], cut[k + 1])
-        # return_index makes np.unique sort stably, as the rest of the program does
-        hits, _, which = np.unique(
-            _first_wall_hits(origin[row[s]], _RAY_STEP[direction[s]], ends),
-            return_index=True, return_inverse=True,
-        )
-        index = np.zeros(len(hits), dtype=np.int64)
-        for j, w in enumerate(hits.tolist()):
-            if w >= 0 and cell_walls[w][2][0] != "clip":
+        hit = _first_wall_hits(np.repeat(origin[s], 2, axis=0), _RAY_STEP[axis[s]].reshape(-1, 2), ends)
+        # each hit wall's line, once; the last row, nan, for no wall
+        wall_line = np.full((len(ends) + 1, 3), np.nan)
+        for w in set(hit.tolist()) - {-1}:
+            if cell_walls[w][2][0] != "clip":
                 ln = Line(cell_walls[w][0], cell_walls[w][1])
-                index[j] = len(lines)
-                lines.append((ln.a, ln.b, ln.c))
-        line_of[s] = index[which]
-
-    # the strips share the break floats and line tuples
-    for r, d, k, j in zip(region[row].tolist(), direction.tolist(), i[row].tolist(), line_of.tolist()):
-        regions[r].profiles[_DIRECTIONS[d]].append(_ProfileStrip(breaks[k], breaks[k + 1], not j, lines[j]))
-    closed = line_of > 0
-    keep = row[closed]
-    return _Regions(
-        list(cell_ids), by_cell, cell_of, pts, count, region[keep], direction[closed],
-        np.column_stack([lo[keep], hi[keep]]), np.array(lines[1:]).reshape(-1, 3)[line_of[closed] - 1],
-    )
+                wall_line[w] = (ln.a, ln.b, ln.c)
+        line[s] = wall_line[hit].reshape(-1, 2, 3)
+    return _Regions(list(cell_ids), cell_of, pts, count, region, axis, np.column_stack([lo, hi]), line)
 
 
 def _corner_level_segments(regions: _Regions, eps: float):
     """Exact level-set segments of the distance sums of the four corners in
     every region, in chunks of at most KERNEL_CHUNK vertex slots.
 
-    A band is a region clipped to the y-range of a profile strip to its left
-    or right.  A pair row joins a band with a vertical profile strip of its
-    region: the strip's x-slab clips the band to the piece where both wall
-    distances are linear, and the distance sum's level line is cut from the
-    piece.  A strip more than BREAK_TOL past the band's x-range would clip
-    it to nothing and is skipped.  Returns the segments' ends, (n, 2, 2), and
-    each one's region and directions (horizontal, vertical), in region,
-    band, then vertical strip order."""
-    sd, bounds, line = regions.strip_dir, regions.strip_bounds, regions.strip_line
+    A band is a region clipped to the y-range of one of its strips of y,
+    and a piece is a band clipped to the x-range of one of the region's
+    strips of x: in a piece the four wall distances are linear.  A corner's
+    level line is cut from every piece whose two walls on that corner's
+    sides run across their rays.  A strip of x more than BREAK_TOL past the
+    band's x-range would clip it to nothing and is skipped.  Returns the
+    segments' ends, (n, 2, 2), and each one's region and corner, numbered
+    2 * (looks right) + (looks up); one corner's segments run in region,
+    band, then strip of x order."""
+    axis, bounds, line = regions.strip_axis, regions.strip_bounds, regions.strip_walls
+    look = np.array([-1.0, 1.0])
     # a wall distance x - x_wall(y) looking left, y - y_wall(x) looking down,
-    # and their negatives looking right or up: P*x + Q*y + R
-    h = np.flatnonzero((sd < 2) & (np.abs(line[:, 0]) > AXIS_TOL))
-    look, (a, b, c) = _RAY_STEP[sd[h], 0], line[h].T
-    hP, hQ, hR = -look, -look * b / a, look * c / a
-    v = np.flatnonzero((sd >= 2) & (np.abs(line[:, 1]) > AXIS_TOL))
-    look, (a, b, c) = _RAY_STEP[sd[v], 1], line[v].T
-    vP, vQ, vR = -look * a / b, -look, look * c / b
-    # each band pairs with every vertical strip of its region: a run of v
+    # and their negatives looking right or up: P*x + Q*y + R, per row and ray,
+    # P = -look for a strip of y and Q = -look for a strip of x; a wall along
+    # the ray (or none, nan) bounds no distance, and a strip with neither
+    # ray bounded takes no part
+    h = np.flatnonzero(axis == 1)
+    h = h[(np.abs(line[h, :, 0]) > AXIS_TOL).any(axis=1)]
+    a, b, c = line[h].transpose(2, 0, 1)
+    h_ok = np.abs(a) > AXIS_TOL
+    a = np.where(h_ok, a, 1.0)
+    hQ, hR = -look * b / a, look * c / a
+    v = np.flatnonzero(axis == 0)
+    v = v[(np.abs(line[v, :, 1]) > AXIS_TOL).any(axis=1)]
+    a, b, c = line[v].transpose(2, 0, 1)
+    v_ok = np.abs(b) > AXIS_TOL
+    b = np.where(v_ok, b, 1.0)
+    vP, vR = -look * a / b, look * c / b
+    # each band pairs with every strip of x of its region: a run of v
     hregion, vregion = regions.strip_region[h], regions.strip_region[v]
     first = np.searchsorted(vregion, hregion)
     n_pairs = np.searchsorted(vregion, hregion, side="right") - first
-    # chunks of whole bands, each band and pair one row, of at most
-    # KERNEL_CHUNK / width rows: a piece has up to four vertices more than its region
-    chunk = np.cumsum(n_pairs + 1) // max(1, KERNEL_CHUNK // (regions.poly.shape[1] + 4))
+    # chunks of whole bands, of at most KERNEL_CHUNK / width level rows, a
+    # band's at most its rays times its region's: a piece has up to four
+    # vertices more than its region
+    rays = np.concatenate([[0], np.cumsum(v_ok.sum(axis=1))])
+    weight = h_ok.sum(axis=1) * (rays[first + n_pairs] - rays[first] + 1)
+    chunk = np.cumsum(weight) // max(1, KERNEL_CHUNK // (regions.poly.shape[1] + 4))
     cut = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(h)]
-    out_ends, out_region, out_dirs = [], [], []
+    out_ends, out_region, out_corner = [], [], []
     for s in (slice(lo, hi) for lo, hi in zip(cut, cut[1:])):
-        hs, r = h[s], hregion[s]
-        band, bcount = _clip_slab(regions.poly[r], regions.count[r], 1, bounds[hs, 0], bounds[hs, 1])
+        r = hregion[s]
+        band, bcount = _clip_slab(regions.poly[r], regions.count[r], 1, bounds[h[s], 0], bounds[h[s], 1])
         valid = np.arange(band.shape[1]) < bcount[:, None]
         xmin = np.where(valid, band[..., 0], np.inf).min(axis=1)
         xmax = np.where(valid, band[..., 0], -np.inf).max(axis=1)
@@ -609,16 +585,20 @@ def _corner_level_segments(regions: _Regions, eps: float):
         vi = np.repeat(first[s] - np.cumsum(n) + n, n) + np.arange(len(bi))
         near = (xmax[bi] - bounds[v[vi], 0] >= -BREAK_TOL) & (bounds[v[vi], 1] - xmin[bi] >= -BREAK_TOL)
         bi, vi = bi[near], vi[near]
-        hb, vs = s.start + bi, v[vi]
-        piece, pcount = _clip_slab(band[bi], bcount[bi], 0, bounds[vs, 0], bounds[vs, 1])
-        ok, e0, e1 = _level_ends(piece, pcount, hP[hb] + vP[vi], hQ[hb] + vQ[vi], hR[hb] + vR[vi], eps)
+        piece, pcount = _clip_slab(band[bi], bcount[bi], 0, bounds[v[vi], 0], bounds[v[vi], 1])
+        # a row for each piece and corner whose two rays meet walls
+        hb = s.start + bi
+        pair, corner = np.nonzero(h_ok[hb][:, [0, 0, 1, 1]] & v_ok[vi][:, [0, 1, 0, 1]])
+        hb, vb, sh, sv = hb[pair], vi[pair], corner // 2, corner % 2
+        P, Q, R = -look[sh] + vP[vb, sv], hQ[hb, sh] - look[sv], hR[hb, sh] + vR[vb, sv]
+        ok, e0, e1 = _level_ends(piece[pair], pcount[pair], P, Q, R, eps)
         out_ends.append(np.stack([e0[ok], e1[ok]], axis=1))
-        out_region.append(r[bi[ok]])
-        out_dirs.append(np.column_stack([sd[hs[bi[ok]]], sd[vs[ok]]]))
+        out_region.append(hregion[hb[ok]])
+        out_corner.append(corner[ok])
     return (
         np.concatenate([np.zeros((0, 2, 2)), *out_ends]),
         np.concatenate([np.zeros(0, dtype=np.int64), *out_region]),
-        np.concatenate([np.zeros((0, 2), dtype=np.int64), *out_dirs]),
+        np.concatenate([np.zeros(0, dtype=np.int64), *out_corner]),
     )
 
 
@@ -725,11 +705,10 @@ def _chain_is_convex(chain) -> bool:
 def corner_curve(regions: _Regions, taus: list[TranslationVector], eps) -> list[list[CriticalCurve]]:
     """Level-set chains of the corner vectors `taus` in every cell of
     `regions`, in placement space: one list for each vector, cell by cell."""
-    ends, region, dirs = _corner_level_segments(regions, float(eps))
+    ends, region, corner = _corner_level_segments(regions, float(eps))
     n_cells = len(regions.cells)
-    # a chain group is one cell's segments of one corner, the corner named by
-    # its pair of directions as 0..3
-    group = (2 * dirs[:, 0] + dirs[:, 1] - 2) * n_cells + regions.cell_of[region]
+    # a chain group is one cell's segments of one corner
+    group = corner * n_cells + regions.cell_of[region]
     order = np.argsort(group, kind="stable")
     which = {}
     for n, tau in enumerate(taus):
@@ -756,84 +735,72 @@ def corner_curve(regions: _Regions, taus: list[TranslationVector], eps) -> list[
 # side-vector placement windows
 # ---------------------------------------------------------------------------
 
-def _cross_section_solutions(regions: list[_Region], orientation: str, eps: float):
-    """(value, lo_hit, hi_hit) where the cell cross-section equals eps, and the
-    (lo, hi) stretches where it equals eps throughout.
+def _side_windows(regions: _Regions, eps: float) -> tuple[dict, list[DegenerateStrip]]:
+    """The side windows, where a strip's cross-section is exactly eps wide,
+    and the degenerate strips, where it is eps wide throughout (horizontal
+    ones first), of every strip whose two rays meet walls.
 
-    orientation "horizontal": value is a height y*, the hits are the x of the
-    left and right walls there; "vertical" swaps the roles.
-    """
-    d_lo, d_hi = ("left", "right") if orientation == "horizontal" else ("down", "up")
-    solutions: list[tuple[float, float, float]] = []
-    degenerate: list[tuple[float, float]] = []
-    for region in regions:
-        plo = region.profiles[d_lo]
-        phi = region.profiles[d_hi]
-        breaks = sorted(
-            {s.lo for s in plo} | {s.hi for s in plo} | {s.lo for s in phi} | {s.hi for s in phi}
-        )
-        for lo, hi in zip(breaks, breaks[1:]):
-            mid = 0.5 * (lo + hi)
-            slo = next((s for s in plo if s.lo - BREAK_TOL <= mid <= s.hi + BREAK_TOL), None)
-            shi = next((s for s in phi if s.lo - BREAK_TOL <= mid <= s.hi + BREAK_TOL), None)
-            if slo is None or shi is None or slo.open_side or shi.open_side:
-                continue
-            a1, b1, c1 = slo.line
-            a2, b2, c2 = shi.line
-            if orientation == "horizontal":
-                if abs(a1) <= AXIS_TOL or abs(a2) <= AXIS_TOL:
-                    continue
-                # width(y) = x_hi(y) - x_lo(y)
-                k = (-b2 / a2) - (-b1 / a1)
-                m = (c2 / a2) - (c1 / a1)
-            else:
-                if abs(b1) <= AXIS_TOL or abs(b2) <= AXIS_TOL:
-                    continue
-                k = (-a2 / b2) - (-a1 / b1)
-                m = (c2 / b2) - (c1 / b1)
-            # width(v) = k*v + m on [lo, hi]
-            if abs(k) <= FLAT_SLOPE:
-                if abs(m - eps) <= STRIP_WIDTH_TOL:
-                    degenerate.append((lo, hi))
-                continue
-            v = (eps - m) / k
-            if lo - BREAK_TOL <= v <= hi + BREAK_TOL:
-                if orientation == "horizontal":
-                    xl = (c1 - b1 * v) / a1
-                    xr = (c2 - b2 * v) / a2
-                else:
-                    xl = (c1 - a1 * v) / b1
-                    xr = (c2 - a2 * v) / b2
-                solutions.append((v, xl, xr))
-    uniq: dict[tuple[int, int, int], tuple[float, float, float]] = {}
-    for v, xl, xr in solutions:
-        uniq[(round(v / WINDOW_KEY), round(xl / WINDOW_KEY), round(xr / WINDOW_KEY))] = (v, xl, xr)
-    return list(uniq.values()), degenerate
+    The windows are kept by strip axis, as (cell, at) arrays in cell,
+    region, then strip order: each one's index into the build's cells and
+    its (value, lo_hit, hi_hit).  Axis 1: the value is a height y, the hits
+    the x of the left and right walls there; axis 0 swaps the roles.
+    Windows of one cell and axis that `_snap_merge` merges at VERTEX_SNAP
+    in (value, lo_hit) are one, and the first is kept: the hits are eps
+    apart, so hi_hit is merged with lo_hit."""
+    line, axis = regions.strip_walls, regions.strip_axis
+    rows = np.arange(len(line))[:, None]
+    # each wall's coefficient along the rays (u) and along the strip (w)
+    u = line[rows, [0, 1], 1 - axis[:, None]]
+    w = line[rows, [0, 1], axis[:, None]]
+    row = np.flatnonzero((np.abs(u) > AXIS_TOL).all(axis=1))
+    (u1, u2), (w1, w2), (c1, c2) = u[row].T, w[row].T, line[row, :, 2].T
+    # the width along the strip is k*v + m
+    k = (-w2 / u2) - (-w1 / u1)
+    m = (c2 / u2) - (c1 / u1)
+    flat = np.abs(k) <= FLAT_SLOPE
+    v = (eps - m) / np.where(flat, 1.0, k)
+    lo, hi = regions.strip_bounds[row].T
+    found = ~flat & (lo - BREAK_TOL <= v) & (v <= hi + BREAK_TOL)
+    degenerate = flat & (np.abs(m - eps) <= STRIP_WIDTH_TOL)
+    at = np.column_stack([v, (c1 - w1 * v) / u1, (c2 - w2 * v) / u2])
+    cell, axis = regions.cell_of[regions.strip_region[row]], axis[row]
+    windows, strips = {}, []
+    for side, orientation in ((1, "horizontal"), (0, "vertical")):
+        i = np.flatnonzero(found & (axis == side))
+        label = _snap_merge(at[i, :2], VERTEX_SNAP)
+        # a 1-D key, and a mask in place of a sort of the kept indices: with
+        # return_index np.unique sorts stably, as the rest of the program does,
+        # and np.sort would page in another sort kernel (0.2-0.3 MB resident)
+        first = np.zeros(len(i), dtype=bool)
+        first[np.unique(cell[i] * len(i) + label, return_index=True)[1]] = True
+        i = i[first]
+        windows[side] = (cell[i], at[i])
+        i = np.flatnonzero(degenerate & (axis == side))
+        strips += [
+            DegenerateStrip(regions.cells[c], orientation, a, b)
+            for c, a, b in zip(cell[i].tolist(), lo[i].tolist(), hi[i].tolist())
+        ]
+    return windows, strips
 
 
-def edge_curve(cell_id: int, windows: dict, tau: TranslationVector) -> list[CriticalCurve]:
-    """Axis-aligned placement windows for a non-corner square vector, from
-    the cell's side windows of each orientation."""
-    horizontal = tau.label in ("top", "bottom")
-    curves: list[CriticalCurve] = []
-    for v, w_lo, w_hi in windows["horizontal" if horizontal else "vertical"]:
-        if horizontal:
-            y_p = v - (0.5 if tau.label == "top" else -0.5)
-            lo = max(w_lo - tau.dx, w_hi - 0.5)
-            hi = min(w_hi - tau.dx, w_lo + 0.5)
-            if hi - lo > MIN_STEP:
-                curves.append(
-                    CriticalCurve(cell_id, tau, [seg_piece(lo, y_p, hi, y_p)], True)
-                )
-        else:
-            x_p = v - (0.5 if tau.label == "right" else -0.5)
-            lo = max(w_lo - tau.dy, w_hi - 0.5)
-            hi = min(w_hi - tau.dy, w_lo + 0.5)
-            if hi - lo > MIN_STEP:
-                curves.append(
-                    CriticalCurve(cell_id, tau, [seg_piece(x_p, lo, x_p, hi)], True)
-                )
-    return curves
+def edge_curve(cells: list[int], windows: dict, tau: TranslationVector) -> list[CriticalCurve]:
+    """Axis-aligned placement windows of a non-corner square vector, one
+    from each side window of its orientation; `windows` holds them as
+    `_side_windows` returns them, their cells as indices into `cells`."""
+    axis = 1 if tau.label in ("top", "bottom") else 0
+    cell, (v, w_lo, w_hi) = windows[axis][0], windows[axis][1].T
+    shift = tau.dx if axis == 1 else tau.dy
+    lo = np.maximum(w_lo - shift, w_hi - 0.5)
+    hi = np.minimum(w_hi - shift, w_lo + 0.5)
+    ok = hi - lo > MIN_STEP
+    # the segment runs along the other axis, at the placement's offset from v
+    ends = np.empty((int(ok.sum()), 2, 2))
+    ends[:, :, axis] = (v - (0.5 if tau.label in ("top", "right") else -0.5))[ok, None]
+    ends[:, 0, 1 - axis], ends[:, 1, 1 - axis] = lo[ok], hi[ok]
+    return [
+        CriticalCurve(cells[k], tau, [seg_piece(*p0, *p1)], True)
+        for k, (p0, p1) in zip(cell[ok].tolist(), ends.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +825,9 @@ def collect_S(
     strips (horizontal ones first).
 
     Each cell's work that no vector changes is done once: a square cell's
-    profiles and side windows, a circle cell's ring pieces.  The square's
-    profiles and corner chains come from one batched pass over the regions
-    of every cell.
+    strips and side windows, a circle cell's ring pieces.  The square's
+    strip table, corner chains and side windows come from batched passes
+    over the regions of every cell.
     """
     from .circles import _ring_pieces, circle_cell_curves
 
@@ -868,7 +835,7 @@ def collect_S(
     if vectors.shape == CIRCLE and e >= 1.0:
         raise EpsilonTooLarge("circle curves are only computed for eps < 1")
     per_vector: list[list[CriticalCurve]] = [[] for _ in vectors.vectors]
-    strips: dict[str, list[DegenerateStrip]] = {"horizontal": [], "vertical": []}
+    strips: list[DegenerateStrip] = []
     reaching = [c.id for c in arrangement.cells if _cell_reaches(arrangement, c.id, domain, 1.0 + e)]
     if vectors.shape == CIRCLE:
         for cell_id in reaching:
@@ -880,16 +847,12 @@ def collect_S(
         corners = [k for k, tau in enumerate(vectors.vectors) if tau.kind == "corner"]
         for k, curves in zip(corners, corner_curve(regions, [vectors.vectors[k] for k in corners], e)):
             per_vector[k] = curves
-        for cell_id, cell_regs in zip(regions.cells, regions.by_cell):
-            windows = {}
-            for orientation, found in strips.items():
-                windows[orientation], degenerate = _cross_section_solutions(cell_regs, orientation, e)
-                found.extend(DegenerateStrip(cell_id, orientation, lo, hi) for lo, hi in degenerate)
-            for out, tau in zip(per_vector, vectors.vectors):
-                if tau.kind != "corner":
-                    out.extend(edge_curve(cell_id, windows, tau))
+        windows, strips = _side_windows(regions, e)
+        for out, tau in zip(per_vector, vectors.vectors):
+            if tau.kind != "corner":
+                out.extend(edge_curve(regions.cells, windows, tau))
     clipped = (clip_curve_to_box(c, domain) for out in per_vector for c in out)
-    return [c for c in clipped if c], strips["horizontal"] + strips["vertical"]
+    return [c for c in clipped if c], strips
 
 
 def clip_curve_to_box(curve: CriticalCurve, box: BBox) -> CriticalCurve | None:

@@ -8,6 +8,8 @@ from .geom import _line_in_box
 from .sceneio import Scene, curves_from_result, domain_from_result, fmt
 
 _MARGIN = 0.05  # fraction of the view added around the data
+# The margin is taken of at least this extent, so that a view of one point has a scale.
+_MIN_EXTENT = 1e-9
 
 
 def _palette(i: int) -> str:
@@ -19,7 +21,7 @@ class _View:
     """World -> SVG pixel mapping with the y axis flipped."""
 
     def __init__(self, xmin, ymin, xmax, ymax, width=800.0):
-        pad = _MARGIN * max(xmax - xmin, ymax - ymin, 1e-9)
+        pad = _MARGIN * max(xmax - xmin, ymax - ymin, _MIN_EXTENT)
         self.xmin, self.ymin = xmin - pad, ymin - pad
         self.xmax, self.ymax = xmax + pad, ymax + pad
         self.scale = width / (self.xmax - self.xmin)

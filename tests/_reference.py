@@ -18,9 +18,11 @@
   sampling it.
 * The square's curve construction as it was before the program profiled
   and clipped the regions of all cells in batched numpy passes: profiles
-  cast one ray per strip in a loop over the walls, and every (horizontal
-  strip, vertical strip) pair clips the region anew, one cell and one
-  corner at a time.  `reference_collect` returns, one
+  (lists of `ProfileStrip`, one per direction) cast one ray per strip in a
+  loop over the walls, every (horizontal strip, vertical strip) pair clips
+  the region anew, one cell and one corner at a time, and
+  `cross_section_solutions` and `edge_curve` find one cell's side windows
+  and their curves strip by strip.  `reference_collect` returns, one
   vector at a time, what `collect_S` returns for the square's vectors, and
   must return it bit for bit.
 * `curves_by_vector`: `collect_S` over a whole arrangement, clipped to its
@@ -37,6 +39,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,17 +74,15 @@ from critplace.oracle import (
 from critplace.placement import (
     _CORNER_QUADRANT,
     _QUADRANT_LOOK,
+    VERTEX_SNAP,
     CriticalCurve,
     DegenerateStrip,
     TranslationVector,
     _cell_reaches,
     _chain_is_convex,
-    _cross_section_solutions,
-    _ProfileStrip,
     _stitch_chains,
     clip_curve_to_box,
     collect_S,
-    edge_curve,
     seg_piece,
     translation_vectors,
 )
@@ -388,6 +389,14 @@ def reference_ring_ok(arrangement: Arrangement, cell_id: int, eps: float, piece,
 # square curves, one ray and one region clip at a time
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
+class ProfileStrip:
+    lo: float
+    hi: float
+    open_side: bool  # first hit is the clip frame (or nothing)
+    line: tuple[float, float, float] | None  # supporting line a*x + b*y = c
+
+
 class ReferenceRegion:
     """Convex region plus the walls of its owning cell, profiled by loops."""
 
@@ -424,7 +433,7 @@ def _region_span(poly: np.ndarray, axis: int, value: float) -> tuple[float, floa
     return (min(hits), max(hits))
 
 
-def _direction_profile(region: ReferenceRegion, direction: str) -> list[_ProfileStrip]:
+def _direction_profile(region: ReferenceRegion, direction: str) -> list[ProfileStrip]:
     poly = region.polygon
     axis = 1 if direction in ("left", "right") else 0
     vals = sorted({float(v[axis]) for v in poly})
@@ -437,7 +446,7 @@ def _direction_profile(region: ReferenceRegion, direction: str) -> list[_Profile
     sign = -1.0 if direction in ("left", "down") else 1.0
     dvec = (sign, 0.0) if axis == 1 else (0.0, sign)
 
-    strips: list[_ProfileStrip] = []
+    strips: list[ProfileStrip] = []
     for lo, hi in zip(vals, vals[1:]):
         if hi - lo <= 1e-12:
             continue
@@ -449,11 +458,11 @@ def _direction_profile(region: ReferenceRegion, direction: str) -> list[_Profile
         origin = (sx, mid) if axis == 1 else (mid, sx)
         hit = _first_wall_hit(origin, dvec, region.walls)
         if hit is None or hit[1][0] == "clip":
-            strips.append(_ProfileStrip(lo, hi, True, None))
+            strips.append(ProfileStrip(lo, hi, True, None))
         else:
             p0, p1 = hit[2]
             ln = Line(p0, p1)
-            strips.append(_ProfileStrip(lo, hi, False, (ln.a, ln.b, ln.c)))
+            strips.append(ProfileStrip(lo, hi, False, (ln.a, ln.b, ln.c)))
     return strips
 
 
@@ -578,6 +587,88 @@ def corner_curve(cell_id: int, regions: list[ReferenceRegion], tau: TranslationV
     return curves
 
 
+def cross_section_solutions(regions: list[ReferenceRegion], orientation: str, eps: float):
+    """(value, lo_hit, hi_hit) where the cell cross-section equals eps, and the
+    (lo, hi) stretches where it equals eps throughout.
+
+    orientation "horizontal": value is a height y*, the hits are the x of the
+    left and right walls there; "vertical" swaps the roles.  A solution
+    within VERTEX_SNAP of an earlier one in value and lo_hit is that one.
+    """
+    d_lo, d_hi = ("left", "right") if orientation == "horizontal" else ("down", "up")
+    solutions: list[tuple[float, float, float]] = []
+    degenerate: list[tuple[float, float]] = []
+    for region in regions:
+        plo = region.profiles[d_lo]
+        phi = region.profiles[d_hi]
+        breaks = sorted(
+            {s.lo for s in plo} | {s.hi for s in plo} | {s.lo for s in phi} | {s.hi for s in phi}
+        )
+        for lo, hi in zip(breaks, breaks[1:]):
+            mid = 0.5 * (lo + hi)
+            slo = next((s for s in plo if s.lo - 1e-12 <= mid <= s.hi + 1e-12), None)
+            shi = next((s for s in phi if s.lo - 1e-12 <= mid <= s.hi + 1e-12), None)
+            if slo is None or shi is None or slo.open_side or shi.open_side:
+                continue
+            a1, b1, c1 = slo.line
+            a2, b2, c2 = shi.line
+            if orientation == "horizontal":
+                if abs(a1) <= 1e-12 or abs(a2) <= 1e-12:
+                    continue
+                # width(y) = x_hi(y) - x_lo(y)
+                k = (-b2 / a2) - (-b1 / a1)
+                m = (c2 / a2) - (c1 / a1)
+            else:
+                if abs(b1) <= 1e-12 or abs(b2) <= 1e-12:
+                    continue
+                k = (-a2 / b2) - (-a1 / b1)
+                m = (c2 / b2) - (c1 / b1)
+            # width(v) = k*v + m on [lo, hi]
+            if abs(k) <= 1e-12:
+                if abs(m - eps) <= 1e-9:
+                    degenerate.append((lo, hi))
+                continue
+            v = (eps - m) / k
+            if lo - 1e-12 <= v <= hi + 1e-12:
+                if orientation == "horizontal":
+                    xl = (c1 - b1 * v) / a1
+                    xr = (c2 - b2 * v) / a2
+                else:
+                    xl = (c1 - a1 * v) / b1
+                    xr = (c2 - a2 * v) / b2
+                solutions.append((v, xl, xr))
+    kept: list[tuple[float, float, float]] = []
+    for sol in solutions:
+        if all(abs(sol[0] - k[0]) > VERTEX_SNAP or abs(sol[1] - k[1]) > VERTEX_SNAP for k in kept):
+            kept.append(sol)
+    return kept, degenerate
+
+
+def edge_curve(cell_id: int, windows: dict, tau: TranslationVector) -> list[CriticalCurve]:
+    """Axis-aligned placement windows for a non-corner square vector, from
+    the cell's side windows of each orientation."""
+    horizontal = tau.label in ("top", "bottom")
+    curves: list[CriticalCurve] = []
+    for v, w_lo, w_hi in windows["horizontal" if horizontal else "vertical"]:
+        if horizontal:
+            y_p = v - (0.5 if tau.label == "top" else -0.5)
+            lo = max(w_lo - tau.dx, w_hi - 0.5)
+            hi = min(w_hi - tau.dx, w_lo + 0.5)
+            if hi - lo > 1e-12:
+                curves.append(
+                    CriticalCurve(cell_id, tau, [seg_piece(lo, y_p, hi, y_p)], True)
+                )
+        else:
+            x_p = v - (0.5 if tau.label == "right" else -0.5)
+            lo = max(w_lo - tau.dy, w_hi - 0.5)
+            hi = min(w_hi - tau.dy, w_lo + 0.5)
+            if hi - lo > 1e-12:
+                curves.append(
+                    CriticalCurve(cell_id, tau, [seg_piece(x_p, lo, x_p, hi)], True)
+                )
+    return curves
+
+
 def reference_collect(
     tau: TranslationVector, arrangement: Arrangement, eps: float, domain: BBox, strips: list
 ) -> list[CriticalCurve]:
@@ -593,7 +684,7 @@ def reference_collect(
         if tau.kind == "corner":
             curves.extend(corner_curve(cell.id, regions, tau, eps))
             continue
-        windows, degenerate = _cross_section_solutions(regions, orientation, eps)
+        windows, degenerate = cross_section_solutions(regions, orientation, eps)
         curves.extend(edge_curve(cell.id, {orientation: windows}, tau))
         if all((s.cell_id, s.orientation) != (cell.id, orientation) for s in strips):
             strips.extend(DegenerateStrip(cell.id, orientation, lo, hi) for lo, hi in degenerate)

@@ -241,19 +241,38 @@ def test_edge_curve_wide_strip_empty():
 
 
 def test_edge_curve_degenerate_strip_flagged():
-    lines = [Y_AXIS, Line(Point(0.25, -1), Point(0.25, 1))]
-    pa = build_placement_arrangement(lines, 0.25, SQUARE)
-    strip = locate(Point(0.125, 0.0), pa.arrangement)
-    # one strip, reported once, not once for each of the six horizontal vectors
-    assert [(w.cell_id, w.orientation) for w in pa.warnings] == [(strip, "horizontal")]
-    # the degenerate two-dimensional set is not returned as curves
-    strip_curves = [
-        c
-        for c in pa.curves
-        if c.vector is not None and c.vector.label in ("top", "bottom")
-        and all(abs(p.p0[1] - p.p1[1]) < 1e-9 and -0.6 < p.p0[1] < -0.4 for p in c.pieces)
+    for lines, orientation, at in (
+        ([Y_AXIS, Line(Point(0.25, -1), Point(0.25, 1))], "horizontal", Point(0.125, 0.0)),
+        ([X_AXIS, Line(Point(-1, 0.25), Point(1, 0.25))], "vertical", Point(0.0, 0.125)),
+    ):
+        pa = build_placement_arrangement(lines, 0.25, SQUARE)
+        strip = locate(at, pa.arrangement)
+        # one strip, reported once, not once for each of the six vectors of its sides
+        assert [(w.cell_id, w.orientation) for w in pa.warnings] == [(strip, orientation)]
+        # the degenerate two-dimensional set is not returned as curves
+        axis = 1 if orientation == "horizontal" else 0
+        labels = ("top", "bottom") if orientation == "horizontal" else ("left", "right")
+        strip_curves = [
+            c
+            for c in pa.curves
+            if c.vector is not None and c.vector.label in labels
+            and all(abs(p.p0[axis] - p.p1[axis]) < 1e-9 and -0.6 < p.p0[axis] < -0.4 for p in c.pieces)
+        ]
+        assert strip_curves == []
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (0.0, 2.5e-9), (0.1, 7.5e-9), (0.3, 0.2 + 5e-10)])
+def test_side_windows_keep_their_count_under_translation(shift):
+    # the left wall kinks at the height where the cell is eps wide, so the
+    # strips below and above the kink find one window each, a rounding apart
+    dx, dy = shift
+    segs = [
+        Segment(Point(0.1 + dx, -1 + dy), Point(dx, dy)),
+        Segment(Point(dx, dy), Point(0.1 + dx, 1 + dy)),
+        Segment(Point(0.25 + dx, -1.2 + dy), Point(0.25 + dx, 1.2 + dy)),
     ]
-    assert strip_curves == []
+    pa = build_placement_arrangement(segs, 0.25, SQUARE)
+    assert len(pa.curves) == 20
 
 
 def test_edge_windows_at_most_eps_long():
@@ -340,6 +359,20 @@ def _reference_pairs(arr):
                         yield band, sv, (P, Q, R)
 
 
+def _table_profiles(regions, r):
+    """Region r's strips in the strip table, as the reference's profiles:
+    (lo, hi, line or None) for each strip, by direction."""
+    rows = np.flatnonzero(regions.strip_region == r)
+    out = {}
+    for d, (axis, side) in {"left": (1, 0), "right": (1, 1), "down": (0, 0), "up": (0, 1)}.items():
+        out[d] = [
+            (*regions.strip_bounds[k].tolist(),
+             None if np.isnan(regions.strip_walls[k, side]).any() else tuple(regions.strip_walls[k, side].tolist()))
+            for k in rows[regions.strip_axis[rows] == axis]
+        ]
+    return out
+
+
 def _disjoint_strip_pairs(pa, _chunks) -> bool:
     """Some vertical strip lies outside the x-range of the band it is paired with."""
     return any(
@@ -397,9 +430,12 @@ def test_square_curves_equal_the_per_pair_reference(prims, eps, shows, monkeypat
         assert any(cell.holes for cell in arr.cells)
     assert shows is None or shows(pa, chunks)
     regions = cell_regions(arr, [cell.id for cell in arr.cells])
-    for cell, new_regions in zip(arr.cells, regions.by_cell, strict=True):
-        for new, ref in zip(new_regions, reference_regions(arr, cell.id), strict=True):
-            assert new.profiles == ref.profiles
+    for k, cell in enumerate(arr.cells):
+        new_regions = np.flatnonzero(regions.cell_of == k)
+        for r, ref in zip(new_regions, reference_regions(arr, cell.id), strict=True):
+            assert _table_profiles(regions, r) == {
+                d: [(s.lo, s.hi, s.line) for s in strips] for d, strips in ref.profiles.items()
+            }
     warnings = []
     ref_curves = [
         c for tau in pa.vectors.vectors
