@@ -36,8 +36,11 @@ print(f"{len(trajectories)} trajectories in {len(scenes)} scenes")
 
 bbox = BBox(-1.5, -1.5, 6.5, 6.5)
 grid = grid_scan(trajectories, EPS, bbox, SPACING)
-n_like = sum(1 for a in grid.cells if a.junction_like)
-print(f"grid {grid.nx}x{grid.ny}: {n_like} junction-like cells")
+# the grid holds one (ny, nx) array per field: significance, kind,
+# n_clusters and junction_like
+n_like = int(grid.junction_like.sum())
+n_real = int((grid.kind == "realJunction").sum())
+print(f"grid {grid.nx}x{grid.ny}: {n_like} junction-like cells, {n_real} of them real junctions")
 
 top = top_k(grid, len(scenes))
 for pt, a in top.items:

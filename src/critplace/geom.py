@@ -1,13 +1,16 @@
 """Scalar geometric primitives, tolerance policy, and perimeter coordinates.
 
 Everything here is an immutable value; all operations are pure functions.
-Coordinates are plain floats.
+Coordinates are plain floats, except that the square's perimeter map also
+takes arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 SQUARE = "square"
 CIRCLE = "circle"
@@ -168,8 +171,7 @@ def _slab_clip(
     closed: a touch gives a zero-length interval and axis-parallel runs
     within CLOSED_PAD outside the bounds count as inside.
     """
-    # unrolled over the two axes: junction detection calls this for every
-    # trajectory edge at every grid point
+    # unrolled over the two axes: placement clips every curve piece to its box
     pad = CLOSED_PAD if closed else 0.0
     if abs(dx) <= PARALLEL_DIR:
         if not (xmin - pad <= px <= xmax + pad):
@@ -289,20 +291,34 @@ def perimeter_coordinate(shape: str, center: Point, boundary_point: Point) -> Pe
         return PerimeterCoord(CIRCLE, center, min(s, CIRCLE_PERIMETER - PERIMETER_END))
     if shape != SQUARE:
         raise ValueError(f"unknown shape {shape!r}")
-    if max(abs(dx), abs(dy)) - 0.5 > TOL.eps_geom or (
-        abs(abs(dx) - 0.5) > TOL.eps_geom and abs(abs(dy) - 0.5) > TOL.eps_geom
-    ):
+    s, on = _square_perimeter_s(np.float64(dx), np.float64(dy))
+    if not on:
         raise NotOnBoundary(f"point {boundary_point} not on unit square")
-    # Pick the side whose coordinate is pinned at +-0.5; corners may take
-    # either incident side, the coordinate is the same after wrapping.
-    if abs(dy + 0.5) <= TOL.eps_geom and dx < 0.5 - TOL.eps_geom:
-        s = 0.0 + (dx + 0.5)
-    elif abs(dx - 0.5) <= TOL.eps_geom and dy < 0.5 - TOL.eps_geom:
-        s = 1.0 + (dy + 0.5)
-    elif abs(dy - 0.5) <= TOL.eps_geom:
-        s = 2.0 + (0.5 - dx)
-    else:
-        s = 3.0 + (0.5 - dy)
-    s %= SQUARE_PERIMETER
-    return PerimeterCoord(SQUARE, center, min(max(s, 0.0), SQUARE_PERIMETER - PERIMETER_END))
+    return PerimeterCoord(SQUARE, center, float(s))
+
+
+def _square_perimeter_s(dx, dy):
+    """The square's perimeter coordinates of offsets (dx, dy) from the center,
+    elementwise over arrays, and whether each offset is on the boundary
+    (within eps_geom); the coordinate of an offset off it means nothing."""
+    g = TOL.eps_geom
+    on = ~(
+        (np.maximum(abs(dx), abs(dy)) - 0.5 > g)
+        | ((abs(abs(dx) - 0.5) > g) & (abs(abs(dy) - 0.5) > g))
+    )
+    # Pick the side whose coordinate is pinned at +-0.5, bottom, right, top
+    # and left in turn; corners may take either incident side, the
+    # coordinate is the same after wrapping.
+    s = np.select(
+        [
+            (abs(dy + 0.5) <= g) & (dx < 0.5 - g),
+            (abs(dx - 0.5) <= g) & (dy < 0.5 - g),
+            abs(dy - 0.5) <= g,
+        ],
+        [0.0 + (dx + 0.5), 1.0 + (dy + 0.5), 2.0 + (0.5 - dx)],
+        3.0 + (0.5 - dy),
+    )
+    # numpy's % wraps as Python's does, so s is never -0.0 here
+    s = np.minimum(s % SQUARE_PERIMETER, SQUARE_PERIMETER - PERIMETER_END)
+    return s, on
 

@@ -223,11 +223,6 @@ def domain_from_result(doc: dict) -> BBox:
 
 
 def result_from_junctions(grid, top, eps: float) -> dict:
-    sig_rows = []
-    kind_rows = []
-    for row in range(grid.ny):
-        sig_rows.append([_f(grid.at(row, col).significance) for col in range(grid.nx)])
-        kind_rows.append([grid.at(row, col).kind for col in range(grid.nx)])
     return {
         "schema": SCHEMA_VERSION,
         "type": "junctions",
@@ -236,8 +231,8 @@ def result_from_junctions(grid, top, eps: float) -> dict:
         "bbox": [_f(grid.bbox.xmin), _f(grid.bbox.ymin), _f(grid.bbox.xmax), _f(grid.bbox.ymax)],
         "nx": grid.nx,
         "ny": grid.ny,
-        "significance": sig_rows,
-        "kinds": kind_rows,
+        "significance": [[_f(v) for v in row] for row in grid.significance.tolist()],
+        "kinds": grid.kind.tolist(),
         "requested_k": top.requested,
         "complete": bool(top.complete),
         "top": [

@@ -34,6 +34,14 @@
   `reference_points_far_from_segments`, the dictionary-bucket loop over the
   scan points.  `sample_verdicts` puts the batched and the scalar verdict of
   every sample `verify` checks side by side.
+* Junction detection as it was before `grid_scan` assessed every grid
+  point in one batched pass: `reference_salient_subtrajectories` clips one
+  trajectory edge at a time with `_slab_clip`, `reference_perimeter_coordinate`
+  maps a boundary point with scalar branches, `reference_epsilon_cluster`
+  sorts and groups one point's coordinates in Python, and `reference_assess`
+  pairs the clusters with a dict of sets.  The program's `assess`,
+  `salient_subtrajectories` and `epsilon_cluster` must return what these
+  return, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,12 +63,30 @@ from critplace.arrangement import (
 )
 from critplace.geom import (
     CIRCLE,
+    PERIMETER_END,
+    SQUARE,
+    SQUARE_PERIMETER,
     TOL,
     GeometryError,
     Line,
+    NotOnBoundary,
+    PerimeterCoord,
     Point,
+    Polyline,
+    _slab_clip,
     shape_perimeter,
     square_corners,
+)
+from critplace.junctions import (
+    EDGE_END,
+    INNER_RATIO,
+    SAME_PERIMETER,
+    SAME_POINT,
+    Cluster,
+    ClusterSet,
+    JunctionAssessment,
+    SalientSubtrajectory,
+    default_significance,
 )
 from critplace.oracle import (
     _SAMPLE_INSET,
@@ -819,3 +845,165 @@ def reference_points_far_from_segments(
         if float(np.min(ddx * ddx + ddy * ddy)) > delta * delta:
             far.append(k)
     return far
+
+
+def reference_perimeter_coordinate(center: Point, boundary_point: Point) -> PerimeterCoord:
+    dx = boundary_point.x - center.x
+    dy = boundary_point.y - center.y
+    if max(abs(dx), abs(dy)) - 0.5 > TOL.eps_geom or (
+        abs(abs(dx) - 0.5) > TOL.eps_geom and abs(abs(dy) - 0.5) > TOL.eps_geom
+    ):
+        raise NotOnBoundary(f"point {boundary_point} not on unit square")
+    if abs(dy + 0.5) <= TOL.eps_geom and dx < 0.5 - TOL.eps_geom:
+        s = 0.0 + (dx + 0.5)
+    elif abs(dx - 0.5) <= TOL.eps_geom and dy < 0.5 - TOL.eps_geom:
+        s = 1.0 + (dy + 0.5)
+    elif abs(dy - 0.5) <= TOL.eps_geom:
+        s = 2.0 + (0.5 - dx)
+    else:
+        s = 3.0 + (0.5 - dy)
+    s %= SQUARE_PERIMETER
+    return PerimeterCoord(SQUARE, center, min(max(s, 0.0), SQUARE_PERIMETER - PERIMETER_END))
+
+
+def reference_salient_subtrajectories(trajectories: list[Polyline], p: Point) -> list[SalientSubtrajectory]:
+    out: list[SalientSubtrajectory] = []
+    xmin, ymin, xmax, ymax = p.x - 0.5, p.y - 0.5, p.x + 0.5, p.y + 0.5
+    inner_half = 0.5 * INNER_RATIO
+    ixmin, iymin = p.x - inner_half, p.y - inner_half
+    ixmax, iymax = p.x + inner_half, p.y + inner_half
+    for traj in trajectories:
+        verts = traj.vertices
+        last_edge = len(verts) - 2
+        runs: list[tuple[int, float, int, float]] = []
+        open_run: tuple[int, float] | None = None
+        last: tuple[int, float] | None = None
+        for ei, (a, b) in enumerate(traj.edges()):
+            clip = _slab_clip(
+                a.x, a.y, b.x - a.x, b.y - a.y, 0.0, 1.0, xmin, ymin, xmax, ymax, True
+            )
+            if clip is None:
+                if open_run is not None:
+                    runs.append((open_run[0], open_run[1], last[0], last[1]))
+                    open_run = None
+                continue
+            t0, t1 = clip
+            connects = (
+                open_run is not None
+                and last[0] == ei - 1
+                and last[1] >= 1.0 - EDGE_END
+                and t0 <= EDGE_END
+            )
+            if not connects:
+                if open_run is not None:
+                    runs.append((open_run[0], open_run[1], last[0], last[1]))
+                open_run = (ei, t0)
+            last = (ei, t1)
+            if t1 < 1.0 - EDGE_END:
+                runs.append((open_run[0], open_run[1], ei, t1))
+                open_run = None
+        if open_run is not None:
+            runs.append((open_run[0], open_run[1], last[0], last[1]))
+
+        for e0, t0, e1, t1 in runs:
+            if e0 == 0 and t0 <= EDGE_END:
+                continue
+            if e1 == last_edge and t1 >= 1.0 - EDGE_END:
+                continue
+            pts = _run_points(verts, e0, t0, e1, t1)
+            if len(pts) < 2:
+                continue
+            if not any(
+                _slab_clip(
+                    u.x, u.y, v.x - u.x, v.y - u.y, 0.0, 1.0,
+                    ixmin, iymin, ixmax, iymax, True,
+                )
+                is not None
+                for u, v in zip(pts, pts[1:])
+            ):
+                continue
+            try:
+                entry = reference_perimeter_coordinate(p, pts[0])
+                exit_ = reference_perimeter_coordinate(p, pts[-1])
+            except NotOnBoundary:
+                continue
+            out.append(
+                SalientSubtrajectory(traj.id, e0, e1, tuple(pts), entry, exit_)
+            )
+    return out
+
+
+def _run_points(verts, e0: int, t0: float, e1: int, t1: float) -> list[Point]:
+    def lerp(a: Point, b: Point, t: float) -> Point:
+        return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+    pts = [lerp(verts[e0], verts[e0 + 1], t0)]
+    for ei in range(e0, e1):
+        pts.append(verts[ei + 1])
+    last = lerp(verts[e1], verts[e1 + 1], t1)
+    if last.dist(pts[-1]) > SAME_POINT:
+        pts.append(last)
+    return pts
+
+
+def reference_epsilon_cluster(coords: list[PerimeterCoord], eps: float) -> ClusterSet:
+    if not coords:
+        return ClusterSet(4.0, [], [])
+    P = coords[0].perimeter
+    for c in coords:
+        if abs(c.perimeter - P) > SAME_PERIMETER:
+            raise ValueError("mixed shapes in one clustering")
+    svals = [c.s for c in coords]
+    order = sorted(range(len(svals)), key=lambda i: svals[i])
+    groups: list[list[int]] = [[order[0]]]
+    for prev, cur in zip(order, order[1:]):
+        if svals[cur] - svals[prev] <= eps:
+            groups[-1].append(cur)
+        else:
+            groups.append([cur])
+    if len(groups) > 1:
+        gap = svals[order[0]] + P - svals[order[-1]]
+        if gap <= eps:
+            groups[0] = groups.pop() + groups[0]
+    clusters = []
+    assignment = [0] * len(svals)
+    for gi, grp in enumerate(groups):
+        members = [svals[i] for i in grp]
+        span = _reference_cyclic_span(sorted(members), P)
+        for i in grp:
+            assignment[i] = gi
+        clusters.append(Cluster(members, len(members), span))
+    return ClusterSet(P, clusters, assignment)
+
+
+def _reference_cyclic_span(sorted_members: list[float], P: float) -> float:
+    if len(sorted_members) <= 1:
+        return 0.0
+    gaps = [b - a for a, b in zip(sorted_members, sorted_members[1:])]
+    gaps.append(sorted_members[0] + P - sorted_members[-1])
+    return P - max(gaps)
+
+
+def reference_assess(p: Point, trajectories: list[Polyline], eps: float) -> JunctionAssessment:
+    subs = reference_salient_subtrajectories(trajectories, p)
+    coords: list[PerimeterCoord] = []
+    for sub in subs:
+        coords.append(sub.entry)
+        coords.append(sub.exit)
+    clusters = reference_epsilon_cluster(coords, eps)
+    junction_like = len(clusters) >= 3
+    kind = "none"
+    if junction_like:
+        partners: dict[int, set[int]] = {i: set() for i in range(len(clusters))}
+        for si, sub in enumerate(subs):
+            ci = clusters.assignment[2 * si]
+            cj = clusters.assignment[2 * si + 1]
+            partners[ci].add(cj)
+            partners[cj].add(ci)
+        paired = all(
+            len(ps) == 1 and next(iter(ps)) != ci for ci, ps in partners.items()
+        )
+        kind = "crossing" if paired else "realJunction"
+    min_size = min((c.size for c in clusters.clusters), default=0)
+    significance = default_significance(len(clusters), min_size, kind)
+    return JunctionAssessment(p, clusters, subs, junction_like, kind, significance)

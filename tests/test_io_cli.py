@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -151,6 +152,19 @@ def test_cli_junctions(tmp_path):
     assert math.hypot(rep["x"], rep["y"]) <= 0.25 + 1e-9
     assert main(["render", "--in", str(result), "--out", str(svg)]) == 0
     assert 'id="junctions"' in svg.read_text()
+
+
+def test_cli_junctions_result_bytes_are_pinned(tmp_path):
+    # the digest of the result the scalar per-point grid wrote
+    result = tmp_path / "result.json"
+    code = main([
+        "junctions", "--eps", "0.3", "--spacing", "0.25", "--k", "4",
+        "--in", str(SCENES / "crossing_walks.txt"), "--out", str(result),
+    ])
+    assert code == 0
+    assert hashlib.sha256(result.read_bytes()).hexdigest() == (
+        "2c97e4be3d6e22449c97b03c277233b6bedc325d844fa8989b6e13bdb1f6162f"
+    )
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from critplace.arrangement import BBox
 from critplace.generators import cross_trajectories
-from critplace.geom import SQUARE, PerimeterCoord, Point, Polyline
+from critplace.geom import CLOSED_PAD, SQUARE, PerimeterCoord, Point, Polyline
 import critplace.junctions
 from critplace.junctions import (
     assess,
@@ -14,6 +15,11 @@ from critplace.junctions import (
     salient_subtrajectories,
     top_k,
 )
+from critplace.sceneio import parse_scene
+
+from _reference import reference_assess
+
+SCENES = Path(__file__).resolve().parent.parent / "demos" / "scenes"
 
 
 def _coords(svals):
@@ -37,6 +43,10 @@ def test_cluster_examples():
 
     cs = epsilon_cluster(_coords([0.05, 3.95]), 0.15)
     assert len(cs) == 1  # wraparound
+
+    # closeness is closed: gaps of exactly eps join, across the wrap too
+    assert len(epsilon_cluster(_coords([0.25, 0.75]), 0.5)) == 1
+    assert len(epsilon_cluster(_coords([0.25, 3.75]), 0.5)) == 1
 
 
 def test_cluster_gap_invariants():
@@ -145,6 +155,25 @@ def test_assess_invariant_under_reordering():
     assert a.significance == b.significance
 
 
+def test_assess_and_cluster_refuse_a_bad_eps():
+    # two parallel trajectories 0.05 apart through (0, 0): one cluster on
+    # each side at eps 0.3, but four, read as a crossing, at eps <= 0
+    trajs = [
+        Polyline("a", (Point(-2, 0), Point(2, 0))),
+        Polyline("b", (Point(-2, 0.05), Point(2, 0.05))),
+    ]
+    a = assess(Point(0, 0), trajs, 0.3)
+    assert (a.junction_like, a.kind, len(a.clusters)) == (False, "none", 2)
+    coords = [c for sub in a.subtrajectories for c in (sub.entry, sub.exit)]
+    for eps in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            assess(Point(0, 0), trajs, eps)
+        with pytest.raises(ValueError, match="eps"):
+            epsilon_cluster(coords, eps)
+        with pytest.raises(ValueError, match="eps"):
+            epsilon_cluster([], eps)
+
+
 def test_cluster_count_matches_arms_with_jitter():
     for seed in range(5):
         trajs = cross_trajectories(4, 3, 0.1, seed)
@@ -158,14 +187,14 @@ def test_cluster_count_matches_arms_with_jitter():
 
 def test_grid_scan_empty():
     grid = grid_scan([], 0.3, BBox(-1, -1, 1, 1), 0.5)
-    assert all(a.kind == "none" and a.significance == 0.0 for a in grid.cells)
+    assert (grid.kind == "none").all() and (grid.significance == 0.0).all()
+    assert not grid.junction_like.any() and (grid.n_clusters == 0).all()
 
 
 def test_grid_scan_blob_and_decay():
     trajs = cross_trajectories(4, 2, 0.05, 1)
     grid = grid_scan(trajs, 0.3, BBox(-1.0, -1.0, 1.0, 1.0), 0.1)
-    flags = np.array([a.junction_like for a in grid.cells]).reshape(grid.ny, grid.nx)
-    assert flags.any()
+    assert grid.junction_like.any()
     center = grid.at(grid.ny // 2, grid.nx // 2)
     assert center.junction_like
     # significance does not increase outward along the +x axis beyond the blob
@@ -182,14 +211,15 @@ def test_grid_scan_blob_and_decay():
 
 
 def test_grid_scan_refuses_a_grid_above_the_cap(monkeypatch):
-    def no_assessment(*_args, **_kwargs):
-        raise AssertionError("a refused grid assesses no point")
+    def no_kernel(*_args, **_kwargs):
+        raise AssertionError("a refused grid runs no kernel")
 
     monkeypatch.setattr(critplace.junctions, "MAX_GRID_POINTS", 12)
     box = BBox(0.0, 0.0, 0.75, 1.0)  # 4 x 5 points at spacing 0.25
     grid = grid_scan([], 0.3, BBox(0.0, 0.0, 0.5, 0.75), 0.25)  # 3 x 4: at the cap
     assert grid.nx * grid.ny == 12
-    monkeypatch.setattr(critplace.junctions, "assess", no_assessment)
+    monkeypatch.setattr(critplace.junctions, "_salient", no_kernel)
+    monkeypatch.setattr(critplace.junctions, "_classify", no_kernel)
     for spacing in (0.25, 1e-5, 1e-320):
         with pytest.raises(ValueError, match="spacing"):
             grid_scan([], 0.3, box, spacing)
@@ -206,8 +236,20 @@ def test_grid_scan_translation_equivariance():
     g2 = grid_scan(
         moved, 0.3, BBox(-0.6 + d[0], -0.6 + d[1], 0.6 + d[0], 0.6 + d[1]), 0.2
     )
-    assert [a.significance for a in g1.cells] == [a.significance for a in g2.cells]
-    assert [a.kind for a in g1.cells] == [a.kind for a in g2.cells]
+    assert g1.significance.tolist() == g2.significance.tolist()
+    assert g1.kind.tolist() == g2.kind.tolist()
+
+
+def _lattice(seed: int) -> list[Polyline]:
+    """Eight seeded bundles of 3 to 6 arms on a 4 x 2 lattice of pitch 6."""
+    rng = np.random.default_rng(seed)
+    trajs = []
+    for i in range(8):
+        row, col = divmod(i, 4)
+        trajs += cross_trajectories(
+            3 + i % 4, 1 + i % 3, 0.05, int(rng.integers(2**31)), Point(6.0 * col, 6.0 * row)
+        )
+    return trajs
 
 
 def test_grid_scan_matches_assess_on_every_trajectory(monkeypatch):
@@ -226,27 +268,62 @@ def test_grid_scan_matches_assess_on_every_trajectory(monkeypatch):
         ))),
         Polyline("away", (Point(4, 4), Point(6, 5), Point(5, 7))),
     ]
-    import critplace.junctions
+    pairs = []
+    candidates = critplace.junctions._candidates
 
-    passed = []
+    def recording_candidates(edges, xs, ys):
+        found = candidates(edges, xs, ys)
+        pairs.append((len(found[0]), len(edges.x) * len(xs) * len(ys)))
+        return found
 
-    def recording_assess(p, near, *args):
-        passed.append(len(near))
-        return assess(p, near, *args)
-
-    monkeypatch.setattr(critplace.junctions, "assess", recording_assess)
+    monkeypatch.setattr(critplace.junctions, "_candidates", recording_candidates)
     grid = grid_scan(trajs, eps, bbox, spacing)
     monkeypatch.undo()
-    assert min(passed) < len(trajs)
+    assert sum(p for p, _ in pairs) < sum(every for _, every in pairs)
     touched = grid.at(4, 4)
     assert touched.point == Point(0.0, 0.0)
     assert "touch" in {s.source_id for s in touched.subtrajectories}
     assert "zigzag" not in {s.source_id for s in grid.at(0, 0).subtrajectories}
-    for cell in grid.cells:
-        full = assess(cell.point, trajs, eps)
-        assert cell.subtrajectories == full.subtrajectories
-        assert cell.clusters.assignment == full.clusters.assignment
-        assert (cell.kind, cell.significance) == (full.kind, full.significance)
+
+    walks = parse_scene((SCENES / "crossing_walks.txt").read_text()).trajectories
+    pad = CLOSED_PAD
+    # each case about the square of (0, 0)
+    edge_cases = [
+        # along its top side, then down through its center
+        Polyline("on-side", (Point(-2, 0.5), Point(0, 0.5), Point(0, -2))),
+        # along a line CLOSED_PAD outside its right side, then left through
+        # its center, and the same from the left side
+        Polyline("pad-right", (Point(0.5 + pad, -2), Point(0.5 + pad, 0), Point(-2, 0))),
+        Polyline("pad-left", (Point(-0.5 - pad, 2), Point(-0.5 - pad, 0), Point(2, 0))),
+        # a vertex on its right side, the neighbours inside
+        Polyline("graze", (Point(-2, 0), Point(0, 0), Point(0.5, 0.2), Point(0, 0.4), Point(-2, 0.4))),
+        # starts on its right side
+        Polyline("from-side", (Point(0.5, -0.1), Point(-2, -0.1))),
+        # out past its right side by less than the first clip's EDGE_END and
+        # back in by more than the second's: two pieces
+        Polyline("out-and-back", (
+            Point(-2, 0.1), Point(0.5 + 9e-13, 0.1), Point(0.45, 0.15), Point(-2, 0.2),
+        )),
+        # out and back in by less than EDGE_END on both clips: one piece
+        Polyline("just-out", (Point(-2, -0.2), Point(0.5 + 1e-13, -0.2), Point(-2, -0.3))),
+    ]
+    scenes = [
+        (trajs, bbox), (walks, BBox(-2.5, -2.5, 2.5, 2.5)), (edge_cases, bbox),
+        (_lattice(3), BBox(-1.5, -1.5, 19.5, 7.5)), (_lattice(11), BBox(-1.5, -1.5, 19.5, 7.5)),
+    ]
+    for scene, box in scenes:
+        grid = grid_scan(scene, eps, box, spacing)
+        for row in range(grid.ny):
+            for col in range(grid.nx):
+                ref = reference_assess(grid.point(row, col), scene, eps)
+                assert grid.kind[row, col] == ref.kind
+                assert grid.significance[row, col] == ref.significance
+                assert grid.n_clusters[row, col] == len(ref.clusters)
+                assert grid.junction_like[row, col] == ref.junction_like
+                cell = grid.at(row, col)
+                assert cell.subtrajectories == ref.subtrajectories
+                assert cell.clusters == ref.clusters
+                assert (cell.kind, cell.significance) == (ref.kind, ref.significance)
 
 
 def test_cluster_count_changes_only_at_critical_moments():
