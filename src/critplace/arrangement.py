@@ -6,11 +6,15 @@ every vertex.  One rule decides where walls meet: a wall is split at its two
 ends and where `_segment_crossings` (the x-sweep the placement overlay uses
 for its straight pieces too) reports a crossing or the end of a collinear
 overlap within `SNAP` of both, and nowhere else, by `_split_pieces`, the
-splitting kernel the placement overlay shares.  A face walk is a cell when
-its signed area is positive relative to its size.  Nonconvex cells of
-segment arrangements can be partitioned into convex subcells by shooting
-axis-parallel rays from reflex vertices; each ray ends at a split of the
-wall it hits.
+splitting kernel the placement overlay shares.  The sweep forms its
+candidate pairs in numpy, `SWEEP_CHUNK` pairs at a time, and returns its
+meetings as arrays.  A face walk is a cell when its signed area is positive
+relative to its size.  Nonconvex cells of segment arrangements can be
+partitioned into convex subcells by shooting axis-parallel rays from reflex
+vertices, all of a cell's rays through `_first_wall_hits`, the ray kernel
+the placement's strip rays use too; each ray ends at a split of the wall it
+hits.  The ray kernel and the even-odd test of points in a cell hold at
+most `KERNEL_CHUNK` entries at a time.
 """
 
 from __future__ import annotations
@@ -57,13 +61,19 @@ STRAIGHT_SLACK = 1e-9
 # A candidate ray within this angle of a corner's walls runs along a wall.
 RAY_ANGLE_MARGIN = 1e-7
 # A wall whose cross product with a ray is at most this runs along it.
-SHOT_PARALLEL = 1e-14
+RAY_PARALLEL = 1e-14
 # A hit this close to the ray's origin is its own corner, not a wall ahead.
 SHOT_START = 1e-9
 # A ray passing this far (in wall parameter) past a wall's end still hits it.
 SHOT_WALL_SLACK = 1e-12
 # Points the vertex merge tests at once, which bounds its temporaries.
 MERGE_CHUNK = 1024
+# Entries (vertex slots of a row of polygons, walls of a ray origin or
+# boundary steps of a probe) that one step of a batched kernel holds: its
+# arrays stay near 64 KB.
+KERNEL_CHUNK = 4096
+# Candidate segment pairs the sweep tests at once, which bounds its temporaries.
+SWEEP_CHUNK = 4096
 
 
 class DegenerateInput(GeometryError):
@@ -135,8 +145,8 @@ class Arrangement:
     kind: str  # "lines" | "segments"
     primitives: list
     n_components: int = 1
-    # per cell: its boundary steps as (p0, p1, None) walls, built on first use
-    _walls_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # per cell: its boundary steps as (x0, y0, x1, y1) rows, built on first use
+    _steps_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic counts ------------------------------------------------------
 
@@ -183,44 +193,51 @@ class Arrangement:
                 walls.append((Point(pu[0], pu[1]), Point(pv[0], pv[1]), tags[k]))
         return walls
 
-    def cell_boundary_steps(self, cell_id: int) -> list[tuple[Point, Point]]:
-        """Every boundary walk step, antenna edges included twice (for parity)."""
-        cell = self.cells[cell_id]
-        steps: list[tuple[Point, Point]] = []
-        chains = [cell.outer] + [walk for walk, _tags in cell.holes]
-        for walk in chains:
-            m = len(walk)
-            for k in range(m):
-                pu = self.verts[walk[k]]
-                pv = self.verts[walk[(k + 1) % m]]
-                steps.append((Point(pu[0], pu[1]), Point(pv[0], pv[1])))
+    def cell_boundary_steps(self, cell_id: int) -> np.ndarray:
+        """Every boundary walk step as a row (x0, y0, x1, y1), antenna edges
+        included twice (for parity); built on first use."""
+        steps = self._steps_cache.get(cell_id)
+        if steps is None:
+            cell = self.cells[cell_id]
+            walks = [cell.outer] + [walk for walk, _tags in cell.holes]
+            at = [v for walk in walks for v in walk]
+            to = [v for walk in walks for v in walk[1:] + walk[:1]]
+            steps = np.concatenate([self.verts[at], self.verts[to]], axis=1)
+            self._steps_cache[cell_id] = steps
         return steps
 
     def cell_interior_point(self, cell_id: int) -> Point:
         """A point strictly inside the cell (scanline midpoint, robust to holes)."""
         poly = self.cell_polygon(cell_id)
         ys = sorted(set(float(v[1]) for v in poly))
-        steps = self._step_walls(cell_id)
+        steps = self.cell_boundary_steps(cell_id)
         for frac in (0.5, 0.37, 0.61, 0.23, 0.79):
             for k in range(len(ys) - 1):
                 y = ys[k] + frac * (ys[k + 1] - ys[k])
-                xs = _scanline_hits(steps, y)
+                x, cross = _scanline_xs(steps, np.array([y]))
+                # a few crossings: numpy's default sort would page in a
+                # sort kernel of its own (0.3 MB resident)
+                xs = sorted(x[cross].tolist())
                 if len(xs) >= 2:
-                    x = 0.5 * (xs[0] + xs[1])
-                    if self.point_in_cell(Point(x, y), cell_id):
-                        return Point(x, y)
+                    mid = 0.5 * (xs[0] + xs[1])
+                    # the even-odd test of the midpoint, on this scanline
+                    if sum(v > mid for v in xs) % 2 == 1:
+                        return Point(mid, y)
         raise GeometryError(f"no interior point found for cell {cell_id}")
-
-    def _step_walls(self, cell_id: int) -> list[tuple[Point, Point, None]]:
-        walls = self._walls_cache.get(cell_id)
-        if walls is None:
-            walls = [(a, b, None) for a, b in self.cell_boundary_steps(cell_id)]
-            self._walls_cache[cell_id] = walls
-        return walls
 
     def point_in_cell(self, pt: Point, cell_id: int) -> bool:
         """Even-odd test against the cell's boundary steps."""
-        return sum(x > pt.x for x in _scanline_hits(self._step_walls(cell_id), pt.y)) % 2 == 1
+        return bool(self.points_in_cell(np.array([[pt.x, pt.y]]), cell_id)[0])
+
+    def points_in_cell(self, pts: np.ndarray, cell_id: int) -> np.ndarray:
+        """`point_in_cell` for each row of the (m, 2) points, in chunks of at
+        most KERNEL_CHUNK point-step entries."""
+        steps = self.cell_boundary_steps(cell_id)
+        inside = np.zeros(len(pts), dtype=bool)
+        for s in _chunks(len(pts), len(steps)):
+            x, cross = _scanline_xs(steps, pts[s, 1])
+            inside[s] = (cross & (x > pts[s, :1])).sum(axis=1) % 2 == 1
+        return inside
 
     def cell_area(self, cell_id: int) -> float:
         cell = self.cells[cell_id]
@@ -250,16 +267,21 @@ def _walk_area(P, walk: list[int]) -> tuple[float, float]:
     return 0.5 * area, 0.5 * size
 
 
-def _scanline_hits(walls, y: float) -> list[float]:
-    xs = []
-    for p0, p1, _tag in walls:
-        y0, y1 = p0.y, p1.y
-        if (y0 > y) == (y1 > y):
-            continue
-        t = (y - y0) / (y1 - y0)
-        xs.append(p0.x + t * (p1.x - p0.x))
-    xs.sort()
-    return xs
+def _scanline_xs(steps: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each scanline y[i] meets the line of each step (x0, y0, x1, y1),
+    as an (m, s) array, and the mask of the steps it crosses."""
+    x0, y0, x1, y1 = steps.T
+    y = y[:, None]
+    cross = (y0 > y) != (y1 > y)
+    # a horizontal step divides by zero; no scanline crosses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x0 + (y - y0) / (y1 - y0) * (x1 - x0), cross
+
+
+def _chunks(n: int, width: int) -> list[slice]:
+    """Slices of n rows, each of at most KERNEL_CHUNK entries of `width` a row."""
+    step = max(1, KERNEL_CHUNK // max(1, width))
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def _point_segment_dist(x: float, y: float, p0: Point, p1: Point) -> float:
@@ -273,42 +295,52 @@ def _point_segment_dist(x: float, y: float, p0: Point, p1: Point) -> float:
 
 
 def _segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray, snap: float):
-    """Where segments P0[k]-P1[k] of different families meet, as two sorted
-    lists of (i, j, x, y) with i < j: the crossings, and the ends of
-    collinear overlaps.
+    """Where segments P0[k]-P1[k] of different families meet, as two (m, 4)
+    arrays of rows (i, j, x, y) with i < j, sorted by row: the crossings,
+    and the ends of collinear overlaps, each once.
 
     An x-sweep over the segments sorted by left end pairs each segment with
-    the ones of other families that start before it ends and share its
-    y-range, both within snap; `family` holds one label per segment.  Two
-    segments meet when their crossing lies at most snap outside either one
-    (a parameter slack of snap over its length); the crossing lies on
-    segment i, at its parameter clamped to [0, 1].  Parallel segments never
-    cross; each end of one that lies within snap of the other is an overlap
-    end of the pair.
+    the ones that start before it ends, within snap.  The candidate pairs
+    are formed in numpy, at most `SWEEP_CHUNK` at a time (a segment with
+    more partners takes a chunk of its own), and those of other families
+    that share a y-range within snap are solved; `family` holds one label
+    per segment.  Two segments meet when their crossing lies at most snap
+    outside either one (a parameter slack of snap over its length); the
+    crossing lies on segment i, at its parameter clamped to [0, 1].
+    Parallel segments never cross; each end of one that lies within snap of
+    the other is an overlap end of the pair.
     """
+    n = len(P0)
     D = P1 - P0
     xmin = np.minimum(P0[:, 0], P1[:, 0])
     xmax = np.maximum(P0[:, 0], P1[:, 0])
     ymin = np.minimum(P0[:, 1], P1[:, 1])
     ymax = np.maximum(P0[:, 1], P1[:, 1])
     order = np.argsort(xmin, kind="stable")
-    # sweep position of the first segment that starts past each one's end
-    stops = np.searchsorted(xmin[order], xmax[order] + snap, side="right").tolist()
-    out, parallel = [], []
+    # sorted position p pairs with positions p + 1 .. stops[p] - 1, the
+    # segments that start before its end
+    stops = np.searchsorted(xmin[order], xmax[order] + snap, side="right")
+    count = np.maximum(stops - np.arange(n) - 1, 0)
+    upto = np.cumsum(count)
+    out, parallel = [np.zeros((0, 4))], [np.zeros((0, 2), dtype=int)]
     # a parallel pair or a point segment may divide by zero; its ok entry is false
     with np.errstate(divide="ignore", invalid="ignore"):
         slack = snap / np.hypot(D[:, 0], D[:, 1])
-        for pos, k in enumerate(order.tolist()):
-            if stops[pos] <= pos + 1:
-                continue
-            js = order[pos + 1 : stops[pos]]
-            js = js[
+        s = 0
+        while s < n:
+            # the positions from s whose pairs fit in one chunk, at least one
+            e = max(int(np.searchsorted(upto, upto[s] - count[s] + SWEEP_CHUNK, side="right")), s + 1)
+            c = count[s:e]
+            pos = np.repeat(np.arange(s, e), c)
+            nth = np.arange(len(pos)) - np.repeat(np.cumsum(c) - c, c)
+            k, js = order[pos], order[pos + 1 + nth]
+            s = e
+            near = (
                 (ymin[js] <= ymax[k] + snap)
                 & (ymax[js] >= ymin[k] - snap)
                 & (family[js] != family[k])
-            ]
-            if js.size == 0:
-                continue
+            )
+            k, js = k[near], js[near]
             a, b = np.minimum(js, k), np.maximum(js, k)
             det = D[a, 0] * D[b, 1] - D[a, 1] * D[b, 0]
             ex = P0[b, 0] - P0[a, 0]
@@ -316,25 +348,24 @@ def _segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray, snap:
             t = (ex * D[b, 1] - ey * D[b, 0]) / det
             u = (ex * D[a, 1] - ey * D[a, 0]) / det
             par = np.abs(det) <= PARALLEL_DET
-            if par.any():
-                parallel.append((a[par], b[par]))
+            parallel.append(np.column_stack([a[par], b[par]]))
             ok = ~par & (t >= -slack[a]) & (t <= 1.0 + slack[a])
             ok &= (u >= -slack[b]) & (u <= 1.0 + slack[b])
             a, t = a[ok], np.minimum(np.maximum(t[ok], 0.0), 1.0)
             x = P0[a, 0] + t * D[a, 0]
             y = P0[a, 1] + t * D[a, 1]
-            out.extend(zip(a.tolist(), b[ok].tolist(), x.tolist(), y.tolist()))
-        pairs = map(np.concatenate, zip(*parallel))
-        overlaps = _overlap_ends(P0, P1, *pairs, snap) if parallel else []
-    out.sort()
-    return out, sorted(set(overlaps))
+            out.append(np.column_stack([a, b[ok], x, y]))
+        pairs = np.concatenate(parallel)
+        overlaps = _overlap_ends(P0, P1, pairs[:, 0], pairs[:, 1], snap)
+    out = np.concatenate(out)
+    return out[np.lexsort((out[:, 1], out[:, 0]))], _unique_rows(overlaps)
 
 
 def _overlap_ends(P0: np.ndarray, P1: np.ndarray, a: np.ndarray, b: np.ndarray, snap: float):
-    """(a, b, x, y) for each end of one segment of a parallel pair that lies
-    within snap of the other: off its line by at most snap, and at most
+    """Rows (a, b, x, y) for each end of one segment of a parallel pair that
+    lies within snap of the other: off its line by at most snap, and at most
     snap past either of its ends."""
-    out = []
+    out = [np.zeros((0, 4))]
     for s, o in ((a, b), (b, a)):
         d = P1[o] - P0[o]
         L2 = (d * d).sum(axis=1)
@@ -345,8 +376,17 @@ def _overlap_ends(P0: np.ndarray, P1: np.ndarray, a: np.ndarray, b: np.ndarray, 
             # |cross(d, e)| is the end's offset times |d|
             ok = (d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]) ** 2 <= snap * snap * L2
             ok &= (par >= -slack) & (par <= 1.0 + slack)
-            out.extend(zip(a[ok].tolist(), b[ok].tolist(), E[ok, 0].tolist(), E[ok, 1].tolist()))
-    return out
+            out.append(np.column_stack([a[ok], b[ok], E[ok]]))
+    return np.concatenate(out)
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, sorted column by column; of equal rows the first
+    stays."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
 
 
 def _merge_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -365,12 +405,14 @@ def _merge_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             label = label[label]
 
 
-def _snap_merge(xy: np.ndarray, snap: float) -> np.ndarray:
+def _snap_merge(xy: np.ndarray, snap: float, group: np.ndarray | None = None) -> np.ndarray:
     """For each of the (n, 2) points, the index of the first point merged
     with it: points within snap of each other in both coordinates merge, and
-    so, transitively, do the points merged with them.  The points are sorted
-    by cell of a grid of side snap: points sharing a cell merge outright, and
-    each is tested against the four cells ahead of its own."""
+    so, transitively, do the points merged with them.  With `group`, one
+    non-negative label per point, only points of one group merge.  The
+    points are sorted by cell of a grid of side snap: points sharing a cell
+    merge outright, and each is tested against the four cells ahead of its
+    own."""
     n = len(xy)
     k = np.floor(xy / snap).astype(np.int64)
     # with return_index np.unique sorts stably, as the rest of the program
@@ -378,6 +420,10 @@ def _snap_merge(xy: np.ndarray, snap: float) -> np.ndarray:
     ucol, _, col = np.unique(k[:, 0], return_index=True, return_inverse=True)
     urow, _, row = np.unique(k[:, 1], return_index=True, return_inverse=True)
     key = col * len(urow) + row
+    if group is not None:
+        # each group's grid takes keys of its own, and the cells ahead of a
+        # cell are in its group's grid
+        key = key + np.asarray(group, dtype=np.int64) * (len(ucol) * len(urow))
     order = np.argsort(key, kind="stable")
     skey = key[order]
     pairs = [(np.arange(n), order[np.searchsorted(skey, key)])]
@@ -446,8 +492,7 @@ def build_subdivision(
     """
     ends = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _ in walls], dtype=float)
     P0, D = ends[:, :2], ends[:, 2:] - ends[:, :2]
-    crossings, overlaps = _segment_crossings(P0, ends[:, 2:], np.arange(len(walls)), SNAP)
-    meets = np.array(crossings + overlaps, dtype=float).reshape(-1, 4)
+    meets = np.concatenate(_segment_crossings(P0, ends[:, 2:], np.arange(len(walls)), SNAP))
     piece = np.concatenate([np.repeat(np.arange(len(walls)), 2), meets[:, :2].astype(int).ravel()])
     xy = np.concatenate([ends.reshape(-1, 2), np.repeat(meets[:, 2:], 2, axis=0)])
     # each row's parameter is its point's projection on its wall
@@ -711,7 +756,7 @@ def convex_decompose(cell: Cell, arrangement: Arrangement) -> list[ConvexSubcell
         return [ConvexSubcell(cell.id, arrangement.cell_polygon(cell.id))]
 
     walls = arrangement.cell_walls(cell.id)
-    rays: list[tuple[Point, Point, Tag]] = []
+    shots = []  # (corner x, y, ray dx, dy)
     V = arrangement.verts.tolist()
     for walk in [cell.outer] + [walk for walk, _tags in cell.holes]:
         for vp, vc, vn in zip(walk[-1:] + walk[:-1], walk, walk[1:] + walk[:1]):
@@ -722,28 +767,35 @@ def convex_decompose(cell: Cell, arrangement: Arrangement) -> list[ConvexSubcell
                 inner = 2.0 * math.pi
             if inner <= math.pi + STRAIGHT_SLACK:
                 continue
-            corner = Point(cx, cy)
             candidates = []
             for dx, dy in _AXIS_DIRS:
                 rel = (math.atan2(dy, dx) - a_out) % (2.0 * math.pi)
                 if RAY_ANGLE_MARGIN < rel < inner - RAY_ANGLE_MARGIN:
                     candidates.append((rel, dx, dy))
             candidates.sort()
-            for rel, dx, dy in _minimal_splitting(candidates, inner):
-                hit = _shoot_ray(corner, dx, dy, walls)
-                if hit is not None:
-                    rays.append((corner, hit, ("ray", len(rays))))
+            shots.extend((cx, cy, dx, dy) for _rel, dx, dy in _minimal_splitting(candidates, inner))
 
+    shot_rows = np.array(shots, dtype=float).reshape(-1, 4)
+    ends = np.array([(p0.x, p0.y, p1.x, p1.y) for p0, p1, _tag in walls], dtype=float)
+    wall, t = _first_wall_hits(shot_rows[:, :2], shot_rows[:, 2:], ends, SHOT_START, SHOT_WALL_SLACK)
+    hit = wall >= 0
+    at = shot_rows[hit, :2] + t[hit, None] * shot_rows[hit, 2:]
+    rays = [
+        (Point(cx, cy), Point(hx, hy), ("ray", k))
+        for k, ((cx, cy), (hx, hy)) in enumerate(zip(shot_rows[hit, :2].tolist(), at.tolist()))
+    ]
     # a ray ends on its wall, so it meets it within SNAP however short it is
     local = build_subdivision(
         walls + rays, arrangement.clip_box, arrangement.kind, arrangement.primitives
     )
-    out: list[ConvexSubcell] = []
-    for sub in local.cells:
-        probe = local.cell_interior_point(sub.id)
-        if arrangement.point_in_cell(probe, cell.id):
-            out.append(ConvexSubcell(cell.id, local.cell_polygon(sub.id)))
-    return out
+    probes = [local.cell_interior_point(sub.id) for sub in local.cells]
+    xy = np.array([(p.x, p.y) for p in probes], dtype=float).reshape(-1, 2)
+    inside = arrangement.points_in_cell(xy, cell.id).tolist()
+    return [
+        ConvexSubcell(cell.id, local.cell_polygon(sub.id))
+        for sub, keep in zip(local.cells, inside)
+        if keep
+    ]
 
 
 def _minimal_splitting(candidates, inner: float):
@@ -758,19 +810,32 @@ def _minimal_splitting(candidates, inner: float):
     return list(candidates)
 
 
-def _shoot_ray(origin: Point, dx: float, dy: float, walls) -> Point | None:
-    """Where the ray first hits a wall."""
-    best_t = math.inf
-    for p0, p1, _tag in walls:
-        ex, ey = p1.x - p0.x, p1.y - p0.y
+def _first_wall_hits(origins: np.ndarray, dirs, walls: np.ndarray, start: float, wall_slack: float):
+    """Which of the walls, rows (x0, y0, x1, y1), each ray origins[i] +
+    t*dirs[i] meets first, with t > start and at most wall_slack (in wall
+    parameter) past a wall's ends: the wall's index, or -1, and its t, or
+    inf.  Of walls met at the same t the first in the array wins.  `dirs`
+    holds one step per origin, or one step for all; the rays go in chunks of
+    at most KERNEL_CHUNK ray-wall entries."""
+    dirs = np.broadcast_to(np.asarray(dirs, dtype=float), origins.shape)
+    ex = walls[:, 2] - walls[:, 0]
+    ey = walls[:, 3] - walls[:, 1]
+    first = np.full(len(origins), -1)
+    first_t = np.full(len(origins), np.inf)
+    for s in _chunks(len(origins), len(walls)):
+        dx, dy = dirs[s, :1], dirs[s, 1:]
         det = dx * ey - dy * ex
-        if abs(det) <= SHOT_PARALLEL:
-            continue
-        rx, ry = p0.x - origin.x, p0.y - origin.y
-        t = (rx * ey - ry * ex) / det
-        u = (rx * dy - ry * dx) / det
-        if t > SHOT_START and -SHOT_WALL_SLACK <= u <= 1.0 + SHOT_WALL_SLACK and t < best_t:
-            best_t = t
-    if best_t == math.inf:
-        return None
-    return Point(origin.x + best_t * dx, origin.y + best_t * dy)
+        rx = walls[:, 0] - origins[s, :1]
+        ry = walls[:, 1] - origins[s, 1:]
+        # a wall along a ray may divide by zero; its ok entry is false
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rx * ey - ry * ex) / det
+            u = (dy * rx - dx * ry) / det
+        ok = (np.abs(det) > RAY_PARALLEL) & (t > start)
+        ok &= (-wall_slack <= u) & (u <= 1.0 + wall_slack)
+        t = np.where(ok, t, np.inf)
+        k = np.argmin(t, axis=1)
+        rows = np.arange(len(k))
+        first[s] = np.where(ok[rows, k], k, -1)
+        first_t[s] = t[rows, k]
+    return first, first_t

@@ -25,9 +25,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .arrangement import Arrangement
+import numpy as np
+
+from .arrangement import Arrangement, _snap_merge
 from .geom import Line, Point
-from .placement import CriticalCurve, CurvePiece, _sinusoid_roots, _walk_chains
+from .placement import VERTEX_SNAP, CriticalCurve, CurvePiece, _sinusoid_roots, _walk_chains
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,8 +42,6 @@ FLAT_TOL = 1e-9
 EVENT_TOL = 1e-12
 # A window cut of a valid run shorter than this is not emitted as a piece.
 MIN_PIECE = 1e-10
-# Piece ends this close are one chain vertex.
-CHAIN_KEY = 1e-6
 # A piece whose sampled turn sums below this is straight and joins any chain.
 TURN_TOL = 1e-12
 
@@ -290,13 +290,11 @@ def _ellipse_piece(arrangement, cell_id, lid1, lid2, per_line, centroid, eps, br
 # per-vector curves
 # ---------------------------------------------------------------------------
 
-def circle_cell_curves(cell_id: int, rings: list[_RingPiece], tau, eps: float):
-    """Placement curves of one angular vector inside one cell, from the
-    cell's ring pieces.
-
-    Pieces are grouped into convex chains; arcs traced on the concave side
-    (cell vertex sharper than the granularity) are split off on their own.
-    """
+def circle_cell_curves(rings: list[_RingPiece], tau, eps: float) -> list[tuple[CurvePiece, bool]]:
+    """Curve pieces of one angular vector inside one cell, from the cell's
+    ring pieces, each with a flag that says whether it is an arc traced on
+    the concave side (cell vertex sharper than the granularity);
+    `_assemble_chains` makes them curves."""
     theta_tau = math.atan2(tau.dy, tau.dx)
     half = 0.5 * eps
     out_pieces: list[tuple[CurvePiece, bool]] = []  # (piece, concave flag)
@@ -318,22 +316,29 @@ def circle_cell_curves(cell_id: int, rings: list[_RingPiece], tau, eps: float):
                         psi0=w0, psi1=w1,
                     )
                     out_pieces.append((piece, rp.concave))
+    return out_pieces
 
-    return _assemble_chains(cell_id, tau, out_pieces)
 
+def _assemble_chains(groups) -> list[list[CriticalCurve]]:
+    """The curves of each (cell, vector, flagged pieces) group: concave
+    pieces alone, the rest joined into convex chains.
 
-def _assemble_chains(cell_id, tau, flagged_pieces):
-    """Concave pieces alone, the rest joined at shared ends into chains."""
-    curves = [CriticalCurve(cell_id, tau, [p], False) for p, concave in flagged_pieces if concave]
-    pieces = [p for p, concave in flagged_pieces if not concave]
-    ends = [
-        tuple((round(x / CHAIN_KEY), round(y / CHAIN_KEY)) for x, y in p.endpoints())
-        for p in pieces
-    ]
-    for chain in _walk_chains(ends):
-        for run in _split_convex_runs([(pieces[i], forward) for i, forward in chain]):
-            curves.append(CriticalCurve(cell_id, tau, run, True))
-    return curves
+    Piece ends of one group that `_snap_merge` merges at VERTEX_SNAP, in one
+    merge over all groups, are one.
+    """
+    joined = [[p for p, concave in flagged if not concave] for _cell, _tau, flagged in groups]
+    xy = np.array([e for pieces in joined for p in pieces for e in p.endpoints()], dtype=float)
+    group = np.repeat(np.arange(len(joined)), [2 * len(pieces) for pieces in joined])
+    label = _snap_merge(xy.reshape(-1, 2), VERTEX_SNAP, group).reshape(-1, 2).tolist()
+    out, s = [], 0
+    for (cell_id, tau, flagged), pieces in zip(groups, joined):
+        curves = [CriticalCurve(cell_id, tau, [p], False) for p, concave in flagged if concave]
+        for chain in _walk_chains([tuple(k) for k in label[s : s + len(pieces)]]):
+            for run in _split_convex_runs([(pieces[i], forward) for i, forward in chain]):
+                curves.append(CriticalCurve(cell_id, tau, run, True))
+        out.append(curves)
+        s += len(pieces)
+    return out
 
 
 def _split_convex_runs(chain):

@@ -24,8 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import (
+    KERNEL_CHUNK,
     Arrangement,
     BBox,
+    _chunks,
+    _first_wall_hits,
     _frame_walls,
     _segment_crossings,
     _snap_merge,
@@ -55,7 +58,7 @@ SQRT2 = math.sqrt(2.0)
 
 # Tolerances, each with its reason.
 # Points this close in both coordinates are one, and pieces that come this
-# close meet: overlay vertices, family crossings and square chain ends,
+# close meet: overlay vertices, family crossings and chain ends,
 # each merged by `_snap_merge`.
 VERTEX_SNAP = 1e-7
 # A chain turn whose cross product (relative to steps of at least 1) is
@@ -87,8 +90,6 @@ SIDE_TOL = 1e-12
 # A wall-line coefficient this small along a ray's axis: the wall runs along
 # the ray and bounds no distance.
 AXIS_TOL = 1e-12
-# A wall whose cross product with a ray is this small runs along it.
-RAY_PARALLEL = 1e-14
 # A hit this close to the ray's origin is its own start, not a wall ahead.
 RAY_START = 1e-12
 # A ray passing this far (in wall parameter) past a wall's end still hits it.
@@ -99,9 +100,6 @@ MIN_STEP = 1e-12
 FLAT_SLOPE = 1e-12
 # A constant cross-section this close to eps is a degenerate strip.
 STRIP_WIDTH_TOL = 1e-9
-# Entries (vertex slots of a row of polygons, or walls of a ray origin) that
-# one step of the square's batched kernel holds: its arrays stay near 64 KB.
-KERNEL_CHUNK = 4096
 # Of the vector sets:
 # A perimeter coordinate this far past a whole side is still its corner.
 CORNER_S_TOL = 1e-12
@@ -332,12 +330,6 @@ class _Regions:
     strip_walls: np.ndarray
 
 
-def _chunks(n: int, width: int) -> list[slice]:
-    """Slices of n rows, each of at most KERNEL_CHUNK entries of `width` a row."""
-    step = max(1, KERNEL_CHUNK // max(1, width))
-    return [slice(s, s + step) for s in range(0, n, step)]
-
-
 def _pad(polys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Polygons as one (n, m, 2) array padded with zeros, and their vertex counts."""
     count = np.array([len(p) for p in polys], dtype=np.int64)
@@ -418,29 +410,6 @@ def _level_ends(pts, count, P, Q, R, level) -> tuple[np.ndarray, np.ndarray, np.
     return ok, cand[rows, i0], cand[rows, i1]
 
 
-def _first_wall_hits(origins: np.ndarray, dirs, walls: np.ndarray) -> np.ndarray:
-    """Index of the wall each ray origins[i] + t*dirs[i] (t > 0) meets first,
-    or -1; of walls met at the same t the first in the array wins.  `dirs`
-    holds one step per origin, or one step for all."""
-    dirs = np.broadcast_to(np.asarray(dirs, dtype=float), origins.shape)
-    ex = walls[:, 2] - walls[:, 0]
-    ey = walls[:, 3] - walls[:, 1]
-    first = np.full(len(origins), -1)
-    for s in _chunks(len(origins), len(walls)):
-        dx, dy = dirs[s, :1], dirs[s, 1:]
-        det = dx * ey - dy * ex
-        rx = walls[:, 0] - origins[s, :1]
-        ry = walls[:, 1] - origins[s, 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (rx * ey - ry * ex) / det
-            u = (dy * rx - dx * ry) / det
-        ok = (np.abs(det) > RAY_PARALLEL) & (t > RAY_START)
-        ok &= (-RAY_WALL_SLACK <= u) & (u <= 1.0 + RAY_WALL_SLACK)
-        k = np.argmin(np.where(ok, t, np.inf), axis=1)
-        first[s] = np.where(ok[np.arange(len(k)), k], k, -1)
-    return first
-
-
 def _strip_breaks(poly: np.ndarray, axis: int, ends: np.ndarray, rounded: np.ndarray) -> list[float]:
     """A region's strip breaks along `axis`: its vertices' coordinates and
     the wall ends (`ends`, and `rounded` to 12 digits) strictly inside its
@@ -519,7 +488,8 @@ def cell_regions(arrangement: Arrangement, cell_ids: list[int]) -> _Regions:
     cut = np.searchsorted(cell_of[region], np.arange(len(walls) + 1))
     for k, (cell_walls, ends) in enumerate(walls):
         s = slice(cut[k], cut[k + 1])
-        hit = _first_wall_hits(np.repeat(origin[s], 2, axis=0), _RAY_STEP[axis[s]].reshape(-1, 2), ends)
+        steps = _RAY_STEP[axis[s]].reshape(-1, 2)
+        hit, _t = _first_wall_hits(np.repeat(origin[s], 2, axis=0), steps, ends, RAY_START, RAY_WALL_SLACK)
         # each hit wall's line, once; the last row, nan, for no wall
         wall_line = np.full((len(ends) + 1, 3), np.nan)
         for w in set(hit.tolist()) - {-1}:
@@ -645,15 +615,14 @@ def _stitch_chains(segs: np.ndarray, group: np.ndarray) -> list[tuple[int, list[
     chains, merging collinear runs; `segs` is (n, 2, 2), sorted by `group`.
     Returns (group, chain) pairs, group by group.
 
-    Segment ends that `_snap_merge` merges at VERTEX_SNAP, in one merge over
-    all groups, are one; a chain keeps to its group.  Where two segments
-    meet, the chain point is the end of the one the walk met first: the
-    fronts of the segments up to the chain's first segment, then the backs
-    from there on.
+    Segment ends of one group that `_snap_merge` merges at VERTEX_SNAP, in
+    one merge over all groups, are one.  Where two segments meet, the chain
+    point is the end of the one the walk met first: the fronts of the
+    segments up to the chain's first segment, then the backs from there on.
     """
     if not len(segs):
         return []
-    label = _snap_merge(segs.reshape(-1, 2), VERTEX_SNAP).reshape(-1, 2)
+    label = _snap_merge(segs.reshape(-1, 2), VERTEX_SNAP, np.repeat(group, 2)).reshape(-1, 2)
     cut = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(segs)]
     out = []
     for s, e in zip(cut, cut[1:]):
@@ -767,13 +736,8 @@ def _side_windows(regions: _Regions, eps: float) -> tuple[dict, list[DegenerateS
     windows, strips = {}, []
     for side, orientation in ((1, "horizontal"), (0, "vertical")):
         i = np.flatnonzero(found & (axis == side))
-        label = _snap_merge(at[i, :2], VERTEX_SNAP)
-        # a 1-D key, and a mask in place of a sort of the kept indices: with
-        # return_index np.unique sorts stably, as the rest of the program does,
-        # and np.sort would page in another sort kernel (0.2-0.3 MB resident)
-        first = np.zeros(len(i), dtype=bool)
-        first[np.unique(cell[i] * len(i) + label, return_index=True)[1]] = True
-        i = i[first]
+        # each merged window's label is the first window merged with it
+        i = i[_snap_merge(at[i, :2], VERTEX_SNAP, cell[i]) == np.arange(len(i))]
         windows[side] = (cell[i], at[i])
         i = np.flatnonzero(degenerate & (axis == side))
         strips += [
@@ -829,7 +793,7 @@ def collect_S(
     strip table, corner chains and side windows come from batched passes
     over the regions of every cell.
     """
-    from .circles import _ring_pieces, circle_cell_curves
+    from .circles import _assemble_chains, _ring_pieces, circle_cell_curves
 
     e = vectors.eps
     if vectors.shape == CIRCLE and e >= 1.0:
@@ -838,10 +802,12 @@ def collect_S(
     strips: list[DegenerateStrip] = []
     reaching = [c.id for c in arrangement.cells if _cell_reaches(arrangement, c.id, domain, 1.0 + e)]
     if vectors.shape == CIRCLE:
+        groups = []
         for cell_id in reaching:
             rings = _ring_pieces(arrangement, cell_id, e)
-            for out, tau in zip(per_vector, vectors.vectors):
-                out.extend(circle_cell_curves(cell_id, rings, tau, e))
+            groups += [(cell_id, tau, circle_cell_curves(rings, tau, e)) for tau in vectors.vectors]
+        for k, curves in enumerate(_assemble_chains(groups)):
+            per_vector[k % len(vectors.vectors)].extend(curves)
     else:
         regions = cell_regions(arrangement, reaching)
         corners = [k for k, tau in enumerate(vectors.vectors) if tau.kind == "corner"]
@@ -1177,20 +1143,24 @@ def _poly_roots(coeffs, lo: float, hi: float) -> list[float]:
 
 
 def _piece_crossings(pieces: list[CurvePiece], family: list[int], snap: float):
-    """Where pieces of different families meet, as two lists of (i, j, x, y)
-    with i < j: the crossings, and the ends of collinear overlaps of straight
-    pieces; `family` holds one label per piece.
+    """Where pieces of different families meet, as two (m, 4) arrays of rows
+    (i, j, x, y) with i < j: the crossings, and the ends of collinear
+    overlaps of straight pieces; `family` holds one label per piece.
 
     Segment pairs go through the arrangement's x-sweep, which lets pieces
-    meet within snap; pairs with an arc are pruned by exact bounding boxes
-    and solved in closed form.
+    meet within snap, and come first; pairs with an arc are pruned by exact
+    bounding boxes and solved in closed form.
     """
     segs = [i for i, p in enumerate(pieces) if p.kind == "seg"]
     arcs = [i for i, p in enumerate(pieces) if p.kind == "arc"]
     ends = np.array([(*pieces[i].p0, *pieces[i].p1) for i in segs], dtype=float).reshape(-1, 4)
     fam = np.array(family)
     crossings, overlaps = _segment_crossings(ends[:, :2], ends[:, 2:], fam[segs], snap)
-    out = [(segs[a], segs[b], x, y) for a, b, x, y in crossings]
+    # the sweep numbers the segments among themselves
+    ids = np.array(segs, dtype=int)
+    crossings[:, :2] = ids[crossings[:, :2].astype(int)]
+    overlaps[:, :2] = ids[overlaps[:, :2].astype(int)]
+    out = []
     if arcs:
         boxes = np.array([_piece_bbox(p) for p in pieces])
     for n, i in enumerate(arcs):
@@ -1200,7 +1170,7 @@ def _piece_crossings(pieces: list[CurvePiece], family: list[int], snap: float):
             q = pieces[j]
             pts = _seg_arc_points(q, pieces[i]) if q.kind == "seg" else _arc_arc_points(pieces[i], q)
             out.extend((min(i, j), max(i, j), x, y) for x, y in pts)
-    return out, [(segs[a], segs[b], x, y) for a, b, x, y in overlaps]
+    return np.concatenate([crossings, np.array(out, dtype=float).reshape(-1, 4)]), overlaps
 
 
 def pair_intersections(curves_a: list[CriticalCurve], curves_b: list[CriticalCurve]) -> list[Point]:
@@ -1211,8 +1181,7 @@ def pair_intersections(curves_a: list[CriticalCurve], curves_b: list[CriticalCur
     na = len(pieces)
     pieces += [p for c in curves_b for p in c.pieces]
     family = [0] * na + [1] * (len(pieces) - na)
-    crossings, _overlaps = _piece_crossings(pieces, family, VERTEX_SNAP)
-    xy = np.array([(x, y) for _i, _j, x, y in crossings], dtype=float).reshape(-1, 2)
+    xy = _piece_crossings(pieces, family, VERTEX_SNAP)[0][:, 2:]
     first = xy[_snap_merge(xy, VERTEX_SNAP) == np.arange(len(xy))]
     return [Point(x, y) for x, y in sorted(first.tolist())]
 
@@ -1313,9 +1282,7 @@ def _overlay_counts(curves: list[CriticalCurve], domain: BBox) -> dict:
         for c in curves
         for p in c.pieces
     ] + [seg_piece(a.x, a.y, b.x, b.y) for a, b, _tag in _frame_walls(domain)]
-    crossings, overlaps = _piece_crossings(pieces, list(range(len(pieces))), VERTEX_SNAP)
-    meets = np.array(crossings + overlaps, dtype=float).reshape(-1, 4)
-    del crossings, overlaps  # their tuples need not outlive the array
+    meets = np.concatenate(_piece_crossings(pieces, list(range(len(pieces))), VERTEX_SNAP))
     # a piece runs at origin + f(t) first + g(t) second: f, g = t, 0 or sin, cos
     arc = np.array([p.kind == "arc" for p in pieces])
     origin = np.array([p.center if p.kind == "arc" else p.p0 for p in pieces], dtype=float)

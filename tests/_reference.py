@@ -172,7 +172,7 @@ def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarra
     """What `arrangement._segment_crossings` returns, from a loop over every
     pair of different families whose boxes come within snap of each other:
     the crossings at most snap outside both segments, and the ends of
-    collinear overlaps."""
+    collinear overlaps, as sorted (m, 4) arrays of rows (i, j, x, y)."""
     segs = [(Point(*a), Point(*b)) for a, b in zip(P0.tolist(), P1.tolist())]
     out, overlaps = [], set()
     for i, (p0, p1) in enumerate(segs):
@@ -191,7 +191,7 @@ def pairwise_segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarra
             hit = segment_intersection(p0, p1, q0, q1, snap / p0.dist(p1), snap / q0.dist(q1))
             if hit is not None:
                 out.append((i, j, hit[2].x, hit[2].y))
-    return out, sorted(overlaps)
+    return tuple(np.array(sorted(rows), dtype=float).reshape(-1, 4) for rows in (out, overlaps))
 
 
 def _overlap_ends(i: int, j: int, segs, snap: float):
@@ -307,8 +307,8 @@ def in_cell_or_near(arrangement: Arrangement, pt: Point, cell_id: int, slack: fl
     """Is the point in the cell, or within slack of one of its boundary steps
     (`cell_boundary_steps`, as the arrangement caches them)?"""
     return arrangement.point_in_cell(pt, cell_id) or any(
-        _point_segment_dist(pt.x, pt.y, p0, p1) <= slack
-        for p0, p1, _none in arrangement._step_walls(cell_id)
+        _point_segment_dist(pt.x, pt.y, Point(x0, y0), Point(x1, y1)) <= slack
+        for x0, y0, x1, y1 in arrangement.cell_boundary_steps(cell_id).tolist()
     )
 
 
@@ -492,7 +492,9 @@ def _direction_profile(region: ReferenceRegion, direction: str) -> list[ProfileS
     return strips
 
 
-def _first_wall_hit(origin, dvec, walls):
+def _first_wall_hit(origin, dvec, walls, start=1e-12, wall_slack=1e-9):
+    """(t, tag, wall) of the first wall the ray meets past start, with the
+    given slack past a wall's ends, or None."""
     ox, oy = origin
     dx, dy = dvec
     best = None
@@ -504,7 +506,7 @@ def _first_wall_hit(origin, dvec, walls):
         rx, ry = p0.x - ox, p0.y - oy
         t = (rx * ey - ry * ex) / det
         u = (dy * rx - dx * ry) / det
-        if t > 1e-12 and -1e-9 <= u <= 1.0 + 1e-9:
+        if t > start and -wall_slack <= u <= 1.0 + wall_slack:
             if best is None or t < best[0]:
                 best = (t, tag, (p0, p1))
     return best

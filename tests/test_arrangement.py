@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,12 @@ from _reference import (
     segment_intersection,
 )
 from critplace.arrangement import (
+    SHOT_START,
+    SHOT_WALL_SLACK,
+    SNAP,
     OnBoundary,
+    _first_wall_hits,
+    _segment_crossings,
     build_line_arrangement,
     build_segment_arrangement,
     convex_decompose,
@@ -163,6 +169,112 @@ def test_subdivision_matches_the_pairwise_reference(monkeypatch):
     monkeypatch.setattr(critplace.arrangement, "_extract_faces", reference_extract_faces)
     assert swept == scenes()
     assert len(swept[2]) > 1
+
+
+_SOUP_ENDS = np.array([(s.p.x, s.p.y, s.q.x, s.q.y) for s in SOUP])
+SWEEP_SCENES = {
+    "soup": (_SOUP_ENDS, np.arange(len(SOUP))),
+    # every third segment is of one family: those pairs never meet
+    "same-family": (_SOUP_ENDS, np.arange(len(SOUP)) % 3),
+    "vertical": (
+        np.array([
+            (0, 0, 0, 2), (0, 1, 0, 3), (-1, 1, 1, 1), (0.5, -1, 0.5, 3),
+            (-1, 2.5, 2, 0.2), (0.5, 3, 0.5, 4), (2, 0.2, 2, 1.5),
+        ], dtype=float),
+        np.arange(7),
+    ),
+    # a point segment on the crossing of the diagonals, its twin and one alone
+    "point": (
+        np.array([(0, 0, 2, 2), (1, 1, 1, 1), (0, 2, 2, 0), (1, 1, 1, 1), (5, 5, 5, 5)], dtype=float),
+        np.arange(5),
+    ),
+    # collinear overlaps, a contained piece, an end-to-end touch and a
+    # parallel piece off the line
+    "parallel": (
+        np.array([
+            (0, 0, 2, 0), (1, 0, 3, 0), (0.5, 0, 1.5, 0), (0, 0.5, 2, 0.5), (0, 0, 1, 1),
+            (2, 2, 0.5, 0.5), (2, 2, 3, 3), (1, -1, 1, 1), (3, 0, 4, 0),
+        ], dtype=float),
+        np.arange(9),
+    ),
+    # one segment across every other's x-range
+    "long": (
+        np.vstack([
+            [(-10.0, 0.1, 10.0, 0.3)],
+            np.random.default_rng(4).uniform(-5.0, 5.0, (12, 4)) * [1.0, 0.2, 1.0, 0.2],
+        ]),
+        np.arange(13),
+    ),
+}
+
+
+# (crossings, overlap ends) of each scene
+SWEEP_MEETS = {
+    "soup": (12, 2), "same-family": (8, 2), "vertical": (8, 3), "point": (1, 4),
+    "parallel": (9, 10), "long": (27, 0),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, critplace.arrangement.SWEEP_CHUNK])
+@pytest.mark.parametrize("name", list(SWEEP_SCENES))
+def test_sweep_matches_the_pairwise_reference(monkeypatch, name, chunk):
+    # chunks of 1 and 3 candidate pairs cut between and inside the pairs of
+    # one segment, which then takes a chunk of its own
+    ends, family = SWEEP_SCENES[name]
+    monkeypatch.setattr(critplace.arrangement, "SWEEP_CHUNK", chunk)
+    swept = _segment_crossings(ends[:, :2], ends[:, 2:], family, SNAP)
+    expected = pairwise_segment_crossings(ends[:, :2], ends[:, 2:], family, SNAP)
+    assert [rows.tolist() for rows in swept] == [rows.tolist() for rows in expected]
+    assert tuple(map(len, swept)) == SWEEP_MEETS[name]
+
+
+def _traced_peak(run):
+    """What run() returns, and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_stays_bounded():
+    # 1,500 disjoint horizontal segments over one x-range: about 1.1 M
+    # candidate pairs and no meeting; all at once they would take 56 MB
+    n = 1500
+    y = np.arange(n, dtype=float)
+    P0, P1 = np.column_stack([np.zeros(n), y]), np.column_stack([np.ones(n), y])
+    (crossings, overlaps), peak = _traced_peak(lambda: _segment_crossings(P0, P1, np.arange(n), SNAP))
+    assert crossings.shape == overlaps.shape == (0, 4)
+    assert peak < 3e6
+
+
+def test_decomposition_kernels_stay_bounded():
+    # a comb: the unit square under a sawtooth of n teeth, one cell of
+    # 2n + 3 walls whose n valleys, at height 0.5, are reflex corners
+    n = 600
+    top = [Point(1.0 - k / (2 * n), 1.0 if k % 2 == 0 else 0.5) for k in range(2 * n + 1)]
+    outline = [Point(0.0, 0.0), Point(1.0, 0.0), *top]
+    arr = build_segment_arrangement([Segment(a, b) for a, b in zip(outline, outline[1:] + outline[:1])])
+    cid = locate(Point(0.5, 0.25), arr)
+    walls = np.array([(a.x, a.y, b.x, b.y) for a, b, _tag in arr.cell_walls(cid)])
+    assert len(walls) == 2 * n + 3
+    valleys = np.array([(p.x, p.y) for p in top[1::2]])
+    # every valley's ray down meets the bottom; all at once 720,000 ray-wall
+    # entries would take 35 MB
+    (wall, t), peak = _traced_peak(
+        lambda: _first_wall_hits(valleys, (0.0, -1.0), walls, SHOT_START, SHOT_WALL_SLACK)
+    )
+    assert set(wall.tolist()) == {walls.tolist().index([0.0, 0.0, 1.0, 0.0])}
+    assert t.tolist() == [0.5] * n
+    assert peak < 1e6
+    # 2,000 probes under and over the teeth against 1,203 boundary steps,
+    # which all at once would take 41 MB
+    arr.cell_boundary_steps(cid)
+    probes = np.column_stack([np.linspace(0.001, 0.999, 2000), np.tile([0.25, 1.25], 1000)])
+    inside, peak = _traced_peak(lambda: arr.points_in_cell(probes, cid))
+    assert inside.tolist() == [True, False] * 1000
+    assert peak < 1e6
 
 
 def _edge_ends(arr, tag_kind):
@@ -371,12 +483,14 @@ def test_duplicate_lines_get_perturbed():
     assert arr.euler_ok()
 
 
-def _pairwise_merge(xy: np.ndarray, snap: float) -> list[int]:
-    """The first index merged with each point, from a test of every pair."""
+def _pairwise_merge(xy: np.ndarray, snap: float, group=None) -> list[int]:
+    """The first index merged with each point, from a test of every pair (of
+    one group, when a group is given)."""
+    group = [0] * len(xy) if group is None else list(group)
     label = list(range(len(xy)))
     for i in range(len(xy)):
         for j in range(i):
-            if abs(xy[i] - xy[j]).max() <= snap:
+            if group[i] == group[j] and abs(xy[i] - xy[j]).max() <= snap:
                 old, new = max(label[i], label[j]), min(label[i], label[j])
                 label = [new if lab == old else lab for lab in label]
     return label
@@ -395,3 +509,12 @@ def test_snap_merge_matches_a_pairwise_union_find(monkeypatch, chunk):
     xy = rng.permutation(np.concatenate([near, chain, column, rng.uniform(-1, 1, (60, 2))]))
     monkeypatch.setattr(critplace.arrangement, "MERGE_CHUNK", chunk)
     assert critplace.arrangement._snap_merge(xy, snap).tolist() == _pairwise_merge(xy, snap)
+    # in three groups a point joins only its own group's points: never
+    # through another group's point between them (two ends 1.2 snap apart
+    # with one of group 1 halfway), nor where they share a grid cell
+    between = np.column_stack([-0.5 + 0.6 * snap * np.arange(3), np.full(3, 0.1)])
+    xy = np.concatenate([xy, between, np.full((3, 2), 0.55)])
+    group = np.concatenate([rng.integers(0, 3, len(xy) - 6), [0, 1, 0, 2, 0, 2]])
+    grouped = critplace.arrangement._snap_merge(xy, snap, group).tolist()
+    assert grouped == _pairwise_merge(xy, snap, group)
+    assert grouped[-6:] == [len(xy) - k for k in (6, 5, 4, 3, 2, 3)]

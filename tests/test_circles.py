@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from critplace.arrangement import build_line_arrangement, locate
-from critplace.circles import _ring_pieces
+from critplace.circles import _assemble_chains, _ring_pieces
 from critplace.generators import random_lines
 from critplace.geom import CIRCLE, Line, Point
 from critplace.oracle import boundary_gaps
 from critplace.placement import (
+    VERTEX_SNAP,
     CriticalCurve,
     EpsilonTooLarge,
     _overlay_counts,
@@ -371,3 +372,18 @@ def test_flat_arcs_count_as_their_segments():
         as_segments.append(CriticalCurve(c.cell_id, c.vector, pieces, c.convex_flag))
     assert flat > 0
     assert pa.counts == _overlay_counts(as_segments, pa.domain)
+
+
+def test_chains_keep_to_their_cell_and_vector():
+    # two collinear pieces of one group whose ends are 1.2 snap apart, and
+    # another group's piece that starts between them: the two stay apart,
+    # as they would with nothing between them
+    gap = 1.2 * VERTEX_SNAP
+    own = [(seg_piece(-1.0, 0.0, 0.0, 0.0), False), (seg_piece(gap, 0.0, 1.0, 0.0), False)]
+    other = [(seg_piece(0.5 * gap, 0.0, 0.5 * gap, 1.0), False)]
+    alone, between = _assemble_chains([(0, None, own)]), _assemble_chains([(0, None, own), (1, None, other)])
+    assert [len(c.pieces) for c in alone[0]] == [len(c.pieces) for c in between[0]] == [1, 1]
+    assert [c.cell_id for c in between[1]] == [1]
+    # within snap they join into one chain
+    near = [own[0], (seg_piece(0.5 * gap, 0.0, 1.0, 0.0), False)]
+    assert [len(c.pieces) for c in _assemble_chains([(0, None, near)])[0]] == [2]

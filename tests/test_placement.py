@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from critplace.arrangement import (
+    KERNEL_CHUNK,
+    SHOT_START,
+    SHOT_WALL_SLACK,
     BBox,
     OnBoundary,
+    _first_wall_hits,
     _snap_merge,
     build_line_arrangement,
     build_segment_arrangement,
@@ -16,13 +20,13 @@ from critplace.geom import CIRCLE, SQUARE, GeometryError, Line, Point, Segment
 from critplace.oracle import dense_scan, is_epsilon_placement, verify
 from critplace.placement import (
     _QUADRANT_LOOK,
-    KERNEL_CHUNK,
+    RAY_START,
+    RAY_WALL_SLACK,
     SIDE_TOL,
     VERTEX_SNAP,
     CriticalCurve,
     CurvePiece,
     _arc_arc_points,
-    _first_wall_hits,
     _level_ends,
     _overlay_counts,
     _piece_bbox,
@@ -461,23 +465,26 @@ def test_wall_rays_equal_the_looped_reference():
         (Point(-0.4, 0.8), Point(-0.4, -0.5), ("w", 33)),
     ]
     array = np.array([(a.x, a.y, b.x, b.y) for a, b, _tag in walls])
-    # the last origin's ray passes 5e-10 above the end (-0.4, 0.8) of walls 32 and 33
+    # the last origin's ray passes 5e-10 above the end (-0.4, 0.8) of walls
+    # 32 and 33: within the strip rays' wall slack, past the corner rays'
     origins = np.vstack(
         [rng.uniform(-1.0, 1.0, (200, 2)), [(0.0, 0.2), (-0.1, 0.2), (0.0, 0.8 + 5e-10)]]
     )
-    for dvec in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
-        expected = []
-        for origin in origins.tolist():
-            hit = _first_wall_hit(origin, dvec, walls)
-            expected.append(-1 if hit is None else hit[1][1])
-        assert _first_wall_hits(origins, dvec, array).tolist() == expected
+    for tols in ((RAY_START, RAY_WALL_SLACK), (SHOT_START, SHOT_WALL_SLACK)):
+        for dvec in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+            hits = [_first_wall_hit(origin, dvec, walls, *tols) for origin in origins.tolist()]
+            wall, t = _first_wall_hits(origins, dvec, array, *tols)
+            assert wall.tolist() == [-1 if hit is None else hit[1][1] for hit in hits]
+            assert t.tolist() == [math.inf if hit is None else hit[0] for hit in hits]
     ties = array[29:]
-    assert _first_wall_hits(origins[-3:-1], (1.0, 0.0), ties).tolist() == [1, 1]
-    assert _first_wall_hits(origins[-3:], (-1.0, 0.0), ties).tolist() == [3, 3, 3]
+    assert _first_wall_hits(origins[-3:-1], (1.0, 0.0), ties, RAY_START, RAY_WALL_SLACK)[0].tolist() == [1, 1]
+    assert _first_wall_hits(origins[-3:], (-1.0, 0.0), ties, RAY_START, RAY_WALL_SLACK)[0].tolist() == [3, 3, 3]
+    assert _first_wall_hits(origins[-1:], (-1.0, 0.0), ties, SHOT_START, SHOT_WALL_SLACK)[0].tolist() == [-1]
     # one call for all four directions, a step per origin, as the profiles cast them
     steps = np.repeat([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)], len(origins), axis=0)
-    each = [_first_wall_hits(origins, dvec, array) for dvec in steps[:: len(origins)]]
-    assert np.array_equal(_first_wall_hits(np.tile(origins, (4, 1)), steps, array), np.concatenate(each))
+    tols = (RAY_START, RAY_WALL_SLACK)
+    each = [_first_wall_hits(origins, dvec, array, *tols)[0] for dvec in steps[:: len(origins)]]
+    assert np.array_equal(_first_wall_hits(np.tile(origins, (4, 1)), steps, array, *tols)[0], np.concatenate(each))
 
 
 def test_pair_intersections_disjoint():
@@ -517,7 +524,7 @@ def test_pair_intersections_skip_only_pairs_within_a_family(shape, eps):
         pieces = [p for c in curves_a + curves_b for p in c.pieces]
         na = sum(len(c.pieces) for c in curves_a)
         every, _overlaps = _piece_crossings(pieces, list(range(len(pieces))), VERTEX_SNAP)
-        xy = np.array([(x, y) for i, j, x, y in every if i < na <= j]).reshape(-1, 2)
+        xy = every[(every[:, 0] < na) & (every[:, 1] >= na), 2:]
         first = xy[_snap_merge(xy, VERTEX_SNAP) == np.arange(len(xy))].tolist()
         expected = [Point(x, y) for x, y in sorted(first)]
         assert pair_intersections(curves_a, curves_b) == expected
@@ -818,6 +825,19 @@ def test_segment_scene_translated_twice_keeps_its_chains():
     pa = build_placement_arrangement(twice, 0.3, SQUARE, include_line_translates=True)
     assert len(pa.curves) == 337
     assert pa.counts == {"vertices": 3153, "edges": 5752, "faces": 2602}
+
+
+def test_circle_scene_on_a_rounding_boundary_keeps_its_chains():
+    # the benchmark's circle-lines scene moved by under a micron, so that two
+    # ends of one chain, 1.3e-15 apart in x, fall on either side of a half
+    # step of a 1e-6 rounding grid: they must still join, as `_snap_merge`
+    # joins them
+    lines = random_lines(2, 3)
+    base = build_placement_arrangement(lines, 0.7, CIRCLE)
+    moved = _moved(lines, lambda x, y: (x + 3.846829249587458e-07, y))
+    pa = build_placement_arrangement(moved, 0.7, CIRCLE)
+    assert len(base.curves) == len(pa.curves) == 22
+    assert pa.counts == base.counts == {"vertices": 72, "edges": 88, "faces": 18}
 
 
 def test_overlay_splits_collinear_overlaps():
