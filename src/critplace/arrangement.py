@@ -49,9 +49,6 @@ PARALLEL_DET = 1e-13
 # A walk turning right by a cross product above this (relative to its
 # squared coordinate scale) is not convex.
 CONVEX_TURN_TOL = 1e-9
-# Perturbation rounds before the lines are declared degenerate; each doubles
-# the offset, so the last is 128 times the first.
-GENERAL_POSITION_ROUNDS = 8
 # A hole's probe sits this share of its longest step inside the face it bounds.
 PROBE_NUDGE = 1e-7
 # A corner angle below this is an antenna's dangling end: a full turn inside.
@@ -74,6 +71,9 @@ MERGE_CHUNK = 1024
 KERNEL_CHUNK = 4096
 # Candidate segment pairs the sweep tests at once, which bounds its temporaries.
 SWEEP_CHUNK = 4096
+# A point this far outside a box is inside it: an arc stretch whose middle
+# lies just outside the domain is kept.
+BOX_SLACK = 1e-9
 
 
 class DegenerateInput(GeometryError):
@@ -96,10 +96,10 @@ class BBox:
             self.xmin - margin, self.ymin - margin, self.xmax + margin, self.ymax + margin
         )
 
-    def contains(self, x: float, y: float, slack: float = 0.0) -> bool:
+    def contains(self, x: float, y: float) -> bool:
         return (
-            self.xmin - slack <= x <= self.xmax + slack
-            and self.ymin - slack <= y <= self.ymax + slack
+            self.xmin - BOX_SLACK <= x <= self.xmax + BOX_SLACK
+            and self.ymin - BOX_SLACK <= y <= self.ymax + BOX_SLACK
         )
 
     def union(self, other: "BBox") -> "BBox":
@@ -610,66 +610,47 @@ def _is_convex_walk(P: list, vids: list[int]) -> bool:
 # line arrangements
 # ---------------------------------------------------------------------------
 
-def _perturbed(line: Line, k: int, magnitude: float) -> Line:
-    # deterministic per-index symbolic perturbation: shift the line along its
-    # normal, keeping anchors consistent
-    off = magnitude * (k + 1)
-    return Line(
-        Point(line.p.x + line.a * off, line.p.y + line.b * off),
-        Point(line.q.x + line.a * off, line.q.y + line.b * off),
-    )
+def _line_pairs(lines: list[Line], start: int):
+    """Every pair i < j of the lines with j >= start, in nested-loop order (by
+    i, then j): the index arrays, the determinant a_i b_j - a_j b_i of their
+    canonical coefficients and their crossing point, inf or nan where the
+    determinant is 0."""
+    a, b, c = np.array([(ln.a, ln.b, ln.c) for ln in lines], dtype=float).reshape(-1, 3).T
+    k = np.arange(len(lines))
+    i, j = np.nonzero(k[:, None] < k[start:])
+    j += start
+    det = a[i] * b[j] - a[j] * b[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return i, j, det, (c[i] * b[j] - c[j] * b[i]) / det, (a[i] * c[j] - a[j] * c[i]) / det
 
 
-def enforce_general_position(lines: list[Line]) -> list[Line]:
-    """Perturb duplicate or concurrent lines by deterministic offsets."""
-    work = list(lines)
-    mag = 10.0 * TOL.eps_geom
-    for _attempt in range(GENERAL_POSITION_ROUNDS):
-        bad = set()
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if work[i].same_line(work[j]):
-                    bad.add(j)
-        pts = {}
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                det = work[i].a * work[j].b - work[j].a * work[i].b
-                if abs(det) <= TOL.eps_geom:
-                    continue
-                x = (work[i].c * work[j].b - work[j].c * work[i].b) / det
-                y = (work[i].a * work[j].c - work[j].a * work[i].c) / det
-                key = (round(x / (4 * TOL.eps_geom)), round(y / (4 * TOL.eps_geom)))
-                if key in pts and pts[key] != (i, j):
-                    bad.add(j)
-                pts[key] = (i, j)
-        if not bad:
-            return work
-        work = [
-            _perturbed(ln, i, mag) if i in bad else ln for i, ln in enumerate(work)
-        ]
-        mag *= 2.0
-    raise DegenerateInput("general position not reached after perturbation")
+def distinct_lines(lines: list[Line]) -> list[Line]:
+    """The lines without repeats: a line that is `Line.same_line` with an
+    earlier kept line is dropped, so the first copy stays.  Lines whose
+    unit normals agree within eps_geom have a determinant of at most
+    sqrt(2) eps_geom, so only those pairs are compared."""
+    i, j, det, _x, _y = _line_pairs(lines, 0)
+    near = np.abs(det) <= 2.0 * TOL.eps_geom
+    keep = [True] * len(lines)
+    for p, q in zip(i[near].tolist(), j[near].tolist()):
+        if keep[p] and keep[q] and lines[p].same_line(lines[q]):
+            keep[q] = False
+    return [ln for ln, kept in zip(lines, keep) if kept]
 
 
 def build_line_arrangement(lines: list[Line], clip_box: BBox | None = None) -> Arrangement:
-    """Arrangement of infinite lines clipped to a box.
+    """Arrangement of infinite lines clipped to a box, each repeated line
+    taken once (`distinct_lines`).  Lines that meet in one point need no
+    rule of their own: their crossings merge into one vertex.
 
     The box auto-expands so that every pairwise intersection and every anchor
     point lies strictly inside it.
     """
-    lines = enforce_general_position(list(lines))
-    anchor_pts = [(ln.p.x, ln.p.y) for ln in lines] + [(ln.q.x, ln.q.y) for ln in lines]
-    if not anchor_pts:
-        anchor_pts = [(0.0, 0.0)]
-    box = bbox_of_points(anchor_pts)
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            det = lines[i].a * lines[j].b - lines[j].a * lines[i].b
-            if abs(det) <= TOL.eps_geom:
-                continue
-            x = (lines[i].c * lines[j].b - lines[j].c * lines[i].b) / det
-            y = (lines[i].a * lines[j].c - lines[j].a * lines[i].c) / det
-            box = box.union(BBox(x, y, x, y))
+    lines = distinct_lines(lines)
+    _i, _j, det, x, y = _line_pairs(lines, 0)
+    cross = np.abs(det) > TOL.eps_geom
+    pts = [(q.x, q.y) for ln in lines for q in (ln.p, ln.q)]
+    box = bbox_of_points(pts + list(zip(x[cross].tolist(), y[cross].tolist())) or [(0.0, 0.0)])
     box = box.expanded(max(1.0, 0.05 * max(box.width, box.height)))
     if clip_box is not None:
         box = box.union(clip_box)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .arrangement import BBox
+from .arrangement import BBox, _line_pairs
 from .geom import Line, Point, Polyline
 
 # Consecutive same-family lines sit 1.39*eps apart: interior grid cells then
@@ -55,28 +55,35 @@ def lower_bound_lines(n: int, eps: float, tilt: float = 0.005) -> list[Line]:
     return lines
 
 
-def _audit_general_position(lines: list[Line], tol: float = AUDIT_PARALLEL) -> None:
-    pts = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            det = lines[i].a * lines[j].b - lines[j].a * lines[i].b
-            if abs(det) <= tol:
-                raise ValueError(f"lines {i} and {j} are parallel")
-            x = (lines[i].c * lines[j].b - lines[j].c * lines[i].b) / det
-            y = (lines[i].a * lines[j].c - lines[j].a * lines[i].c) / det
-            pts.append((x, y))
-    pts.sort()
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if abs(x0 - x1) <= CONCURRENT_TOL and abs(y0 - y1) <= CONCURRENT_TOL:
-            raise ValueError("three lines are (nearly) concurrent")
+def _near_neighbour(pts: np.ndarray, at: np.ndarray) -> bool:
+    """Whether a crossing at one of the indices `at` of the sorted crossings
+    (x + iy: complex numbers sort by x, then y) lies within CONCURRENT_TOL
+    in both coordinates of the crossing before or after it."""
+    step = np.concatenate([at, at + 1])
+    step = step[(step > 0) & (step < len(pts))]
+    d = pts[step] - pts[step - 1]
+    return bool(((np.abs(d.real) <= CONCURRENT_TOL) & (np.abs(d.imag) <= CONCURRENT_TOL)).any())
+
+
+def _audit_general_position(lines: list[Line]) -> None:
+    i, j, det, x, y = _line_pairs(lines, 0)
+    parallel = np.flatnonzero(np.abs(det) <= AUDIT_PARALLEL)
+    if parallel.size:
+        raise ValueError(f"lines {i[parallel[0]]} and {j[parallel[0]]} are parallel")
+    pts = np.sort(x + 1j * y)
+    if _near_neighbour(pts, np.arange(len(pts))):
+        raise ValueError("three lines are (nearly) concurrent")
 
 
 def random_lines(n: int, seed: int, bbox: BBox | None = None) -> list[Line]:
-    """n random lines in general position, deterministic per seed."""
+    """n random lines in general position, deterministic per seed: the
+    audit of the accepted lines and a candidate can only fail next to the
+    candidate's crossings, so only their neighbours are checked."""
     if bbox is None:
         bbox = BBox(-1.0, -1.0, 1.0, 1.0)
     rng = np.random.default_rng(seed)
     lines: list[Line] = []
+    pts = np.empty(0, dtype=complex)  # the accepted lines' crossings, sorted
     guard = 0
     while len(lines) < n:
         guard += 1
@@ -91,11 +98,16 @@ def random_lines(n: int, seed: int, bbox: BBox | None = None) -> list[Line]:
         if math.hypot(x1 - x0, y1 - y0) < 0.1 * max(bbox.width, bbox.height):
             continue
         cand = Line(Point(x0, y0), Point(x1, y1))
-        try:
-            _audit_general_position(lines + [cand], tol=RANDOM_PARALLEL)
-        except ValueError:
+        _i, _j, det, x, y = _line_pairs(lines + [cand], len(lines))
+        if (np.abs(det) <= RANDOM_PARALLEL).any():
+            continue
+        new = np.sort(x + 1j * y)
+        at = np.searchsorted(pts, new)
+        merged = np.insert(pts, at, new)
+        if _near_neighbour(merged, at + np.arange(len(new))):
             continue
         lines.append(cand)
+        pts = merged
     return lines
 
 

@@ -36,7 +36,7 @@ from .arrangement import (
     build_line_arrangement,
     build_segment_arrangement,
     convex_decompose,
-    enforce_general_position,
+    distinct_lines,
 )
 from .geom import (
     CIRCLE,
@@ -109,8 +109,6 @@ SPACING_SLACK = 1e-12
 # Of clipping curves to the domain and of the arc kernels:
 # An arc stretch between box crossings this short (in radians) is a point.
 MIN_ARC_STEP = 1e-12
-# An arc stretch whose middle lies this far outside the box is inside it.
-BOX_SLACK = 1e-9
 # A sinusoid whose amplitude is this small is flat and has no roots.
 FLAT_AMPLITUDE = 1e-15
 # A sinusoid root this far (in radians) outside the range asked for is its end.
@@ -860,7 +858,7 @@ def _clip_piece_to_box(piece: CurvePiece, box: BBox) -> list[CurvePiece]:
         if u1 - u0 <= MIN_ARC_STEP:
             continue
         mx, my = piece.arc_point(0.5 * (u0 + u1))
-        if box.contains(mx, my, slack=BOX_SLACK):
+        if box.contains(mx, my):
             out.append(
                 CurvePiece(
                     "arc",
@@ -1235,12 +1233,14 @@ def default_domain(primitives: list, shape: str, eps) -> BBox:
 
 
 def placement_primitives(primitives: list) -> list:
-    """The primitives a placement arrangement is built over: lines put in
-    general position, or segments as given, never a mix of the two."""
+    """The primitives a placement arrangement is built over: lines with each
+    repeated line taken once (`distinct_lines`, the first copy kept), or
+    segments as given, never a mix of the two.  Lines that meet in one point
+    are taken as given."""
     lines = [p for p in primitives if isinstance(p, Line)]
     if lines and len(lines) < len(primitives):
         raise GeometryError("scene mixes infinite lines and segments")
-    return enforce_general_position(lines) if lines else list(primitives)
+    return distinct_lines(lines) if lines else list(primitives)
 
 
 def build_placement_arrangement(

@@ -10,6 +10,7 @@ from .sceneio import Scene, curves_from_result, domain_from_result, fmt
 _MARGIN = 0.05  # fraction of the view added around the data
 # The margin is taken of at least this extent, so that a view of one point has a scale.
 _MIN_EXTENT = 1e-9
+_WIDTH = 800.0  # pixels across the view
 
 
 def _palette(i: int) -> str:
@@ -20,12 +21,11 @@ def _palette(i: int) -> str:
 class _View:
     """World -> SVG pixel mapping with the y axis flipped."""
 
-    def __init__(self, xmin, ymin, xmax, ymax, width=800.0):
+    def __init__(self, xmin, ymin, xmax, ymax):
         pad = _MARGIN * max(xmax - xmin, ymax - ymin, _MIN_EXTENT)
         self.xmin, self.ymin = xmin - pad, ymin - pad
         self.xmax, self.ymax = xmax + pad, ymax + pad
-        self.scale = width / (self.xmax - self.xmin)
-        self.w = width
+        self.scale = _WIDTH / (self.xmax - self.xmin)
         self.h = (self.ymax - self.ymin) * self.scale
 
     def px(self, x: float) -> str:
@@ -74,7 +74,7 @@ def render_svg(result: dict | None, scene: Scene | None = None) -> str:
     body: list[str] = []
     body.append('<g id="frame">')
     body.append(
-        f'<rect x="0" y="0" width="{fmt(view.w)}" height="{fmt(view.h)}" '
+        f'<rect x="0" y="0" width="{fmt(_WIDTH)}" height="{fmt(view.h)}" '
         'fill="white" stroke="#444" stroke-width="1"/>'
     )
     if xmin < 0 < xmax:
@@ -106,8 +106,8 @@ def render_svg(result: dict | None, scene: Scene | None = None) -> str:
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{fmt(view.w)}" height="{fmt(view.h)}" '
-        f'viewBox="0 0 {fmt(view.w)} {fmt(view.h)}">\n'
+        f'width="{fmt(_WIDTH)}" height="{fmt(view.h)}" '
+        f'viewBox="0 0 {fmt(_WIDTH)} {fmt(view.h)}">\n'
         + "\n".join(body)
         + "\n</svg>\n"
     )

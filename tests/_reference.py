@@ -6,6 +6,9 @@
   `pairwise_segment_crossings`, the O(n^2) loop over it that split the
   arrangement's walls before the x-sweep did, with the overlap ends of
   collinear pairs.
+* `pairwise_line_crossings`: the O(n^2) loop over line pairs that sized the
+  line arrangement's box and audited the generators' lines before one
+  numpy pass did.
 * `interior_vertex_ids`: the arrangement vertices off its clip frame.
 * `reference_extract_faces`: the arrangement's face tracer as it was before
   it sorted each vertex's ring once and assigned holes in numpy.
@@ -207,6 +210,22 @@ def _overlap_ends(i: int, j: int, segs, snap: float):
                 continue
             if -snap <= (ex * dx + ey * dy) / math.sqrt(L2) <= math.sqrt(L2) + snap:
                 yield (i, j, e.x, e.y)
+
+
+def pairwise_line_crossings(lines: list[Line]) -> list[tuple[int, int, float, float | None, float | None]]:
+    """(i, j, determinant, x, y) of every pair i < j, x and y None where the
+    determinant is 0."""
+    out = []
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            det = lines[i].a * lines[j].b - lines[j].a * lines[i].b
+            if det == 0.0:
+                out.append((i, j, det, None, None))
+                continue
+            x = (lines[i].c * lines[j].b - lines[j].c * lines[i].b) / det
+            y = (lines[i].a * lines[j].c - lines[j].a * lines[i].c) / det
+            out.append((i, j, det, x, y))
+    return out
 
 
 def interior_vertex_ids(arr: Arrangement) -> list[int]:

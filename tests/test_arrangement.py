@@ -8,6 +8,7 @@ import pytest
 import critplace.arrangement
 from _reference import (
     interior_vertex_ids,
+    pairwise_line_crossings,
     pairwise_segment_crossings,
     reference_extract_faces,
     segment_intersection,
@@ -18,14 +19,16 @@ from critplace.arrangement import (
     SNAP,
     OnBoundary,
     _first_wall_hits,
+    _line_pairs,
     _segment_crossings,
     build_line_arrangement,
     build_segment_arrangement,
     convex_decompose,
+    distinct_lines,
     locate,
 )
 from critplace.generators import random_lines
-from critplace.geom import Line, Point, Segment
+from critplace.geom import TOL, Line, Point, Segment
 
 
 def _poly_area(poly):
@@ -373,11 +376,12 @@ CONCURRENT = [(-1, -1, 1, 1), (-1, 1, 1, -1), (0, -1, 0, 1)]
 
 @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.37, -0.21), (-1000.0, 250.0)])
 @pytest.mark.parametrize(
-    "coords,counts", [(CONCURRENT, (9, 15, 8)), (CONCURRENT + [(-1, 0.3, 1, 0.1)], (14, 24, 12))]
+    "coords,counts", [(CONCURRENT, (7, 12, 7)), (CONCURRENT + [(-1, 0.3, 1, 0.1)], (12, 21, 11))]
 )
 def test_concurrent_lines_keep_their_thin_cell(coords, counts, shift):
-    # general position splits the common point into a triangle of area about
-    # 1e-15: a cell, however far from the origin the lines lie
+    # the three crossings at the common point merge into one vertex of degree
+    # 6, and no thin cell is left between them, however far from the origin
+    # the lines lie
     dx, dy = shift
     lines = [Line(Point(x0 + dx, y0 + dy), Point(x1 + dx, y1 + dy)) for x0, y0, x1, y1 in coords]
     arr = build_line_arrangement(lines)
@@ -475,12 +479,62 @@ def _endpoint_count_on_boundary(arr, cell, segs):
     return len(ends & walk_pts)
 
 
-def test_duplicate_lines_get_perturbed():
+def test_coincident_lines_count_once():
     lines = [Line(Point(0, -1), Point(0, 1)), Line(Point(0, -2), Point(0, 2))]
     arr = build_line_arrangement(lines)
-    # after perturbation the two verticals are distinct parallels: 3 cells
-    assert len(arr.cells) == 3
+    # the second vertical is the first one again: one line, two cells
+    assert arr.primitives == lines[:1]
+    assert len(arr.cells) == 2
     assert arr.euler_ok()
+
+
+@pytest.mark.parametrize("start", [0, 1, 9, 13])
+def test_line_pairs_match_the_pair_loop(start):
+    # random lines, two parallels and a vertical repeated: every float is
+    # the loop's, in the loop's order
+    lines = random_lines(10, 5) + [Line(Point(0, 0), Point(1, 1)), Line(Point(0, 1), Point(1, 2))]
+    lines += [Line(Point(0.3, -1), Point(0.3, 1))] * 2
+    i, j, det, x, y = _line_pairs(lines, start)
+    want = [row for row in pairwise_line_crossings(lines) if row[1] >= start]
+    assert list(zip(i.tolist(), j.tolist(), det.tolist())) == [row[:3] for row in want]
+    finite = det != 0.0
+    assert not np.isfinite(x[~finite]).any() and (~finite).sum() == sum(row[3] is None for row in want)
+    assert x[finite].tolist() == [row[3] for row in want if row[3] is not None]
+    assert y[finite].tolist() == [row[4] for row in want if row[4] is not None]
+
+
+def _moved(line: Line, along_normal: float, turn: float) -> Line:
+    """The line shifted along its normal and its second anchor moved across
+    it, both by multiples of eps_geom."""
+    g = TOL.eps_geom
+    dx, dy = line.a * along_normal * g, line.b * along_normal * g
+    span = line.p.dist(line.q)
+    return Line(
+        Point(line.p.x + dx, line.p.y + dy),
+        Point(line.q.x + dx + line.a * turn * g * span, line.q.y + dy + line.b * turn * g * span),
+    )
+
+
+@pytest.mark.parametrize("along_normal, turn", [
+    (0.5, 0.0), (-0.5, 0.0), (2.0, 0.0), (-2.0, 0.0), (0.0, 0.5), (0.0, -0.5), (0.0, 2.0), (0.0, -2.0),
+])
+@pytest.mark.parametrize("base", [(-1, 0.1, 1, 0.2), (0.2, -1, -0.1, 1), (0, -1, 0, 1), (-0.3, 0.8, 0.5, -0.6)])
+def test_repeat_filter_agrees_with_same_line(base, along_normal, turn):
+    line = Line(Point(*base[:2]), Point(*base[2:]))
+    other = _moved(line, along_normal, turn)
+    # half a tolerance apart is one line, two tolerances apart are two
+    same = abs(along_normal) < 1.0 and abs(turn) < 1.0
+    assert line.same_line(other) == same
+    assert distinct_lines([line, other]) == ([line] if same else [line, other])
+    assert distinct_lines([other, line]) == ([other] if same else [other, line])
+
+
+def test_repeat_filter_compares_with_kept_lines_only():
+    line = Line(Point(-1, 0.1), Point(1, 0.2))
+    near, far = _moved(line, 0.6, 0.0), _moved(line, 1.2, 0.0)
+    # `near` repeats `line` and goes; `far` is no repeat of `line`, the line kept
+    assert near.same_line(far) and not line.same_line(far)
+    assert distinct_lines([line, near, far]) == [line, far]
 
 
 def _pairwise_merge(xy: np.ndarray, snap: float, group=None) -> list[int]:

@@ -1,9 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from critplace.arrangement import build_line_arrangement
-from critplace.generators import cross_trajectories, lower_bound_lines, random_lines
-from critplace.geom import Point
+from critplace.generators import (
+    _audit_general_position,
+    cross_trajectories,
+    lower_bound_lines,
+    random_lines,
+)
+from critplace.geom import Line, Point
 from critplace.junctions import assess
 
 from _reference import curves_by_vector, interior_vertex_ids
@@ -66,6 +73,49 @@ def test_random_lines_general_position():
             assert abs(det) > 1e-9
             count += 1
     assert count == 66
+
+
+# Every (n, seed) that the tests and the benchmark draw random lines with.
+RANDOM_LINES_DRAWN = [
+    (0, 1), (2, 3), (2, 31), (2, 201), (2, 202), (2, 203), (2, 204), (3, 0), (3, 1), (3, 2), (3, 3),
+    (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 23), (3, 31), (3, 32), (3, 33), (3, 35), (3, 36),
+    (3, 37), (3, 40), (3, 55), (3, 301), (3, 302), (3, 303), (3, 304), (3, 351), (4, 0), (4, 3),
+    (4, 5), (4, 6), (4, 17), (4, 19), (4, 28), (4, 44), (4, 401), (4, 402), (4, 403), (4, 404),
+    (4, 452), (5, 7), (5, 12), (5, 13), (5, 501), (5, 502), (5, 503), (5, 504), (5, 551), (5, 552),
+    (6, 1), (6, 2), (6, 42), (10, 5), (12, 3), (128, 1),
+]
+
+
+def _digest(scenes) -> str:
+    rows = [[(ln.p.x, ln.p.y, ln.q.x, ln.q.y) for ln in lines] for lines in scenes]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_generated_lines_are_pinned():
+    # digests of the lines as the generators drew them when each candidate
+    # was audited together with the whole accepted set
+    assert _digest(random_lines(n, seed) for n, seed in RANDOM_LINES_DRAWN) == (
+        "d9375e9dd3c90b44ac26086713f3df08d3d8090e6d9fa2ae53721237def57bc4"
+    )
+    assert _digest([random_lines(512, 1)]) == (
+        "898d800fc9d9a18df9081a3754de1f4724d4bd4dfdfeb4919e1bb6be54133b4b"
+    )
+    assert _digest(lower_bound_lines(n, 0.25) for n in (4, 8, 16, 32)) == (
+        "e11f32b5fb8306c8c7f6d572c392cb439606f9f2c178d4d5b64803c290d3b62f"
+    )
+
+
+def test_audit_refuses_parallel_and_concurrent_lines():
+    ok = [Line(Point(-1, 0), Point(1, 0.1)), Line(Point(0, -1), Point(0.2, 1))]
+    _audit_general_position(ok)
+    # the second and third lines are parallel but for 1e-10 in slope
+    with pytest.raises(ValueError, match="lines 1 and 2 are parallel"):
+        _audit_general_position(ok + [Line(Point(0.5, -1), Point(0.7 + 1e-10, 1))])
+    # the third line passes 1e-8 beside the first two lines' crossing
+    y = 0.055 / 0.995  # where y = 0.05 x + 0.05 meets x = 0.1 y + 0.1
+    x = 0.1 * y + 0.1
+    with pytest.raises(ValueError, match="three lines are"):
+        _audit_general_position(ok + [Line(Point(-1, -1), Point(x + 1e-8, y))])
 
 
 def test_cross_trajectories_straight_pair():

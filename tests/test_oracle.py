@@ -186,16 +186,34 @@ def test_verify_fault_injection():
 
 @pytest.mark.parametrize("extra, counts", [
     ([], (137, 214, 79)),
-    ([Line(Point(-1, 0.3), Point(1, 0.1))], (316, 518, 204)),
+    ([Line(Point(-1, 0.3), Point(1, 0.1))], (314, 516, 204)),
 ], ids=["three", "three-and-one"])
 def test_verify_concurrent_lines(extra, counts):
-    # three lines through one point: general position leaves a cell of area
-    # about 1e-15 between them, and its curves must still verify
+    # three lines through one point: their crossings are one vertex of the
+    # arrangement, and the curves of the cells around it must verify
     lines = CONCURRENT + extra
     eps = 0.3
     pa = build_placement_arrangement(lines, eps, SQUARE, include_line_translates=True)
     assert (pa.counts["vertices"], pa.counts["edges"], pa.counts["faces"]) == counts
     scan = dense_scan(lines, SQUARE, eps, pa.domain, eps / 20)
+    assert verify(pa, scan, delta=eps / 10).empty()
+
+
+DUPLICATED = [Line(Point(-1, 0.1), Point(1, 0.2))] * 2 + [Line(Point(0.2, -1), Point(-0.1, 1))]
+
+
+@pytest.mark.parametrize(
+    "shape, counts", [(SQUARE, (136, 212, 78)), (CIRCLE, (139, 179, 42))], ids=["square", "circle"]
+)
+def test_duplicated_line_gives_one_copys_arrangement(shape, counts):
+    # the second copy of the first line is dropped before the domain is sized
+    eps = 0.3
+    pa = build_placement_arrangement(DUPLICATED, eps, shape, include_line_translates=True)
+    one = build_placement_arrangement(DUPLICATED[1:], eps, shape, include_line_translates=True)
+    assert pa.primitives == DUPLICATED[1:] and pa.domain == one.domain
+    assert (pa.counts["vertices"], pa.counts["edges"], pa.counts["faces"]) == counts
+    assert pa.counts == one.counts
+    scan = dense_scan(DUPLICATED, shape, eps, pa.domain, eps / 20)
     assert verify(pa, scan, delta=eps / 10).empty()
 
 

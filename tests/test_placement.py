@@ -265,6 +265,29 @@ def test_edge_curve_degenerate_strip_flagged():
         assert strip_curves == []
 
 
+CONCURRENT = [(-1, -1, 1, 1), (-1, 1, 1, -1), (0, -1, 0, 1)]
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (0.37, -0.21), (-1000.0, 250.0)])
+@pytest.mark.parametrize("coords, shape, counts", [
+    (CONCURRENT, SQUARE, (137, 214, 79)),
+    (CONCURRENT, CIRCLE, (308, 428, 122)),
+    (CONCURRENT + [(-1, 0.3, 1, 0.1)], SQUARE, (314, 516, 204)),
+    (CONCURRENT + [(-1, 0.3, 1, 0.1)], CIRCLE, (512, 725, 216)),
+], ids=["three-square", "three-circle", "three-and-one-square", "three-and-one-circle"])
+def test_concurrent_lines_keep_their_counts_under_translation(coords, shape, counts, shift):
+    # lines through one point are taken as given: their crossings merge into
+    # one vertex wherever the scene lies, and the curves verify near the origin
+    dx, dy = shift
+    lines = [Line(Point(x0 + dx, y0 + dy), Point(x1 + dx, y1 + dy)) for x0, y0, x1, y1 in coords]
+    eps = 0.3
+    pa = build_placement_arrangement(lines, eps, shape, include_line_translates=True)
+    assert (pa.counts["vertices"], pa.counts["edges"], pa.counts["faces"]) == counts
+    if abs(dx) < 1.0:
+        scan = dense_scan(lines, shape, eps, pa.domain, eps / 20)
+        assert verify(pa, scan, delta=eps / 10).empty()
+
+
 @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.0, 2.5e-9), (0.1, 7.5e-9), (0.3, 0.2 + 5e-10)])
 def test_side_windows_keep_their_count_under_translation(shift):
     # the left wall kinks at the height where the cell is eps wide, so the
