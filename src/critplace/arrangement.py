@@ -13,8 +13,9 @@ relative to its size.  Nonconvex cells of segment arrangements can be
 partitioned into convex subcells by shooting axis-parallel rays from reflex
 vertices, all of a cell's rays through `_first_wall_hits`, the ray kernel
 the placement's strip rays use too; each ray ends at a split of the wall it
-hits.  The ray kernel and the even-odd test of points in a cell hold at
-most `KERNEL_CHUNK` entries at a time.
+hits, and a piece of the cut is kept by the side of its walls.  The even-odd
+tests of points in a cell and of hole probes go through `_scanline_xs`; they
+and the ray kernel hold at most `KERNEL_CHUNK` entries at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .geom import (
 )
 
 # Edge tags: ("line", i) / ("segment", i) for input primitives, ("clip", side)
-# for the clip box frame, ("ray", k) for convex-decomposition rays.
+# for the clip box frame, ("ray", k) for convex-decomposition rays and
+# ("wall", k) for the walls of a decomposition's local subdivision.
 Tag = tuple[str, int | str]
 
 # Points this close in both coordinates are one vertex; walls this close meet.
@@ -205,25 +207,6 @@ class Arrangement:
             steps = np.concatenate([self.verts[at], self.verts[to]], axis=1)
             self._steps_cache[cell_id] = steps
         return steps
-
-    def cell_interior_point(self, cell_id: int) -> Point:
-        """A point strictly inside the cell (scanline midpoint, robust to holes)."""
-        poly = self.cell_polygon(cell_id)
-        ys = sorted(set(float(v[1]) for v in poly))
-        steps = self.cell_boundary_steps(cell_id)
-        for frac in (0.5, 0.37, 0.61, 0.23, 0.79):
-            for k in range(len(ys) - 1):
-                y = ys[k] + frac * (ys[k + 1] - ys[k])
-                x, cross = _scanline_xs(steps, np.array([y]))
-                # a few crossings: numpy's default sort would page in a
-                # sort kernel of its own (0.3 MB resident)
-                xs = sorted(x[cross].tolist())
-                if len(xs) >= 2:
-                    mid = 0.5 * (xs[0] + xs[1])
-                    # the even-odd test of the midpoint, on this scanline
-                    if sum(v > mid for v in xs) % 2 == 1:
-                        return Point(mid, y)
-        raise GeometryError(f"no interior point found for cell {cell_id}")
 
     def point_in_cell(self, pt: Point, cell_id: int) -> bool:
         """Even-odd test against the cell's boundary steps."""
@@ -556,22 +539,20 @@ def _extract_faces(P: list[tuple[float, float]], edges: list[tuple[int, int, Tag
     ]
     if not (cells and other):
         return cells
-    # every cell's outer-walk steps, stacked once for the even-odd test
-    tails = [v for c in cells for v in c.outer]
-    heads = [v for c in cells for v in c.outer[1:] + c.outer[:1]]
-    owner = np.array([c.id for c in cells for _v in c.outer])
-    x0, y0 = np.array([P[v] for v in tails]).T
-    x1, y1 = np.array([P[v] for v in heads]).T
-    for vids, tags, _a in other:
-        px, py = _cycle_probe(P, vids)
-        span = (y0 > py) != (y1 > py)
-        t = (py - y0[span]) / (y1[span] - y0[span])
-        right = x0[span] + t * (x1[span] - x0[span]) > px
-        inside = np.flatnonzero(np.bincount(owner[span][right], minlength=len(cells)) % 2)
-        if inside.size:
-            cell = cells[inside[-1]]  # the smallest: cells run largest first
-            cell.holes.append((vids, tags))
-            cell.convex = False
+    # every cell's outer-walk steps, stacked once for the even-odd test of
+    # every hole's probe; `starts` is where each cell's steps begin
+    steps = np.array([P[v] + P[w] for c in cells for v, w in zip(c.outer, c.outer[1:] + c.outer[:1])])
+    starts = np.cumsum([0] + [len(c.outer) for c in cells[:-1]])
+    probes = np.array([_cycle_probe(P, vids) for vids, _tags, _a in other])
+    for s in _chunks(len(other), len(steps)):
+        x, cross = _scanline_xs(steps, probes[s, 1])
+        odd = np.add.reduceat(cross & (x > probes[s, :1]), starts, axis=1) % 2
+        for (vids, tags, _a), row in zip(other[s], odd):
+            inside = np.flatnonzero(row)
+            if inside.size:
+                cell = cells[inside[-1]]  # the smallest: cells run largest first
+                cell.holes.append((vids, tags))
+                cell.convex = False
     return cells
 
 
@@ -731,12 +712,15 @@ def convex_decompose(cell: Cell, arrangement: Arrangement) -> list[ConvexSubcell
     as full-turn walks) shoots the fewest axis-direction rays that cut its
     interior angle into parts of at most a straight angle; rays stop at the
     first wall they cross, and a wall along a ray shares an edge with it.
-    Convex cells come back unchanged as a single subcell.
+    Each walk keeps its face on its left, so a piece of the cut is in the
+    cell when its first wall step runs the way the cell's walk runs that
+    wall (an antenna both ways), or when only rays bound it.  Convex cells
+    come back unchanged as a single subcell.
     """
     if cell.convex and not cell.holes:
         return [ConvexSubcell(cell.id, arrangement.cell_polygon(cell.id))]
 
-    walls = arrangement.cell_walls(cell.id)
+    walls = [(p0, p1, ("wall", k)) for k, (p0, p1, _tag) in enumerate(arrangement.cell_walls(cell.id))]
     shots = []  # (corner x, y, ray dx, dy)
     V = arrangement.verts.tolist()
     for walk in [cell.outer] + [walk for walk, _tags in cell.holes]:
@@ -769,14 +753,24 @@ def convex_decompose(cell: Cell, arrangement: Arrangement) -> list[ConvexSubcell
     local = build_subdivision(
         walls + rays, arrangement.clip_box, arrangement.kind, arrangement.primitives
     )
-    probes = [local.cell_interior_point(sub.id) for sub in local.cells]
-    xy = np.array([(p.x, p.y) for p in probes], dtype=float).reshape(-1, 2)
-    inside = arrangement.points_in_cell(xy, cell.id).tolist()
+    run = set(map(tuple, arrangement.cell_boundary_steps(cell.id).tolist()))
     return [
         ConvexSubcell(cell.id, local.cell_polygon(sub.id))
-        for sub, keep in zip(local.cells, inside)
-        if keep
+        for sub in local.cells
+        if _runs_with_the_cell(local, sub, walls, run)
     ]
+
+
+def _runs_with_the_cell(local: Arrangement, sub: Cell, walls, run: set) -> bool:
+    """Whether the local cell's first wall step, the way its walk takes it,
+    is one of the cell's `run` steps; True when only rays bound it."""
+    for (ax, ay, bx, by), tag in zip(local.cell_boundary_steps(sub.id).tolist(), sub.outer_tags):
+        if tag[0] == "wall":
+            p0, p1, _tag = walls[tag[1]]
+            if (bx - ax) * (p1.x - p0.x) + (by - ay) * (p1.y - p0.y) < 0.0:
+                p0, p1 = p1, p0
+            return (p0.x, p0.y, p1.x, p1.y) in run
+    return True
 
 
 def _minimal_splitting(candidates, inner: float):

@@ -189,7 +189,8 @@ def _ring_pieces(arrangement: Arrangement, cell_id: int, eps: float) -> list[_Ri
     for p0, p1, tag in arrangement.cell_walls(cell_id):
         if tag[0] == "line":
             per_line.setdefault(int(tag[1]), []).extend([p0, p1])
-    centroid = arrangement.cell_interior_point(cell_id)
+    # the cell is convex, so its vertex mean is inside it
+    centroid = Point(*arrangement.cell_polygon(cell_id).mean(axis=0).tolist())
     h, hw = math.cos(0.5 * eps), math.sin(0.5 * eps)
     pieces: list[_RingPiece] = []
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import BBox
+from .arrangement import BBox, _merge_labels
 from .geom import (
     CLOSED_PAD,
     PARALLEL_DIR,
@@ -480,32 +480,21 @@ def top_k(grid: SignificanceGrid, k: int) -> TopKResult:
     by the blob's best significance; flagged incomplete when fewer than k."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    flags = grid.junction_like.ravel().tolist()
-    sig = grid.significance.ravel().tolist()
-    seen = [False] * len(flags)
-    blobs: list[list[int]] = []
-    for idx in np.flatnonzero(grid.junction_like.ravel()).tolist():
-        if seen[idx]:
-            continue
-        stack = [idx]
-        seen[idx] = True
-        blob = []
-        while stack:
-            cur = stack.pop()
-            blob.append(cur)
-            row, col = divmod(cur, grid.nx)
-            for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                r, c = row + dr, col + dc
-                if 0 <= r < grid.ny and 0 <= c < grid.nx:
-                    nidx = r * grid.nx + c
-                    if flags[nidx] and not seen[nidx]:
-                        seen[nidx] = True
-                        stack.append(nidx)
-        blobs.append(blob)
-
-    def rank(i: int):
-        return (-sig[i], divmod(i, grid.nx))
-
-    reps = sorted((min(blob, key=rank) for blob in blobs), key=rank)
+    like = grid.junction_like
+    at = np.arange(like.size).reshape(like.shape)
+    # blobs join junction-like cells to their right and upper neighbours
+    right, up = like[:, :-1] & like[:, 1:], like[:-1] & like[1:]
+    blob = _merge_labels(
+        like.size,
+        np.concatenate([at[:, :-1][right], at[:-1][up]]),
+        np.concatenate([at[:, 1:][right], at[1:][up]]),
+    )
+    # junction-like cells by rank, (-significance, row, col); each blob's
+    # first is its representative, and a mask keeps them in rank order
+    cells = np.flatnonzero(like)
+    cells = cells[np.lexsort((cells, -grid.significance.ravel()[cells]))]
+    first = np.zeros(len(cells), dtype=bool)
+    first[np.unique(blob[cells], return_index=True)[1]] = True
+    reps = cells[first].tolist()
     chosen = [grid.at(*divmod(i, grid.nx)) for i in reps[:k]]
     return TopKResult([(a.point, a) for a in chosen], k, len(reps) >= k)

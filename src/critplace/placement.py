@@ -33,6 +33,7 @@ from .arrangement import (
     _segment_crossings,
     _snap_merge,
     _split_pieces,
+    bbox_of_points,
     build_line_arrangement,
     build_segment_arrangement,
     convex_decompose,
@@ -273,7 +274,6 @@ class CriticalCurve:
     pieces: list[CurvePiece]
     convex_flag: bool = True
     kind: str = "gap"  # "gap" | "contact"
-    contact_ref: tuple | None = None  # (primitive id, info) for contact curves
 
 
 @dataclass
@@ -825,9 +825,7 @@ def clip_curve_to_box(curve: CriticalCurve, box: BBox) -> CriticalCurve | None:
         pieces.extend(_clip_piece_to_box(piece, box))
     if not pieces:
         return None
-    return CriticalCurve(
-        curve.cell_id, curve.vector, pieces, curve.convex_flag, curve.kind, curve.contact_ref
-    )
+    return CriticalCurve(curve.cell_id, curve.vector, pieces, curve.convex_flag, curve.kind)
 
 
 def _clip_piece_to_box(piece: CurvePiece, box: BBox) -> list[CurvePiece]:
@@ -907,48 +905,24 @@ def contact_curves(primitives: list, shape: str, domain: BBox) -> list[CriticalC
     eps: a square corner on a primitive, a primitive endpoint on the boundary,
     or a line tangent to the circle."""
     out: list[CriticalCurve] = []
-    if shape == SQUARE:
-        corners = [(c.x, c.y) for c in square_corners(_ORIGIN)]
-        for k, prim in enumerate(primitives):
-            if isinstance(prim, Line):
-                for vx, vy in corners:
-                    shifted = Line(
-                        Point(prim.p.x - vx, prim.p.y - vy), Point(prim.q.x - vx, prim.q.y - vy)
-                    )
-                    piece = _line_piece(shifted, domain)
-                    if piece is not None:
-                        out.append(
-                            CriticalCurve(-1, None, [piece], True, "contact", (k, (vx, vy)))
-                        )
-            else:
-                seg: Segment = prim
-                for vx, vy in corners:
-                    out.append(
-                        CriticalCurve(
-                            -1,
-                            None,
-                            [seg_piece(seg.p.x - vx, seg.p.y - vy, seg.q.x - vx, seg.q.y - vy)],
-                            True,
-                            "contact",
-                            (k, (vx, vy)),
-                        )
-                    )
-                for end in (seg.p, seg.q):
-                    cs = square_corners(end)
-                    ring = [seg_piece(a.x, a.y, b.x, b.y) for a, b in zip(cs, cs[1:] + cs[:1])]
-                    out.append(CriticalCurve(-1, None, ring, True, "contact", (k, "endpoint")))
-    else:
-        for k, prim in enumerate(primitives):
-            if not isinstance(prim, Line):
-                continue
-            for off in (-1.0, 1.0):
-                shifted = Line(
-                    Point(prim.p.x + off * prim.a, prim.p.y + off * prim.b),
-                    Point(prim.q.x + off * prim.a, prim.q.y + off * prim.b),
-                )
-                piece = _line_piece(shifted, domain)
-                if piece is not None:
-                    out.append(CriticalCurve(-1, None, [piece], True, "contact", (k, off)))
+    # a square corner on a primitive: the primitive moved by minus the corner
+    corners = [(-c.x, -c.y) for c in square_corners(_ORIGIN)]
+    for prim in primitives:
+        line = isinstance(prim, Line)
+        if shape == SQUARE:
+            shifts = corners
+        else:  # a line tangent to the circle: the line moved by its unit normal
+            shifts = [(off * prim.a, off * prim.b) for off in (-1.0, 1.0)] if line else []
+        for dx, dy in shifts:
+            p, q = Point(prim.p.x + dx, prim.p.y + dy), Point(prim.q.x + dx, prim.q.y + dy)
+            piece = _line_piece(Line(p, q), domain) if line else seg_piece(p.x, p.y, q.x, q.y)
+            if piece is not None:
+                out.append(CriticalCurve(-1, None, [piece], True, "contact"))
+        if shape == SQUARE and not line:  # a segment endpoint on the square's boundary
+            for end in (prim.p, prim.q):
+                cs = square_corners(end)
+                ring = [seg_piece(a.x, a.y, b.x, b.y) for a, b in zip(cs, cs[1:] + cs[:1])]
+                out.append(CriticalCurve(-1, None, ring, True, "contact"))
     clipped = [clip_curve_to_box(c, domain) for c in out]
     return [c for c in clipped if c]
 
@@ -1222,14 +1196,9 @@ class PlacementArrangement:
 
 def default_domain(primitives: list, shape: str, eps) -> BBox:
     """Placement window: data bounding box grown by the shape diameter + eps."""
-    e = float(eps)
     pts = [(q.x, q.y) for prim in primitives for q in (prim.p, prim.q)]
-    if not pts:
-        pts = [(0.0, 0.0)]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
     diameter = SQRT2 if shape == SQUARE else 2.0
-    return BBox(min(xs), min(ys), max(xs), max(ys)).expanded(diameter + e)
+    return bbox_of_points(pts or [(0.0, 0.0)]).expanded(diameter + float(eps))
 
 
 def placement_primitives(primitives: list) -> list:

@@ -45,6 +45,9 @@
   pairs the clusters with a dict of sets.  The program's `assess`,
   `salient_subtrajectories` and `epsilon_cluster` must return what these
   return, bit for bit.
+* `reference_top_k_reps`: the flood fill `top_k` found its blobs with
+  before it joined them by union-find; its representatives, in rank order,
+  must be the ones `top_k` picks.
 """
 
 from __future__ import annotations
@@ -1028,3 +1031,37 @@ def reference_assess(p: Point, trajectories: list[Polyline], eps: float) -> Junc
     min_size = min((c.size for c in clusters.clusters), default=0)
     significance = default_significance(len(clusters), min_size, kind)
     return JunctionAssessment(p, clusters, subs, junction_like, kind, significance)
+
+
+def reference_top_k_reps(junction_like: np.ndarray, significance: np.ndarray) -> list[int]:
+    """Flat indices of one representative per 4-connected blob of
+    junction-like cells, its best by (-significance, row, col), ranked the
+    same way."""
+    ny, nx = junction_like.shape
+    flags = junction_like.ravel().tolist()
+    sig = significance.ravel().tolist()
+    seen = [False] * len(flags)
+    blobs: list[list[int]] = []
+    for idx in np.flatnonzero(junction_like.ravel()).tolist():
+        if seen[idx]:
+            continue
+        stack = [idx]
+        seen[idx] = True
+        blob = []
+        while stack:
+            cur = stack.pop()
+            blob.append(cur)
+            row, col = divmod(cur, nx)
+            for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                r, c = row + dr, col + dc
+                if 0 <= r < ny and 0 <= c < nx:
+                    nidx = r * nx + c
+                    if flags[nidx] and not seen[nidx]:
+                        seen[nidx] = True
+                        stack.append(nidx)
+        blobs.append(blob)
+
+    def rank(i: int):
+        return (-sig[i], divmod(i, nx))
+
+    return sorted((min(blob, key=rank) for blob in blobs), key=rank)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -148,20 +149,20 @@ SOUP = [
     Segment(Point(-0.6, 2.2), Point(2.9, -0.4)),
 ]
 
+ROOM = [
+    Segment(Point(0, 0), Point(4, 0)),
+    Segment(Point(4, 0), Point(4, 4)),
+    Segment(Point(4, 4), Point(0, 4)),
+    Segment(Point(0, 4), Point(0, 0)),
+    Segment(Point(0, 2), Point(2.3, 2.7)),
+    Segment(Point(3, 0.5), Point(3.5, 1.2)),  # a hole in a cell that is a hole's cell
+]
+
 
 def test_subdivision_matches_the_pairwise_reference(monkeypatch):
-    room = [
-        Segment(Point(0, 0), Point(4, 0)),
-        Segment(Point(4, 0), Point(4, 4)),
-        Segment(Point(4, 4), Point(0, 4)),
-        Segment(Point(0, 4), Point(0, 0)),
-        Segment(Point(0, 2), Point(2.3, 2.7)),
-        Segment(Point(3, 0.5), Point(3.5, 1.2)),  # a hole in a cell that is a hole's cell
-    ]
-
     def scenes():
         soup_arr = build_segment_arrangement(SOUP)
-        room_arr = build_segment_arrangement(room)
+        room_arr = build_segment_arrangement(ROOM)
         cell = next(c for c in room_arr.cells if c.holes or not c.convex)
         polys = [sub.polygon.tobytes() for sub in convex_decompose(cell, room_arr)]
         lines_arr = build_line_arrangement(random_lines(6, 1))
@@ -410,7 +411,8 @@ def test_locate_against_halfplane_signs():
             cid = locate(pt, arr)
         except OnBoundary:
             continue
-        probe = arr.cell_interior_point(cid)
+        # every cell of a line arrangement is convex: its vertex mean is inside
+        probe = Point(*arr.cell_polygon(cid).mean(axis=0))
         for ln in lines:
             assert ln.side_of(pt) * ln.side_of(probe) > 0
         checked += 1
@@ -447,7 +449,7 @@ def test_convex_decompose_l_shape():
         assert _is_convex(s.polygon)
 
 
-def test_convex_decompose_random_scenes():
+def _random_segments():
     rng = np.random.default_rng(5)
     segs = []
     while len(segs) < 12:
@@ -455,6 +457,11 @@ def test_convex_decompose_random_scenes():
         q = Point(p.x + rng.uniform(-1.5, 1.5), p.y + rng.uniform(-1.5, 1.5))
         if p.dist(q) > 0.4:
             segs.append(Segment(p, q))
+    return segs
+
+
+def test_convex_decompose_random_scenes():
+    segs = _random_segments()
     arr = build_segment_arrangement(segs)
     for cell in arr.cells:
         subs = convex_decompose(cell, arr)
@@ -465,6 +472,62 @@ def test_convex_decompose_random_scenes():
         for s in subs:
             assert _is_convex(s.polygon, tol=1e-8)
 
+
+def _room_with_antennas():
+    # a 3 x 3 room, two antennas up from its floor, two in from its left
+    # wall, and an island triangle near its top right corner
+    ends = [
+        (0, 0, 3, 0), (3, 0, 3, 3), (3, 3, 0, 3), (0, 3, 0, 0),
+        (1, 0, 1, 0.5), (2, 0, 2, 0.5), (0, 1, 0.5, 1), (0, 2, 0.5, 2),
+        (2.4, 2.4, 2.8, 2.4), (2.8, 2.4, 2.6, 2.8), (2.6, 2.8, 2.4, 2.4),
+    ]
+    return [Segment(Point(x0, y0), Point(x1, y1)) for x0, y0, x1, y1 in ends]
+
+
+def test_convex_decompose_keeps_subcells_by_the_side_of_their_walls():
+    arr = build_segment_arrangement(_room_with_antennas())
+    cid = locate(Point(1.5, 1.5), arr)
+    subs = convex_decompose(arr.cells[cid], arr)
+    assert len(subs) == 13
+    assert sum(_poly_area(s.polygon) for s in subs) == pytest.approx(8.92, rel=1e-12)
+    # the middle square is bounded by rays alone
+    middle = [s.polygon.tolist() for s in subs if s.polygon.min(axis=0).tolist() == [1.0, 1.0]]
+    assert middle == [[[1.0, 2.0], [1.0, 1.0], [2.0, 1.0], [2.0, 2.0]]]
+    # each subcell is convex, so its vertex mean is inside it: every one
+    # lies in the room's cell, none inside the island
+    assert all(_is_convex(s.polygon) for s in subs)
+    assert {locate(Point(*s.polygon.mean(axis=0)), arr) for s in subs} == {cid}
+    assert locate(Point(2.6, 2.5), arr) != cid
+
+
+def test_convex_decompose_keeps_a_subcell_one_ulp_tall():
+    # a ray ends one ulp below the clip frame's bottom, so one subcell of the
+    # frame's cell has two vertex heights one ulp apart; a scanline between
+    # them runs along the bottom, where an interior-point search found no
+    # point inside and the subcell was dropped
+    ends = [
+        (0.025289194285797567, 0.07693611851884619, -0.6791011639025694, -1.0353989469256515),
+        (-1.9170758696925363, -0.42468815630536705, -3.3467200096725316, -0.42468815630536705),
+        (1.1524255751939143, 0.47038152731867156, 1.1524255751939143, 1.5537171647530248),
+        (0.5257167853291222, -1.2540316121952948, 0.5257167853291222, -1.4902721131757972),
+    ]
+    arr = build_segment_arrangement([Segment(Point(a, b), Point(c, d)) for a, b, c, d in ends])
+    subs = convex_decompose(arr.cells[0], arr)
+    assert len(subs) == 8
+    area = sum(_poly_area(s.polygon) for s in subs)
+    assert area == pytest.approx(arr.cell_area(0), rel=1e-12)
+
+
+def test_convex_decompose_subcells_are_pinned():
+    # every subcell polygon, in order, of every cell of four scenes: the
+    # bytes the decomposition gave when it located a probe per subcell
+    digest = hashlib.sha256()
+    for segs in (SOUP, ROOM, _random_segments(), _room_with_antennas()):
+        arr = build_segment_arrangement(segs)
+        for cell in arr.cells:
+            for sub in convex_decompose(cell, arr):
+                digest.update(sub.polygon.tobytes())
+    assert digest.hexdigest() == "4a91d615cdd3ef7059cceb962f17dac770c3d2ddbc5d7433ad173996a5745d15"
 
 def _endpoint_count_on_boundary(arr, cell, segs):
     ends = {(round(s.p.x, 9), round(s.p.y, 9)) for s in segs} | {

@@ -12,12 +12,13 @@ from critplace.junctions import (
     assess,
     epsilon_cluster,
     grid_scan,
+    SignificanceGrid,
     salient_subtrajectories,
     top_k,
 )
 from critplace.sceneio import parse_scene
 
-from _reference import reference_assess
+from _reference import reference_assess, reference_top_k_reps
 
 SCENES = Path(__file__).resolve().parent.parent / "demos" / "scenes"
 
@@ -394,3 +395,45 @@ def test_top_k_ranking_and_incomplete_flag():
     res9 = top_k(grid, 9)
     assert not res9.complete
     assert len(res9) < 9
+
+
+# a U whose arms meet only in its bottom row, a bar above its gap, and a
+# cell alone; significances tie within the U and across the blobs
+_HAND_LIKE = np.array([
+    [1, 0, 1, 0, 1],
+    [1, 0, 1, 0, 0],
+    [1, 1, 1, 0, 0],
+    [0, 0, 0, 0, 0],
+    [1, 1, 1, 1, 0],
+], dtype=bool)
+
+
+def _synthetic_grid(like: np.ndarray, significance: np.ndarray) -> SignificanceGrid:
+    ny, nx = like.shape
+    kinds = np.where(like, "realJunction", "none")
+    return SignificanceGrid(
+        BBox(0.0, 0.0, nx - 1.0, ny - 1.0), 1.0, nx, ny, significance, kinds,
+        np.where(like, 3, 0), like, [], 0.3,
+    )
+
+
+@pytest.mark.parametrize("case", ["hand", "square", "row", "column"])
+def test_top_k_blobs_match_the_flood_fill(case):
+    # union-find blobs against the flood fill, with ties in significance and
+    # k below, at and above the blob count
+    rng = np.random.default_rng(len(case))
+    if case == "hand":
+        like = _HAND_LIKE
+        significance = np.where(like, 2.0, 0.0)
+        significance[0, 4] = 1.0
+    else:
+        shape = {"square": (9, 11), "row": (1, 17), "column": (13, 1)}[case]
+        like = rng.random(shape) < 0.45
+        significance = rng.integers(0, 3, shape).astype(float)
+    grid = _synthetic_grid(like, significance)
+    expected = [grid.point(*divmod(i, grid.nx)) for i in reference_top_k_reps(like, significance)]
+    assert len(expected) >= 3
+    for k in (1, 2, len(expected), len(expected) + 3):
+        res = top_k(grid, k)
+        assert [p for p, _a in res.items] == expected[:k]
+        assert res.complete == (k <= len(expected))
