@@ -10,7 +10,6 @@ from .geom import (
     Point,
     Polyline,
     Segment,
-    ToleranceConfig,
     perimeter_coordinate,
     perimeter_point,
 )

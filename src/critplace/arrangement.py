@@ -1,21 +1,24 @@
 """Planar arrangements of lines and line segments, clipped to a box.
 
 The subdivision is stored half-edge style: undirected edges carry the id of
-the supporting primitive, faces are traced by walking twin/rotation order at
-every vertex.  One rule decides where walls meet: a wall is split at its two
-ends and where `_segment_crossings` (the x-sweep the placement overlay uses
-for its straight pieces too) reports a crossing or the end of a collinear
-overlap within `SNAP` of both, and nowhere else, by `_split_pieces`, the
-splitting kernel the placement overlay shares.  The sweep forms its
-candidate pairs in numpy, `SWEEP_CHUNK` pairs at a time, and returns its
-meetings as arrays.  A face walk is a cell when its signed area is positive
-relative to its size.  Nonconvex cells of segment arrangements can be
-partitioned into convex subcells by shooting axis-parallel rays from reflex
-vertices, all of a cell's rays through `_first_wall_hits`, the ray kernel
-the placement's strip rays use too; each ray ends at a split of the wall it
-hits, and a piece of the cut is kept by the side of its walls.  The even-odd
-tests of points in a cell and of hole probes go through `_scanline_xs`; they
-and the ray kernel hold at most `KERNEL_CHUNK` entries at a time.
+the supporting primitive.  `_extract_faces` traces every face in one numpy
+pass: each vertex's ring is sorted once by angle, the cycles are labelled by
+union-find and ranked by pointer jumping, and each cycle's area, convexity
+and hole probe come from the arrays of its walk.  One rule decides where
+walls meet: a wall is split at its two ends and where `_segment_crossings`
+(the x-sweep the placement overlay uses for its straight pieces too) reports
+a crossing or the end of a collinear overlap within `SNAP` of both, and
+nowhere else, by `_split_pieces`, the splitting kernel the placement overlay
+shares.  The sweep forms its candidate pairs in numpy, `SWEEP_CHUNK` pairs
+at a time, and returns its meetings as arrays.  A face walk is a cell when
+its signed area is positive relative to its size.  Nonconvex cells of
+segment arrangements can be partitioned into convex subcells by shooting
+axis-parallel rays from reflex vertices, all of a cell's rays through
+`_first_wall_hits`, the ray kernel the placement's strip rays use too; each
+ray ends at a split of the wall it hits, and a piece of the cut is kept by
+the side of its walls.  The even-odd tests of points in a cell and of hole
+probes go through `_scanline_xs`; they and the ray kernel hold at most
+`KERNEL_CHUNK` entries at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (
-    TOL,
+    EPS_GEOM,
     GeometryError,
     Line,
     Point,
@@ -223,9 +226,14 @@ class Arrangement:
         return inside
 
     def cell_area(self, cell_id: int) -> float:
+        """The shoelace sum of the cell's boundary steps, each walk's about
+        its first vertex; holes walk clockwise, so they subtract."""
         cell = self.cells[cell_id]
-        walks = [cell.outer] + [walk for walk, _tags in cell.holes]
-        return sum(_walk_area(self.verts, walk)[0] for walk in walks)  # holes walk CW
+        x0, y0, x1, y1 = self.cell_boundary_steps(cell_id).T
+        lens = np.array([len(cell.outer)] + [len(walk) for walk, _tags in cell.holes])
+        first = np.repeat(np.cumsum(lens) - lens, lens)
+        ox, oy = x0[first], y0[first]
+        return 0.5 * float(((x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)).sum())
 
 
 @dataclass
@@ -237,18 +245,6 @@ class ConvexSubcell:
 # ---------------------------------------------------------------------------
 # subdivision construction from a soup of tagged walls
 # ---------------------------------------------------------------------------
-
-def _walk_area(P, walk: list[int]) -> tuple[float, float]:
-    """Signed area of a closed walk over the points P, taken about its first
-    vertex, and the sum of the sizes of its terms."""
-    ox, oy = P[walk[0]]
-    area = size = 0.0
-    for a, b in zip(walk[1:], walk[2:]):
-        term = (P[a][0] - ox) * (P[b][1] - oy) - (P[b][0] - ox) * (P[a][1] - oy)
-        area += term
-        size += abs(term)
-    return 0.5 * area, 0.5 * size
-
 
 def _scanline_xs(steps: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each scanline y[i] meets the line of each step (x0, y0, x1, y1),
@@ -265,16 +261,6 @@ def _chunks(n: int, width: int) -> list[slice]:
     """Slices of n rows, each of at most KERNEL_CHUNK entries of `width` a row."""
     step = max(1, KERNEL_CHUNK // max(1, width))
     return [slice(s, s + step) for s in range(0, n, step)]
-
-
-def _point_segment_dist(x: float, y: float, p0: Point, p1: Point) -> float:
-    dx, dy = p1.x - p0.x, p1.y - p0.y
-    L2 = dx * dx + dy * dy
-    if L2 <= 0.0:
-        return math.hypot(x - p0.x, y - p0.y)
-    t = ((x - p0.x) * dx + (y - p0.y) * dy) / L2
-    t = min(max(t, 0.0), 1.0)
-    return math.hypot(x - p0.x - t * dx, y - p0.y - t * dy)
 
 
 def _segment_crossings(P0: np.ndarray, P1: np.ndarray, family: np.ndarray, snap: float):
@@ -483,8 +469,9 @@ def build_subdivision(
     verts, edge_rows, n_components = _split_pieces(
         piece, param, xy, SNAP, lambda k, t: P0[k] + t[:, None] * D[k]
     )
-    edges = [(u, v, walls[k][2]) for u, v, k in edge_rows.tolist()]
-    cells = _extract_faces(verts.tolist(), edges)
+    tags = [tag for _p0, _p1, tag in walls]
+    edges = [(u, v, tags[k]) for u, v, k in edge_rows.tolist()]
+    cells = _extract_faces(verts, edge_rows, tags)
     arr = Arrangement(verts, edges, cells, clip_box, kind, primitives, n_components)
     if not arr.euler_ok():
         raise DegenerateInput(
@@ -494,97 +481,114 @@ def build_subdivision(
     return arr
 
 
-def _extract_faces(P: list[tuple[float, float]], edges: list[tuple[int, int, Tag]]) -> list[Cell]:
-    """Trace face cycles with the interior kept on the left of every walk.
+def _extract_faces(P: np.ndarray, edge_rows: np.ndarray, tags: list[Tag]) -> list[Cell]:
+    """Face cycles of the (V, 2) points and (E, 3) rows (u, v, wall), the
+    interior on the left of every walk, in one numpy pass.
 
-    Half-edge 2e runs along edge e from u to v, 2e + 1 back.  Counter-clockwise
-    cycles are the cells, largest first; every other cycle is a hole of the
-    smallest cell around it, or bounds the unbounded face.
+    Half-edge 2e runs along edge e from u to v, 2e + 1 back; next(h) is the
+    half-edge one step clockwise from the twin of h in the ring, sorted by
+    (angle, half-edge), at its head.  A walk starts at its cycle's smallest
+    half-edge.  Counter-clockwise cycles are the cells, largest first; every
+    other cycle is a hole of the smallest cell around its probe (its first
+    longest step's midpoint, nudged left), or bounds the unbounded face.
     """
-    head = [0] * (2 * len(edges))
-    rings: list[list[tuple[float, int]]] = [[] for _ in P]
-    for ei, (u, v, _tag) in enumerate(edges):
-        (ux, uy), (vx, vy) = P[u], P[v]
-        rings[u].append((math.atan2(vy - uy, vx - ux), 2 * ei))
-        rings[v].append((math.atan2(uy - vy, ux - vx), 2 * ei + 1))
-        head[2 * ei], head[2 * ei + 1] = v, u
-    # next(h): at the head of h, the outgoing half one step clockwise from
-    # the twin of h
-    nxt = [0] * len(head)
-    for ring in rings:
-        ring.sort()
-        for k, (_ang, h) in enumerate(ring):
-            nxt[h ^ 1] = ring[k - 1][1]
+    H = 2 * len(edge_rows)
+    h = np.arange(H)
+    org = edge_rows[:, :2].ravel()
+    d = P[org[h ^ 1]] - P[org]  # each half-edge's step
+    # a key that grows with the step's angle over (-pi, pi], as atan2 does,
+    # from -2 to 2, without trigonometry; lexsort is stable, so equal keys at
+    # a vertex keep half-edge order
+    q = d[:, 1] / (np.abs(d[:, 0]) + np.abs(d[:, 1]))
+    ring = np.lexsort((np.where(d[:, 0] < 0, np.copysign(2.0, d[:, 1]) - q, q), org))
+    at = org[ring]
+    # the slot before each; a ring's first slot follows its last
+    prev = np.where(np.searchsorted(at, at) == h, np.searchsorted(at, at, "right") - 1, h - 1)
+    nxt = np.empty(H, dtype=int)
+    nxt[ring ^ 1] = ring[prev]
 
-    seen = [False] * len(head)
-    ccw, other = [], []
-    for h0 in range(len(head)):
-        if seen[h0]:
-            continue
-        walk = []
-        h = h0
-        while not seen[h]:
-            seen[h] = True
-            walk.append(h)
-            h = nxt[h]
-        vids = [head[h ^ 1] for h in walk]  # origin of each half-edge
-        tags = [edges[h >> 1][2] for h in walk]
-        area, size = _walk_area(P, vids)
-        (ccw if area > FACE_AREA_REL * size else other).append((vids, tags, area))
+    label = _merge_labels(H, h, nxt)
+    # Wyllie's list ranking: steps from each half-edge to its cycle's last,
+    # jumping only the half-edges whose successor is not that last yet
+    last = nxt == label
+    togo, succ = (~last).astype(int), np.where(last, h, nxt)
+    live = np.flatnonzero(~last)
+    while live.size:
+        hop = succ[live]
+        togo[live] += togo[hop]
+        succ[live] = succ[hop]
+        live = live[~last[succ[live]]]
+    root = label == h
+    clen = np.bincount(label, minlength=H)[root]
+    cstart = np.cumsum(clen) - clen
+    cid = (np.cumsum(root) - 1)[label]
+    walk = np.empty(H, dtype=int)  # the cycles one after another, each from its root
+    walk[cstart[cid] + clen[cid] - 1 - togo] = h
+    cyc, a = cid[walk], org[walk]
+    pa, pb, step = P[a], P[org[walk ^ 1]], d[walk]
 
-    ccw.sort(key=lambda c: (-c[2], c[0]))
-    cells = [
-        Cell(id=i, outer=vids, outer_tags=tags, convex=_is_convex_walk(P, vids))
-        for i, (vids, tags, _a) in enumerate(ccw)
-    ]
-    if not (cells and other):
-        return cells
-    # every cell's outer-walk steps, stacked once for the even-odd test of
-    # every hole's probe; `starts` is where each cell's steps begin
-    steps = np.array([P[v] + P[w] for c in cells for v, w in zip(c.outer, c.outer[1:] + c.outer[:1])])
-    starts = np.cumsum([0] + [len(c.outer) for c in cells[:-1]])
-    probes = np.array([_cycle_probe(P, vids) for vids, _tags, _a in other])
-    for s in _chunks(len(other), len(steps)):
+    (ax, ay), (bx, by) = pa.T, pb.T
+    ox, oy = ax[cstart][cyc], ay[cstart][cyc]
+    # bincount adds in walk order; the first and last steps add a zero
+    term = (ax - ox) * (by - oy) - (bx - ox) * (ay - oy)
+    area = 0.5 * np.bincount(cyc, term, len(clen))
+    size = 0.5 * np.bincount(cyc, np.abs(term), len(clen))
+    ccw = area > FACE_AREA_REL * size
+    cell, other = np.flatnonzero(ccw), np.flatnonzero(~ccw)
+
+    # convex: no turn right beyond the walk's scale, and no vertex twice
+    scale = np.maximum(1.0, np.maximum.reduceat(np.abs(pa).max(axis=1), cstart))[cid]
+    right = d[:, 0] * d[nxt, 1] - d[:, 1] * d[nxt, 0] < -CONVEX_TURN_TOL * scale * scale
+    seen = cid * len(P) + org
+    seen = seen[np.argsort(seen, kind="stable")]
+    twice = seen[1:][seen[1:] == seen[:-1]] // len(P)
+    convex = np.bincount(cid, right, len(clen)) + np.bincount(twice, minlength=len(clen)) == 0
+
+    # cells largest first; cells of equal area in the order of their vertex
+    # id lists, padded with -1 so that a prefix sorts first
+    key = -area[cell]
+    sorted_key = key[np.argsort(key, kind="stable")]
+    tied = np.flatnonzero(np.searchsorted(sorted_key, key, "right") - np.searchsorted(sorted_key, key) > 1)
+    tie = np.zeros(len(cell), dtype=int)
+    if tied.size:
+        lens = clen[cell[tied]]
+        col = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+        ids = np.full((len(tied), lens.max()), -1)
+        ids[np.repeat(np.arange(len(tied)), lens), col] = a[np.repeat(cstart[cell[tied]], lens) + col]
+        tie[tied[np.lexsort(ids.T[::-1])]] = np.arange(len(tied))
+    cell = cell[np.lexsort((tie, key))]
+
+    # each other cycle's probe, tested against every cycle's steps
+    length = np.hypot(step[:, 0], step[:, 1])
+    longest = np.where(length == np.maximum.reduceat(length, cstart)[cyc], h, H)
+    longest = np.minimum.reduceat(longest, cstart)[other]
+    nudge = PROBE_NUDGE * length[longest, None]
+    left = nudge * step[longest, ::-1] * [-1.0, 1.0] / length[longest, None]
+    probes = 0.5 * (pa[longest] + pb[longest]) + left
+    steps = np.concatenate([pa, pb], axis=1)
+    owner = np.full(len(other), -1)
+    for s in _chunks(len(other), H):
         x, cross = _scanline_xs(steps, probes[s, 1])
-        odd = np.add.reduceat(cross & (x > probes[s, :1]), starts, axis=1) % 2
-        for (vids, tags, _a), row in zip(other[s], odd):
-            inside = np.flatnonzero(row)
-            if inside.size:
-                cell = cells[inside[-1]]  # the smallest: cells run largest first
-                cell.holes.append((vids, tags))
-                cell.convex = False
-    return cells
+        odd = (np.add.reduceat(cross & (x > probes[s, :1]), cstart, axis=1) % 2 == 1)[:, cell]
+        # the last cell around a probe is the smallest: cells run largest first
+        owner[s] = np.where(odd.any(axis=1), len(cell) - 1 - np.argmax(odd[:, ::-1], axis=1), -1)
+    hole = owner >= 0
+    by_cell = np.argsort(owner[hole], kind="stable")
+    holes = other[hole][by_cell].tolist()
+    hole_at = np.searchsorted(owner[hole][by_cell], np.arange(len(cell) + 1)).tolist()
+    convex[cell[owner[hole]]] = False
 
+    vids = a.tolist()
+    walk_tags = np.fromiter(tags, dtype=object, count=len(tags))[edge_rows[walk >> 1, 2]].tolist()
+    first, stop = cstart.tolist(), (cstart + clen).tolist()
 
-def _cycle_probe(P, vids: list[int]) -> tuple[float, float]:
-    """Midpoint of the walk's first longest step nudged to its left, i.e. into
-    the incident face."""
-    pairs = zip(vids, vids[1:] + vids[:1])
-    steps = [(P[b][0] - P[a][0], P[b][1] - P[a][1], a, b) for a, b in pairs]
-    dx, dy, a, b = max(steps, key=lambda s: math.hypot(s[0], s[1]))
-    length = math.hypot(dx, dy)
-    if length <= 0.0:
-        return (float(P[vids[0]][0]), float(P[vids[0]][1]))
-    nudge = PROBE_NUDGE * length
-    return (
-        0.5 * (P[a][0] + P[b][0]) - nudge * dy / length,
-        0.5 * (P[a][1] + P[b][1]) + nudge * dx / length,
-    )
+    def traced(c):
+        return vids[first[c] : stop[c]], walk_tags[first[c] : stop[c]]
 
-
-def _is_convex_walk(P: list, vids: list[int]) -> bool:
-    m = len(vids)
-    if len(set(vids)) != m:
-        return False  # repeated vertex: antenna
-    scale = max(1.0, max(abs(c) for v in vids for c in P[v]))
-    for k in range(m):
-        x0, y0 = P[vids[k]]
-        x1, y1 = P[vids[(k + 1) % m]]
-        x2, y2 = P[vids[(k + 2) % m]]
-        cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
-        if cross < -CONVEX_TURN_TOL * scale * scale:
-            return False
-    return True
+    return [
+        Cell(i, *traced(c), [traced(j) for j in holes[hole_at[i] : hole_at[i + 1]]], flag)
+        for i, (c, flag) in enumerate(zip(cell.tolist(), convex[cell].tolist()))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +612,10 @@ def _line_pairs(lines: list[Line], start: int):
 def distinct_lines(lines: list[Line]) -> list[Line]:
     """The lines without repeats: a line that is `Line.same_line` with an
     earlier kept line is dropped, so the first copy stays.  Lines whose
-    unit normals agree within eps_geom have a determinant of at most
-    sqrt(2) eps_geom, so only those pairs are compared."""
+    unit normals agree within EPS_GEOM have a determinant of at most
+    sqrt(2) EPS_GEOM, so only those pairs are compared."""
     i, j, det, _x, _y = _line_pairs(lines, 0)
-    near = np.abs(det) <= 2.0 * TOL.eps_geom
+    near = np.abs(det) <= 2.0 * EPS_GEOM
     keep = [True] * len(lines)
     for p, q in zip(i[near].tolist(), j[near].tolist()):
         if keep[p] and keep[q] and lines[p].same_line(lines[q]):
@@ -629,7 +633,7 @@ def build_line_arrangement(lines: list[Line], clip_box: BBox | None = None) -> A
     """
     lines = distinct_lines(lines)
     _i, _j, det, x, y = _line_pairs(lines, 0)
-    cross = np.abs(det) > TOL.eps_geom
+    cross = np.abs(det) > EPS_GEOM
     pts = [(q.x, q.y) for ln in lines for q in (ln.p, ln.q)]
     box = bbox_of_points(pts + list(zip(x[cross].tolist(), y[cross].tolist())) or [(0.0, 0.0)])
     box = box.expanded(max(1.0, 0.05 * max(box.width, box.height)))
@@ -684,14 +688,17 @@ def build_segment_arrangement(
 def locate(point: Point, arrangement: Arrangement) -> int:
     """Id of the cell containing the point.
 
-    Raises OnBoundary when the point sits within eps_geom of an edge, and
+    Raises OnBoundary when the point sits within EPS_GEOM of an edge, and
     GeometryError when it falls outside the clip box.
     """
-    for u, v, _tag in arrangement.edges:
-        p0 = Point(*arrangement.verts[u])
-        p1 = Point(*arrangement.verts[v])
-        if _point_segment_dist(point.x, point.y, p0, p1) <= TOL.eps_geom:
-            raise OnBoundary(f"point {point} lies on an arrangement edge")
+    uv = np.array([(u, v) for u, v, _tag in arrangement.edges])
+    p0 = arrangement.verts[uv[:, 0]]
+    d = arrangement.verts[uv[:, 1]] - p0
+    e = np.array([point.x, point.y]) - p0
+    # the projection on each edge, clamped to it (distinct vertices: no edge has length 0)
+    t = np.clip((e * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
+    if (np.hypot(*(e - t[:, None] * d).T) <= EPS_GEOM).any():
+        raise OnBoundary(f"point {point} lies on an arrangement edge")
     for cell in arrangement.cells:
         if arrangement.point_in_cell(point, cell.id):
             return cell.id

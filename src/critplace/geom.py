@@ -28,27 +28,11 @@ class NotOnBoundary(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Two-level tolerance policy.
-
-    eps_geom decides coincidence questions (is a point on a line, are two
-    lines parallel); eps_verify is the looser budget used when checking
-    computed curves against the brute-force oracle.  Any clustering
-    granularity in use must stay well above eps_verify.
-    """
-
-    eps_geom: float = 1e-9
-    eps_verify: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps_geom < self.eps_verify):
-            raise ValueError("need 0 < eps_geom < eps_verify")
-
-
-TOL = ToleranceConfig()
-
-# Tolerances of the slab clip and the perimeter coordinates, each with its reason.
+# Tolerances, each with its reason.
+# Coincidence questions (is a point on a line, are two lines parallel) are decided within this.
+EPS_GEOM = 1e-9
+# Curves are checked against the brute-force oracle within this looser budget; eps stays well above it.
+EPS_VERIFY = 1e-6
 # A closed clip keeps an axis-parallel run this far outside the box, the rounding of a point on its side.
 CLOSED_PAD = 1e-12
 # A direction component this small is axis-parallel: dividing by it overflows the box parameters.
@@ -98,15 +82,15 @@ class Line:
         dx = self.q.x - self.p.x
         dy = self.q.y - self.p.y
         norm = math.hypot(dx, dy)
-        if norm <= TOL.eps_geom:
+        if norm <= EPS_GEOM:
             raise ValueError("anchor points of a line must be distinct")
         a = -dy / norm
         b = dx / norm
         c = a * self.p.x + b * self.p.y
         # Leading nonzero coefficient positive; a counts as zero within tolerance.
-        if a < -TOL.eps_geom or (abs(a) <= TOL.eps_geom and b < 0.0):
+        if a < -EPS_GEOM or (abs(a) <= EPS_GEOM and b < 0.0):
             a, b, c = -a, -b, -c
-        if abs(a) <= TOL.eps_geom:
+        if abs(a) <= EPS_GEOM:
             a = 0.0
             b = math.copysign(1.0, b)
             c = b * self.p.y
@@ -122,8 +106,8 @@ class Line:
         return self.a * pt.x + self.b * pt.y - self.c
 
     def same_line(self, other: "Line") -> bool:
-        """Canonical coefficients equal within eps_geom."""
-        tol = TOL.eps_geom
+        """Canonical coefficients equal within EPS_GEOM."""
+        tol = EPS_GEOM
         return (
             abs(self.a - other.a) <= tol
             and abs(self.b - other.b) <= tol
@@ -137,7 +121,7 @@ class Segment:
     q: Point
 
     def __post_init__(self) -> None:
-        if self.p.dist(self.q) <= TOL.eps_geom:
+        if self.p.dist(self.q) <= EPS_GEOM:
             raise ValueError("segment endpoints must be distinct")
 
     def length(self) -> float:
@@ -153,7 +137,7 @@ class Polyline:
         if len(self.vertices) < 2:
             raise ValueError("polyline needs at least two vertices")
         for u, v in zip(self.vertices, self.vertices[1:]):
-            if u.dist(v) <= TOL.eps_geom:
+            if u.dist(v) <= EPS_GEOM:
                 raise ValueError("consecutive polyline vertices must be distinct")
 
     def edges(self) -> list[tuple[Point, Point]]:
@@ -233,7 +217,7 @@ class PerimeterCoord:
     def __post_init__(self) -> None:
         if self.shape not in (SQUARE, CIRCLE):
             raise ValueError(f"unknown shape {self.shape!r}")
-        if not (0.0 <= self.s < self.perimeter + TOL.eps_geom):
+        if not (0.0 <= self.s < self.perimeter + EPS_GEOM):
             raise ValueError(f"perimeter coordinate {self.s} out of range")
 
     @property
@@ -279,13 +263,13 @@ def perimeter_point(coord: PerimeterCoord) -> Point:
 def perimeter_coordinate(shape: str, center: Point, boundary_point: Point) -> PerimeterCoord:
     """Perimeter coordinate of a point that lies on the shape boundary.
 
-    Raises NotOnBoundary when the point is farther than eps_geom from it.
+    Raises NotOnBoundary when the point is farther than EPS_GEOM from it.
     """
     dx = boundary_point.x - center.x
     dy = boundary_point.y - center.y
     if shape == CIRCLE:
         r = math.hypot(dx, dy)
-        if abs(r - 1.0) > TOL.eps_geom:
+        if abs(r - 1.0) > EPS_GEOM:
             raise NotOnBoundary(f"point {boundary_point} not on unit circle")
         s = math.atan2(dy, dx) % CIRCLE_PERIMETER
         return PerimeterCoord(CIRCLE, center, min(s, CIRCLE_PERIMETER - PERIMETER_END))
@@ -300,8 +284,8 @@ def perimeter_coordinate(shape: str, center: Point, boundary_point: Point) -> Pe
 def _square_perimeter_s(dx, dy):
     """The square's perimeter coordinates of offsets (dx, dy) from the center,
     elementwise over arrays, and whether each offset is on the boundary
-    (within eps_geom); the coordinate of an offset off it means nothing."""
-    g = TOL.eps_geom
+    (within EPS_GEOM); the coordinate of an offset off it means nothing."""
+    g = EPS_GEOM
     on = ~(
         (np.maximum(abs(dx), abs(dy)) - 0.5 > g)
         | ((abs(abs(dx) - 0.5) > g) & (abs(abs(dy) - 0.5) > g))

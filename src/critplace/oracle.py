@@ -23,8 +23,9 @@ import numpy as np
 from .arrangement import BBox
 from .geom import (
     CIRCLE,
+    EPS_GEOM,
+    EPS_VERIFY,
     SQUARE,
-    TOL,
     GeometryError,
     Line,
     Point,
@@ -138,7 +139,7 @@ def _crossings_square(center: Point, primitives: list, warnings: list[str]):
             if chord is None:
                 continue
             t0, t1 = chord
-            if t1 - t0 <= TOL.eps_geom:
+            if t1 - t0 <= EPS_GEOM:
                 warnings.append(f"tangency: primitive {k} touches the boundary")
                 continue
             for t in (t0, t1):
@@ -156,8 +157,8 @@ def _crossings_square(center: Point, primitives: list, warnings: list[str]):
                     # not a crossing
                     x, y = seg.p.x + t * dx, seg.p.y + t * dy
                     if (
-                        abs(abs(x - center.x) - 0.5) <= TOL.eps_geom
-                        or abs(abs(y - center.y) - 0.5) <= TOL.eps_geom
+                        abs(abs(x - center.x) - 0.5) <= EPS_GEOM
+                        or abs(abs(y - center.y) - 0.5) <= EPS_GEOM
                     ):
                         warnings.append(
                             f"tangency: endpoint of primitive {k} on the boundary"
@@ -173,7 +174,7 @@ def _crossings_circle(center: Point, primitives: list, warnings: list[str]):
     for k, prim in enumerate(primitives):
         if isinstance(prim, Line):
             d = prim.side_of(center)
-            if abs(abs(d) - 1.0) <= TOL.eps_geom:
+            if abs(abs(d) - 1.0) <= EPS_GEOM:
                 warnings.append(f"tangency: primitive {k} tangent to the circle")
             # a line that still crosses keeps both crossings, however close:
             # dropping it would merge the pieces on either side of them
@@ -195,8 +196,8 @@ def _crossings_circle(center: Point, primitives: list, warnings: list[str]):
             B = 2.0 * (fx * dx + fy * dy)
             C = fx * fx + fy * fy - 1.0
             disc = B * B - 4.0 * A * C
-            if disc <= TOL.eps_geom * A:
-                if abs(disc) <= TOL.eps_geom * A:
+            if disc <= EPS_GEOM * A:
+                if abs(disc) <= EPS_GEOM * A:
                     warnings.append(f"tangency: primitive {k} tangent to the circle")
                 continue
             rt = math.sqrt(disc)
@@ -264,9 +265,9 @@ def is_epsilon_placement(
     center: Point, primitives: list, shape: str, eps: float
 ) -> tuple[bool, list[GapComponent]]:
     """True when some boundary component has length eps within the verify
-    budget (TOL.eps_verify), with the witnesses."""
+    budget (EPS_VERIFY), with the witnesses."""
     profile = boundary_gaps(center, primitives, shape)
-    witnesses = [c for c in profile.components if abs(c.length - eps) <= TOL.eps_verify]
+    witnesses = [c for c in profile.components if abs(c.length - eps) <= EPS_VERIFY]
     return (len(witnesses) > 0, witnesses)
 
 
@@ -324,7 +325,7 @@ def _crossing_rows(centers: np.ndarray, primitives: list, shape: str):
             if isinstance(prim, Line):
                 (dx, dy), px, py = prim.direction(), prim.p.x, prim.p.y
                 t0, t1, hit = _square_chord_rows(CX, CY, px, py, dx, dy, -math.inf, math.inf)
-                cuts = hit & ~(t1 - t0 <= TOL.eps_geom)  # a tangent line cuts nothing
+                cuts = hit & ~(t1 - t0 <= EPS_GEOM)  # a tangent line cuts nothing
                 ends = ((t0, cuts), (t1, cuts))
             else:
                 px, py = prim.p.x, prim.p.y
@@ -383,12 +384,12 @@ def witnessed(centers: np.ndarray, primitives: list, shape: str, eps: float,
     witness to the curve's cell.
     """
     P = shape_perimeter(shape)
-    whole = abs(P - eps) <= TOL.eps_verify  # no crossing: one piece, all of it
+    whole = abs(P - eps) <= EPS_VERIFY  # no crossing: one piece, all of it
     if not primitives:
         return np.full(centers.shape[0], whole)
     S, _ids, counts = _crossing_rows(centers, primitives, shape)
     length = _piece_lengths(S, counts, P)
-    wit = np.abs(length - eps) <= TOL.eps_verify
+    wit = np.abs(length - eps) <= EPS_VERIFY
     if fixed_s is not None:
         wit[wit] = (fixed_s - S[wit]) % P <= length[wit] + _WITNESS_SLACK
     ok = wit.any(axis=1)
@@ -400,7 +401,7 @@ def contact_holds(centers: np.ndarray, primitives: list, shape: str) -> np.ndarr
     """The contact condition of a contact curve, for each row of centers,
     within the verify budget: a line tangent to the circle; a square corner
     on a line or segment, or a segment end on the square's boundary."""
-    tol = TOL.eps_verify
+    tol = EPS_VERIFY
     CX, CY = centers[:, 0], centers[:, 1]
     ok = np.zeros(CX.shape, dtype=bool)
     if shape == CIRCLE:
@@ -416,7 +417,7 @@ def contact_holds(centers: np.ndarray, primitives: list, shape: str) -> np.ndarr
             continue
         p, q = prim.p, prim.q
         dx, dy = q.x - p.x, q.y - p.y
-        L2 = dx * dx + dy * dy  # a segment is longer than eps_geom
+        L2 = dx * dx + dy * dy  # a segment is longer than EPS_GEOM
         for x, y in corners:
             t = np.clip(((x - p.x) * dx + (y - p.y) * dy) / L2, 0.0, 1.0)
             ok |= np.hypot(x - p.x - t * dx, y - p.y - t * dy) <= tol

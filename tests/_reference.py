@@ -11,7 +11,9 @@
   numpy pass did.
 * `interior_vertex_ids`: the arrangement vertices off its clip frame.
 * `reference_extract_faces`: the arrangement's face tracer as it was before
-  it sorted each vertex's ring once and assigned holes in numpy.
+  it sorted each vertex's ring once and assigned holes in numpy, with its
+  own copies of the convexity test and hole probe the tracer had while it
+  walked each cycle in Python.
 * `in_cell_or_near`: point-in-cell with a slack band around the boundary.
 * `f_value`: the distance sum of the corner-vector level sets, evaluated
   directly from the lines.
@@ -58,21 +60,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from critplace.arrangement import (
+    CONVEX_TURN_TOL,
+    PROBE_NUDGE,
     SNAP,
     Arrangement,
     BBox,
     Cell,
-    _cycle_probe,
-    _is_convex_walk,
-    _point_segment_dist,
     convex_decompose,
 )
 from critplace.geom import (
     CIRCLE,
+    EPS_GEOM,
+    EPS_VERIFY,
     PERIMETER_END,
     SQUARE,
     SQUARE_PERIMETER,
-    TOL,
     GeometryError,
     Line,
     NotOnBoundary,
@@ -238,10 +240,12 @@ def interior_vertex_ids(arr: Arrangement) -> list[int]:
     return np.flatnonzero(off & (np.abs(y - b.ymin) > SNAP) & (np.abs(y - b.ymax) > SNAP)).tolist()
 
 
-def reference_extract_faces(pts, edges) -> list[Cell]:
+def reference_extract_faces(verts, edge_rows, wall_tags) -> list[Cell]:
     """What `arrangement._extract_faces` returns, from a scan of the ring for
-    every half-edge's next, an absolute area cut, and a wall list rebuilt for
-    every (hole, cell) pair."""
+    every half-edge's next, a walk of every cycle, an absolute area cut, and
+    a wall list rebuilt for every (hole, cell) pair."""
+    pts = verts.tolist()
+    edges = [(u, v, wall_tags[k]) for u, v, k in edge_rows.tolist()]
     # half-edge h = (edge index, direction); outgoing lists per vertex
     out_at: dict[int, list[tuple[float, int]]] = {}
     half_target = {}
@@ -301,6 +305,47 @@ def reference_extract_faces(pts, edges) -> list[Cell]:
                 cells[ci].convex = False
                 break
     return cells
+
+
+def _cycle_probe(P, vids: list[int]) -> tuple[float, float]:
+    """Midpoint of the walk's first longest step nudged to its left, i.e. into
+    the incident face."""
+    pairs = zip(vids, vids[1:] + vids[:1])
+    steps = [(P[b][0] - P[a][0], P[b][1] - P[a][1], a, b) for a, b in pairs]
+    dx, dy, a, b = max(steps, key=lambda s: math.hypot(s[0], s[1]))
+    length = math.hypot(dx, dy)
+    if length <= 0.0:
+        return (float(P[vids[0]][0]), float(P[vids[0]][1]))
+    nudge = PROBE_NUDGE * length
+    return (
+        0.5 * (P[a][0] + P[b][0]) - nudge * dy / length,
+        0.5 * (P[a][1] + P[b][1]) + nudge * dx / length,
+    )
+
+
+def _is_convex_walk(P: list, vids: list[int]) -> bool:
+    m = len(vids)
+    if len(set(vids)) != m:
+        return False  # repeated vertex: antenna
+    scale = max(1.0, max(abs(c) for v in vids for c in P[v]))
+    for k in range(m):
+        x0, y0 = P[vids[k]]
+        x1, y1 = P[vids[(k + 1) % m]]
+        x2, y2 = P[vids[(k + 2) % m]]
+        cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
+        if cross < -CONVEX_TURN_TOL * scale * scale:
+            return False
+    return True
+
+
+def _point_segment_dist(x: float, y: float, p0: Point, p1: Point) -> float:
+    dx, dy = p1.x - p0.x, p1.y - p0.y
+    L2 = dx * dx + dy * dy
+    if L2 <= 0.0:
+        return math.hypot(x - p0.x, y - p0.y)
+    t = ((x - p0.x) * dx + (y - p0.y) * dy) / L2
+    t = min(max(t, 0.0), 1.0)
+    return math.hypot(x - p0.x - t * dx, y - p0.y - t * dy)
 
 
 def _point_in_walls(walls, x: float, y: float) -> bool:
@@ -758,7 +803,7 @@ def curves_by_vector(arrangement: Arrangement, shape: str, eps: float) -> dict:
 
 def reference_contact_holds(center: Point, primitives: list, shape: str) -> bool:
     """The contact condition of a contact curve, within the verify budget."""
-    tol = TOL.eps_verify
+    tol = EPS_VERIFY
     if shape == CIRCLE:
         for prim in primitives:
             if isinstance(prim, Line) and abs(abs(prim.side_of(center)) - 1.0) <= tol:
@@ -874,15 +919,15 @@ def reference_points_far_from_segments(
 def reference_perimeter_coordinate(center: Point, boundary_point: Point) -> PerimeterCoord:
     dx = boundary_point.x - center.x
     dy = boundary_point.y - center.y
-    if max(abs(dx), abs(dy)) - 0.5 > TOL.eps_geom or (
-        abs(abs(dx) - 0.5) > TOL.eps_geom and abs(abs(dy) - 0.5) > TOL.eps_geom
+    if max(abs(dx), abs(dy)) - 0.5 > EPS_GEOM or (
+        abs(abs(dx) - 0.5) > EPS_GEOM and abs(abs(dy) - 0.5) > EPS_GEOM
     ):
         raise NotOnBoundary(f"point {boundary_point} not on unit square")
-    if abs(dy + 0.5) <= TOL.eps_geom and dx < 0.5 - TOL.eps_geom:
+    if abs(dy + 0.5) <= EPS_GEOM and dx < 0.5 - EPS_GEOM:
         s = 0.0 + (dx + 0.5)
-    elif abs(dx - 0.5) <= TOL.eps_geom and dy < 0.5 - TOL.eps_geom:
+    elif abs(dx - 0.5) <= EPS_GEOM and dy < 0.5 - EPS_GEOM:
         s = 1.0 + (dy + 0.5)
-    elif abs(dy - 0.5) <= TOL.eps_geom:
+    elif abs(dy - 0.5) <= EPS_GEOM:
         s = 2.0 + (0.5 - dx)
     else:
         s = 3.0 + (0.5 - dy)

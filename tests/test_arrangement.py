@@ -29,7 +29,7 @@ from critplace.arrangement import (
     locate,
 )
 from critplace.generators import random_lines
-from critplace.geom import TOL, Line, Point, Segment
+from critplace.geom import EPS_GEOM, Line, Point, Segment
 
 
 def _poly_area(poly):
@@ -159,6 +159,12 @@ ROOM = [
 ]
 
 
+def _grid_lines(coords):
+    return [Line(Point(c, 0), Point(c, 1)) for c in coords] + [
+        Line(Point(0, c), Point(1, c)) for c in coords
+    ]
+
+
 def test_subdivision_matches_the_pairwise_reference(monkeypatch):
     def scenes():
         soup_arr = build_segment_arrangement(SOUP)
@@ -166,13 +172,57 @@ def test_subdivision_matches_the_pairwise_reference(monkeypatch):
         cell = next(c for c in room_arr.cells if c.holes or not c.convex)
         polys = [sub.polygon.tobytes() for sub in convex_decompose(cell, room_arr)]
         lines_arr = build_line_arrangement(random_lines(6, 1))
-        return _subdivision(soup_arr), _subdivision(lines_arr), polys
+        # holes, antennas and an island; unit cells of equal area, which
+        # their vertex ids order
+        antennas_arr = build_segment_arrangement(_room_with_antennas())
+        grid_arr = build_line_arrangement(_grid_lines(range(4)))
+        return (
+            _subdivision(soup_arr), _subdivision(lines_arr), polys,
+            _subdivision(antennas_arr), _subdivision(grid_arr),
+        )
 
     swept = scenes()
     monkeypatch.setattr(critplace.arrangement, "_segment_crossings", pairwise_segment_crossings)
     monkeypatch.setattr(critplace.arrangement, "_extract_faces", reference_extract_faces)
     assert swept == scenes()
     assert len(swept[2]) > 1
+
+
+# SHA-256 of the repr of `_subdivision` of each scene: vertex bytes, edges,
+# every cell's outer walk, tags, holes and convex flag, and the component
+# count.  The tenth grid's unit cells differ in area by rounding alone, and
+# are numbered by it.
+SUBDIVISION_SCENES = {
+    "soup": lambda: build_segment_arrangement(SOUP),
+    "room": lambda: build_segment_arrangement(ROOM),
+    "room-with-antennas": lambda: build_segment_arrangement(_room_with_antennas()),
+    "random-segments": lambda: build_segment_arrangement(_random_segments()),
+    "lines-3-5": lambda: build_line_arrangement(random_lines(3, 5)),
+    "lines-5-1": lambda: build_line_arrangement(random_lines(5, 1)),
+    "lines-6-2": lambda: build_line_arrangement(random_lines(6, 2)),
+    "lines-4-44": lambda: build_line_arrangement(random_lines(4, 44)),
+    "lines-64-1": lambda: build_line_arrangement(random_lines(64, 1)),
+    "tenth-grid": lambda: build_line_arrangement(_grid_lines([0.1 * k for k in range(5)])),
+}
+SUBDIVISION_DIGESTS = {
+    "soup": "698e7637496df73eb827d331eda308ffa70a05e801e3edec5fa7edb2ccb90e00",
+    "room": "0899f8e1c96dbca273559b42b5129423f5882bf812868dab3bb71f077ecfd916",
+    "room-with-antennas": "195ea26958990bd63dc1469a9cb3c098645d6f836651b5cd489a81cfa4ce9bfa",
+    "random-segments": "ffdd5e24a4b113b9f160ec7513d41c4dd4a22cada8f7899af203eb1d18dfe350",
+    "lines-3-5": "4f0be9e279dca699dedba46e11e0413c80cc2720e6e876f33a96ebc851fdc2f5",
+    "lines-5-1": "c5eb7d6223bb42a4b71c46f96d9e3ea515fd9f8a5d76b5d1294b0b695ba418c3",
+    "lines-6-2": "ef1e0b61cee226eb66c6ee0621413023de0318487dd792ca5a5b781559b17c7a",
+    "lines-4-44": "c9f4ff90ae37aa5cdd09135c72e149f618138bf68fdad984c10b03defd363023",
+    "lines-64-1": "7d7dd39c91ff8a7e74d10f2cec5e0ee16078e2fe76a56499108dc7bcf37c79aa",
+    "tenth-grid": "ab855e776a0d671d1a037a7f7de1aa84f5b8f296ab002625b3cdaa200130ceb6",
+}
+
+
+@pytest.mark.parametrize("name", list(SUBDIVISION_SCENES))
+def test_subdivisions_are_pinned(name):
+    subdivision = _subdivision(SUBDIVISION_SCENES[name]())
+    digest = hashlib.sha256(repr(subdivision).encode()).hexdigest()
+    assert digest == SUBDIVISION_DIGESTS[name]
 
 
 _SOUP_ENDS = np.array([(s.p.x, s.p.y, s.q.x, s.q.y) for s in SOUP])
@@ -568,8 +618,8 @@ def test_line_pairs_match_the_pair_loop(start):
 
 def _moved(line: Line, along_normal: float, turn: float) -> Line:
     """The line shifted along its normal and its second anchor moved across
-    it, both by multiples of eps_geom."""
-    g = TOL.eps_geom
+    it, both by multiples of EPS_GEOM."""
+    g = EPS_GEOM
     dx, dy = line.a * along_normal * g, line.b * along_normal * g
     span = line.p.dist(line.q)
     return Line(
