@@ -3,13 +3,17 @@
 Everything here works straight from the definition: cut the shape boundary at
 its crossings with the input primitives, measure the pieces, and look for
 pieces of length exactly the clustering granularity.  The dense scan walks a
-grid of placements and reports where a piece length crosses the target, which
-gives a resolution-accurate picture of the critical set to compare curves
-against.  The square chord clip and the perimeter maps here are this module's
-own, not shared with the construction, so that a fault in the construction's
-copies shows up as a disagreement instead of being repeated by the check.
-Many placements at once go through one crossing table, `_crossing_rows`, and
-one piece-length rule, `_piece_lengths`; the dense scan and the batched curve
+grid of placements and reports the grid edges across which a piece length
+crosses the target or a piece that long is born or dies, which gives a
+resolution-accurate picture of the critical set to compare curves against.
+One rule judges every edge, exact by continuity: crossings move continuously
+with the placement, so their sorted order along the perimeter only rotates
+or swaps through an empty piece, and their number changes only at a contact.
+The square chord clip and the perimeter maps here are this module's own, not
+shared with the construction, so that a fault in the construction's copies
+shows up as a disagreement instead of being repeated by the check.  Many
+placements at once go through one crossing table, `_crossing_rows`, and one
+piece-length rule, `_piece_lengths`; the dense scan and the batched curve
 check both read them, with the scalar definition's formulas and tolerances.
 """
 
@@ -58,17 +62,10 @@ _LENGTH_FLOOR = 1e-30
 # A scan resolution of eps/10 computed in floating point may land this far
 # above it and is still accepted.
 _RESOLUTION_SLACK = 1e-12
-# Neighbouring scan placements whose crossings moved by more than this share
-# of the perimeter had a crossing slide past the perimeter origin, so their
-# columns no longer pair up and the pieces are matched one by one.
-_ORIGIN_SLIDE = 0.25
-# Pieces of neighbouring placements are matched only while their midpoints
-# lie within this share of the perimeter: a grid step moves a midpoint far
-# less, and a farther piece is another one.
-_MATCH_RADIUS = 0.125
-# Between candidates, the same pair of bounding primitives counts as this
-# share of the perimeter nearer, so it wins any midpoint near-tie.
-_SAME_IDS_BONUS = 0.01
+# The dense scan takes the crossings of about this many placement x crossing
+# entries at once, a band of grid rows, so its memory does not grow with the
+# grid.
+_BAND_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -253,8 +250,6 @@ def boundary_gaps(center: Point, primitives: list, shape: str) -> GapProfile:
             length = (s1 - s0) % P
             if i == m - 1:
                 length = s1 + P - s0
-            if length <= 0.0:
-                length += P
             mid_s = (s0 + 0.5 * length) % P
             mid = _perimeter_xy(shape, center, mid_s)
             comps.append(GapComponent(s0, length, (id0, id1), mid_s, mid))
@@ -358,7 +353,7 @@ def _crossing_rows(centers: np.ndarray, primitives: list, shape: str):
 def _piece_lengths(S: np.ndarray, counts: np.ndarray, P: float) -> np.ndarray:
     """The length of the piece from each crossing of a sorted crossing table
     to the next, by `boundary_gaps`' rule: the last piece of a row wraps past
-    the origin, and a length at most 0 is the whole perimeter.  Entries past
+    the origin, and coincident crossings bound an empty piece.  Entries past
     a row's crossings are nan."""
     length = np.full(S.shape, np.nan)
     with np.errstate(invalid="ignore"):  # padding minus padding: nan, as wanted
@@ -371,7 +366,6 @@ def _piece_lengths(S: np.ndarray, counts: np.ndarray, P: float) -> np.ndarray:
     rows = np.flatnonzero(counts)
     last = counts[rows] - 1
     length[rows, last] = S[rows, 0] + P - S[rows, last]
-    length[length <= 0.0] += P
     return length
 
 
@@ -437,15 +431,23 @@ def dense_scan(
     bbox: BBox,
     resolution: float,
 ) -> np.ndarray:
-    """Grid points where some boundary component length crosses eps.
+    """Midpoints of the grid edges across which some boundary piece's length
+    crosses eps, or a piece at least eps long is born or dies.
 
-    Components are matched between neighboring grid placements by the pair of
-    primitives bounding them (plus midpoint proximity); a matched component
-    whose length passes through eps yields the midpoint of the two placements.
-    Components that appear or disappear while longer than eps are reported
-    conservatively: their length either crossed eps or jumped across it at a
-    contact event.  The crossing table and the piece lengths are the ones
-    `witnessed` reads, so the scan and the sample check apply one rule.
+    Crossings move continuously with the placement, and so does their sorted
+    order along the perimeter: two crossings that swap at a vertex pass bound
+    an empty piece as they swap, and a crossing that passes the perimeter
+    origin only rotates the order.  So where both ends of a grid edge have as
+    many crossings, their pieces pair up slot by slot, after the rotation
+    that moves the crossings least (`_rotations`), and the edge is reported
+    when a paired length crosses eps.  The count changes only at a contact (a
+    tangency, a square corner on a primitive, a segment end on the
+    boundary); there the edge is reported when a piece at least eps long on
+    either side has a pair of bounding primitives that the other side lacks.
+    The grid is scanned in bands of rows of about `_BAND_ENTRIES` placement x
+    crossing entries, each band starting on the last one's last row.  The
+    crossing table and the piece lengths are the ones `witnessed` reads, so
+    the scan and the sample check apply one rule.
     """
     require_positive("resolution", resolution)
     if resolution > eps / 10.0 + _RESOLUTION_SLACK:
@@ -457,112 +459,75 @@ def dense_scan(
     ny = max(2, int(math.floor(bbox.height / resolution)) + 1)
     xs = bbox.xmin + resolution * np.arange(nx)
     ys = bbox.ymin + resolution * np.arange(ny)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-
-    S, ids, counts = _crossing_rows(np.column_stack((XX.ravel(), YY.ravel())), primitives, shape)
-    M = S.shape[1]
-    S3 = S.reshape(nx, ny, M)
-    L3 = ids.reshape(nx, ny, M)
-    len3 = _piece_lengths(S, counts, P).reshape(nx, ny, M)
-    cnt2 = counts.reshape(nx, ny)
-    valid3 = np.isfinite(len3)
-
-    pts_chunks: list[np.ndarray] = []
-    for axis in (0, 1):
-        if axis == 0:
-            A = (slice(None, -1), slice(None))
-            B = (slice(1, None), slice(None))
-        else:
-            A = (slice(None), slice(None, -1))
-            B = (slice(None), slice(1, None))
-        vA, vB = valid3[A], valid3[B]
-        both = vA & vB
-        lenA = len3[A]
-        lenB = len3[B]
-        # same structure: same count, same bounding ids in s-order, and no
-        # crossing slid past the perimeter origin between the neighbors
-        with np.errstate(invalid="ignore"):
-            ds = np.abs(S3[A] - S3[B])
-        ds[~both] = 0.0
-        same = (
-            (cnt2[A] == cnt2[B])
-            & np.all((L3[A] == L3[B]) | ~both, axis=-1)
-            & (ds.max(axis=-1) <= _ORIGIN_SLIDE * P)
-        )
-        crossed = ((lenA - eps) * (lenB - eps) <= 0.0) & both
-        hit_fast = same & np.any(crossed, axis=-1)
-
-        # slow path only where a length near or above eps is in play
-        big = np.any((lenA >= eps) & vA, axis=-1) | np.any((lenB >= eps) & vB, axis=-1)
-        slow_mask = ~same & big
-
-        mx = 0.5 * (XX[A] + XX[B])
-        my = 0.5 * (YY[A] + YY[B])
-        if hit_fast.any():
-            pts_chunks.append(np.column_stack((mx[hit_fast], my[hit_fast])))
-        si, sj = np.nonzero(slow_mask)
-        slow_pts = []
-        SA, SB = S3[A], S3[B]
-        LA, LB = L3[A], L3[B]
-        for i, j in zip(si, sj):
-            compsA = _row_components(SA[i, j], LA[i, j], lenA[i, j], P)
-            compsB = _row_components(SB[i, j], LB[i, j], lenB[i, j], P)
-            if _pair_report(compsA, compsB, eps, P):
-                slow_pts.append((mx[i, j], my[i, j]))
-        if slow_pts:
-            pts_chunks.append(np.array(slow_pts))
-    if not pts_chunks:
-        return np.zeros((0, 2))
-    return np.unique(np.concatenate(pts_chunks, axis=0), axis=0)
+    step = max(1, _BAND_ENTRIES // (2 * len(primitives) * nx))
+    hits = []
+    for j0 in range(0, ny - 1, step):
+        rows = ys[j0:j0 + step + 1]
+        centers = np.column_stack((np.tile(xs, rows.size), np.repeat(rows, nx)))
+        S, ids, counts = _crossing_rows(centers, primitives, shape)
+        table = [a.reshape(rows.size, nx, *a.shape[1:])
+                 for a in (centers, S, ids, counts, _piece_lengths(S, counts, P))]
+        # edges between rows, then along rows: the last band took the edges
+        # along this band's first row
+        first = 1 if j0 else 0
+        for a, b in ((np.s_[:-1], np.s_[1:]), (np.s_[first:, :-1], np.s_[first:, 1:])):
+            (pa, *A), (pb, *B) = ([t[sl] for t in table] for sl in (a, b))
+            hits.append(0.5 * (pa + pb)[_edge_hits(A, B, eps, P)])
+    return np.unique(np.concatenate(hits), axis=0)
 
 
-def _row_components(s_row, lid_row, len_row, perimeter: float):
-    cnt = int(np.isfinite(len_row).sum())
-    comps = []
-    for k in range(cnt):
-        mid = (s_row[k] + 0.5 * len_row[k]) % perimeter
-        comps.append(
-            (int(lid_row[k]), int(lid_row[(k + 1) % cnt]), float(mid), float(len_row[k]))
-        )
-    return comps
+def _edge_hits(A, B, eps: float, P: float) -> np.ndarray:
+    """Which grid edges the dense scan reports, given the crossings, ids,
+    counts and piece lengths of their ends A and B, in crossing-table rows
+    laid out like the edges."""
+    (SA, IA, cA, LA), (SB, IB, cB, LB) = A, B
+    k = np.arange(SA.shape[-1])
+    same = (cA == cB) & (cA > 0)
+    with np.errstate(invalid="ignore"):  # padding minus padding
+        d = np.abs(SA - SB)
+    moved = np.where(k < cA[..., None], np.minimum(d, P - d), 0.0).max(axis=-1)
+    # Rotation 0 moves the crossings least where it moves none of them as far
+    # as half of A's shortest piece: any other rotation pairs crossing k of A
+    # with a crossing of B that close to another crossing of A, which lies at
+    # least that shortest piece away from crossing k, so each of its moves is
+    # longer than every move of rotation 0.
+    far = same & (moved >= 0.5 * np.fmin.reduce(LA, axis=-1))
+    # the nan padding compares false, so only a row's own pieces can cross
+    hit = (same & ~far) & ((LA - eps) * (LB - eps) <= 0.0).any(axis=-1)
+    c = cA[far][:, None]
+    slot = (k + _rotations(SA[far], SB[far], c, P)[:, None]) % c
+    hit[far] = ((LA[far] - eps) * (np.take_along_axis(LB[far], slot, axis=1) - eps) <= 0.0).any(axis=1)
+    e = cA != cB
+    ka, kb = _piece_keys(IA[e], cA[e]), _piece_keys(IB[e], cB[e])
+    la, lb = LA[e], LB[e]
+    born = (lb >= eps) & ~np.isin(kb, ka[np.isfinite(la)])
+    died = (la >= eps) & ~np.isin(ka, kb[np.isfinite(lb)])
+    hit[e] = (born | died).any(axis=1)
+    return hit
 
 
-def _pair_report(compsA, compsB, eps: float, perimeter: float) -> bool:
-    """Match two component lists; True when a length crossed or jumped eps.
+def _rotations(SA, SB, counts, P: float) -> np.ndarray:
+    """For each pair of sorted crossing rows with counts[i, 0] crossings
+    each, the rotation r that moves the crossings least, summed in cyclic
+    distance, when crossing k of A is taken to be crossing (k + r) mod count
+    of B; the first such r on a tie."""
+    k = np.arange(SA.shape[1])
 
-    Matching goes by cyclic midpoint proximity (component identities relabel
-    when two crossings swap order at a vertex pass, so bounding ids only earn
-    a tie-break bonus).  A component that appears or disappears while at
-    least eps long either crossed eps or jumped over it at a contact event.
-    """
-    cap = _MATCH_RADIUS * perimeter
-    cand = []
-    for ka, (a0, a1, am, al) in enumerate(compsA):
-        for kb, (b0, b1, bm, bl) in enumerate(compsB):
-            d = abs(am - bm)
-            d = min(d, perimeter - d)
-            if d > cap:
-                continue
-            if a0 == b0 and a1 == b1:
-                d -= _SAME_IDS_BONUS * perimeter
-            cand.append((d, ka, kb))
-    cand.sort()
-    usedA = [False] * len(compsA)
-    usedB = [False] * len(compsB)
-    for _d, ka, kb in cand:
-        if usedA[ka] or usedB[kb]:
-            continue
-        usedA[ka] = True
-        usedB[kb] = True
-        if (compsA[ka][3] - eps) * (compsB[kb][3] - eps) <= 0.0:
-            return True
-    for ka, comp in enumerate(compsA):
-        if not usedA[ka] and comp[3] >= eps:
-            return True
-    for kb, comp in enumerate(compsB):
-        if not usedB[kb] and comp[3] >= eps:
-            return True
-    return False
+    def moved(r):
+        d = np.abs(SA - np.take_along_axis(SB, (k + r) % counts, axis=1))
+        return np.where(k < counts, np.minimum(d, P - d), 0.0).sum(axis=1)
+
+    cost = np.column_stack([moved(r) for r in range(k.size)])
+    cost[k >= counts] = np.inf
+    return cost.argmin(axis=1)
+
+
+def _piece_keys(ids, counts) -> np.ndarray:
+    """The pair of primitives bounding each piece of each crossing row, as one
+    integer that also tells the rows apart."""
+    M = ids.shape[1]  # more than any primitive id
+    nxt = np.take_along_axis(ids, (np.arange(M) + 1) % np.maximum(counts, 1)[:, None], axis=1)
+    return (np.arange(ids.shape[0])[:, None] * M + ids) * M + nxt
 
 
 # ---------------------------------------------------------------------------

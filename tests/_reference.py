@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the program against.
 
 * `total_length`, `sample_by_spacing`, `chain_points` and `sample_points`:
-  helpers over gap profiles and curves that only tests read.
+  helpers over gap profiles and curves that only tests read, and
+  `traced_peak`, the peak of the memory a call traces.
 * `segment_intersection`: one segment pair's crossing, and
   `pairwise_segment_crossings`, the O(n^2) loop over it that split the
   arrangement's walls before the x-sweep did, with the overlap ends of
@@ -17,7 +18,8 @@
 * `in_cell_or_near`: point-in-cell with a slack band around the boundary.
 * `f_value`: the distance sum of the corner-vector level sets, evaluated
   directly from the lines.
-* `dense_scan_naive`: the dense placement scan built on `boundary_gaps`.
+* `dense_scan_naive`: the dense placement scan's rule, one grid edge at a
+  time over `boundary_gaps` profiles.
 * `reference_ring_ok`: the validity of a circle ring piece at one parameter,
   judged from the gap profile, as the circle curves were once trimmed by
   sampling it.
@@ -55,6 +57,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +104,6 @@ from critplace.oracle import (
     _STEP_FLOOR,
     _WITNESS_SLACK,
     VerifyReport,
-    _pair_report,
     boundary_gaps,
     is_epsilon_placement,
 )
@@ -408,6 +410,16 @@ def f_value(a: Point, lines: list[Line], quadrant: str) -> float:
     return best_x + best_y
 
 
+def traced_peak(run):
+    """What run() returns, and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def dense_scan_naive(
     primitives: list,
     shape: str,
@@ -415,32 +427,23 @@ def dense_scan_naive(
     bbox: BBox,
     resolution: float,
 ) -> np.ndarray:
-    """Reference implementation of dense_scan built on boundary_gaps."""
+    """`dense_scan`'s rule, one grid edge at a time over `boundary_gaps`
+    profiles, with every rotation of equal crossing counts tried."""
     nx = max(2, int(math.floor(bbox.width / resolution)) + 1)
     ny = max(2, int(math.floor(bbox.height / resolution)) + 1)
     P = shape_perimeter(shape)
-    profiles: dict[tuple[int, int], list] = {}
+    profiles = {}
     for i in range(nx):
         for j in range(ny):
-            c = Point(bbox.xmin + i * resolution, bbox.ymin + j * resolution)
-            prof = boundary_gaps(c, primitives, shape)
-            profiles[(i, j)] = [
-                (
-                    c.bound_ids[0] if c.bound_ids else -1,
-                    c.bound_ids[1] if c.bound_ids else -1,
-                    c.mid_s,
-                    c.length,
-                )
-                for c in prof.components
-                if c.bound_ids is not None
-            ]
+            prof = boundary_gaps(Point(bbox.xmin + i * resolution, bbox.ymin + j * resolution), primitives, shape)
+            profiles[(i, j)] = (prof.crossings, [c.length for c in prof.components])
     pts = []
     for i in range(nx):
         for j in range(ny):
             for di, dj in ((1, 0), (0, 1)):
                 if i + di >= nx or j + dj >= ny:
                     continue
-                if _pair_report(profiles[(i, j)], profiles[(i + di, j + dj)], eps, P):
+                if _scan_edge_reported(profiles[(i, j)], profiles[(i + di, j + dj)], eps, P):
                     pts.append(
                         (
                             bbox.xmin + (i + 0.5 * di) * resolution,
@@ -450,6 +453,34 @@ def dense_scan_naive(
     if not pts:
         return np.zeros((0, 2))
     return np.unique(np.array(pts), axis=0)
+
+
+def _scan_edge_reported(a, b, eps: float, P: float) -> bool:
+    """Whether the scan reports the edge between two placements, each given
+    as (crossings, piece lengths) of its gap profile."""
+    (cross_a, len_a), (cross_b, len_b) = a, b
+    m = len(cross_a)
+    if m == len(cross_b):
+        if m == 0:
+            return False
+
+        def moved(r):
+            total = 0.0
+            for k in range(m):
+                d = abs(cross_a[k][0] - cross_b[(k + r) % m][0])
+                total += min(d, P - d)
+            return total
+
+        r = min(range(m), key=moved)
+        return any((len_a[k] - eps) * (len_b[(k + r) % m] - eps) <= 0.0 for k in range(m))
+
+    def pairs(cross):
+        return [(cross[k][1], cross[(k + 1) % len(cross)][1]) for k in range(len(cross))]
+
+    for mine, lengths, other in ((cross_a, len_a, cross_b), (cross_b, len_b, cross_a)):
+        if any(length >= eps and pair not in pairs(other) for pair, length in zip(pairs(mine), lengths)):
+            return True
+    return False
 
 
 def reference_ring_ok(arrangement: Arrangement, cell_id: int, eps: float, piece, t: float) -> bool:

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,6 +12,7 @@ from _reference import (
     pairwise_segment_crossings,
     reference_extract_faces,
     segment_intersection,
+    traced_peak,
 )
 from critplace.arrangement import (
     SHOT_START,
@@ -282,23 +282,13 @@ def test_sweep_matches_the_pairwise_reference(monkeypatch, name, chunk):
     assert tuple(map(len, swept)) == SWEEP_MEETS[name]
 
 
-def _traced_peak(run):
-    """What run() returns, and the peak of the memory it traced."""
-    tracemalloc.start()
-    try:
-        out = run()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_sweep_memory_stays_bounded():
     # 1,500 disjoint horizontal segments over one x-range: about 1.1 M
     # candidate pairs and no meeting; all at once they would take 56 MB
     n = 1500
     y = np.arange(n, dtype=float)
     P0, P1 = np.column_stack([np.zeros(n), y]), np.column_stack([np.ones(n), y])
-    (crossings, overlaps), peak = _traced_peak(lambda: _segment_crossings(P0, P1, np.arange(n), SNAP))
+    (crossings, overlaps), peak = traced_peak(lambda: _segment_crossings(P0, P1, np.arange(n), SNAP))
     assert crossings.shape == overlaps.shape == (0, 4)
     assert peak < 3e6
 
@@ -316,7 +306,7 @@ def test_decomposition_kernels_stay_bounded():
     valleys = np.array([(p.x, p.y) for p in top[1::2]])
     # every valley's ray down meets the bottom; all at once 720,000 ray-wall
     # entries would take 35 MB
-    (wall, t), peak = _traced_peak(
+    (wall, t), peak = traced_peak(
         lambda: _first_wall_hits(valleys, (0.0, -1.0), walls, SHOT_START, SHOT_WALL_SLACK)
     )
     assert set(wall.tolist()) == {walls.tolist().index([0.0, 0.0, 1.0, 0.0])}
@@ -326,7 +316,7 @@ def test_decomposition_kernels_stay_bounded():
     # which all at once would take 41 MB
     arr.cell_boundary_steps(cid)
     probes = np.column_stack([np.linspace(0.001, 0.999, 2000), np.tile([0.25, 1.25], 1000)])
-    inside, peak = _traced_peak(lambda: arr.points_in_cell(probes, cid))
+    inside, peak = traced_peak(lambda: arr.points_in_cell(probes, cid))
     assert inside.tolist() == [True, False] * 1000
     assert peak < 1e6
 

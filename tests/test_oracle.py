@@ -1,13 +1,18 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from critplace.arrangement import BBox
 from critplace.generators import random_lines
-from critplace.geom import CIRCLE, SQUARE, Line, Point, Segment
+from critplace.geom import CIRCLE, SQUARE, Line, Point, Segment, shape_perimeter
+import critplace.oracle
 from critplace.oracle import (
+    _crossing_rows,
+    _piece_lengths,
     _points_far_from_segments,
     boundary_gaps,
     dense_scan,
@@ -22,6 +27,7 @@ from _reference import (
     reference_verify,
     sample_verdicts,
     total_length,
+    traced_peak,
 )
 
 
@@ -66,6 +72,17 @@ def test_corner_spanning_component_merged():
     assert len(lengths) == 2
     assert lengths[0] == pytest.approx(0.4)
     assert lengths[1] == pytest.approx(3.6)
+
+
+@pytest.mark.parametrize("shape", [SQUARE, CIRCLE])
+def test_coincident_crossings_bound_an_empty_piece(shape):
+    # a line given twice cuts the boundary twice at each of its crossings
+    P = shape_perimeter(shape)
+    prof = boundary_gaps(Point(0, 0), [V_LINE, V_LINE], shape)
+    lengths = [c.length for c in prof.components]
+    assert lengths == pytest.approx([0.0, P / 2, 0.0, P / 2])
+    S, _ids, counts = _crossing_rows(np.zeros((1, 2)), [V_LINE, V_LINE], shape)
+    assert _piece_lengths(S, counts, P)[0] == pytest.approx(lengths, abs=1e-12)
 
 
 def test_is_epsilon_placement():
@@ -139,12 +156,27 @@ THREE_SEGMENTS = [
 ]
 
 
+# a crossing here moves fast: from center (-0.125, 0.025) to (-0.125, 0.05)
+# the piece between primitives 1 and 2 shrinks from 0.441 to 0.112, and its
+# midpoint moves 0.160 along the perimeter, farther than the 0.098 from its
+# old midpoint to that of the next piece, between two crossings of 2
+FAST_CROSSING = [
+    Segment(Point(-0.6, -0.4), Point(0.7, 0.1)),
+    Segment(Point(0.1, -0.8), Point(-0.2, 0.9)),
+    Segment(Point(-0.9, 0.5), Point(0.4, 0.6)),
+    Segment(Point(0.5, -0.3), Point(0.9, 0.8)),
+]
+
+
 @pytest.mark.parametrize("prims, shape, eps", [
     (random_lines(2, 31), SQUARE, 0.4),
     (random_lines(2, 31), CIRCLE, 0.5),
     (CONCURRENT, SQUARE, 0.3),
     (THREE_SEGMENTS, SQUARE, 0.3),
-], ids=["square-0.4", "circle-0.5", "concurrent-lines-0.3", "segments-0.3"])
+    (FAST_CROSSING, SQUARE, 0.3),
+    (FAST_CROSSING, SQUARE, 0.2),
+], ids=["square-0.4", "circle-0.5", "concurrent-lines-0.3", "segments-0.3", "fast-crossing-0.3",
+        "fast-crossing-0.2"])
 def test_dense_scan_matches_naive(prims, shape, eps):
     box = BBox(-1.2, -1.1, 1.1, 1.3)
     res = eps / 12
@@ -154,6 +186,40 @@ def test_dense_scan_matches_naive(prims, shape, eps):
     # the points the per-placement scan finds, up to the grid's rounding
     assert fast.shape[0] > 0
     assert np.array_equal(np.unique(fast.round(9), axis=0), np.unique(slow.round(9), axis=0))
+
+
+def test_dense_scan_reports_a_fast_crossing():
+    # the grid step from center (-0.125, 0.025) to (-0.125, 0.05) takes the
+    # piece between primitives 1 and 2 across eps
+    pts = dense_scan(FAST_CROSSING, SQUARE, 0.3, BBox(-0.2, -0.05, -0.05, 0.1), 0.025)
+    assert [-0.125, 0.0375] in pts.round(9).tolist()
+
+
+def test_dense_scan_memory_stays_bounded():
+    # the scan holds a band of grid rows at a time, so over a box four times
+    # taller the same scene's scan peaks no higher; with the crossing table
+    # of the whole grid built at once, the scans peaked at 5.3 and 20.8 MB
+    lines, eps = random_lines(4, 17), 0.3
+    peaks = []
+    for height in (4.8, 19.2):
+        box = BBox(-1.2, -2.3, 1.1, -2.3 + height)
+        pts, peak = traced_peak(lambda: dense_scan(lines, SQUARE, eps, box, eps / 10))
+        assert pts.shape[0] > 0
+        peaks.append(peak)
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+def test_oracle_shares_no_code_with_the_construction():
+    # the oracle checks the curves, so of the package it reads only the box
+    # type and the geometry primitives
+    tree = ast.parse(Path(critplace.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("critplace")):
+            imported |= {f"{(node.module or '').split('.')[-1]}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("critplace") for a in node.names)
+    assert imported and all(name == "arrangement.BBox" or name.startswith("geom.") for name in imported)
 
 
 @pytest.mark.parametrize("resolution", [0.0, -0.01, math.inf, math.nan])
