@@ -34,7 +34,7 @@ from .geom import (
     Line,
     Point,
     Segment,
-    _line_in_box,
+    _lines_in_box,
 )
 
 # Edge tags: ("line", i) / ("segment", i) for input primitives, ("clip", side)
@@ -641,10 +641,10 @@ def build_line_arrangement(lines: list[Line], clip_box: BBox | None = None) -> A
         box = box.union(clip_box)
 
     walls = _frame_walls(box)
-    for i, ln in enumerate(lines):
-        seg = _line_in_box(ln, box.xmin, box.ymin, box.xmax, box.ymax)
-        if seg is not None:
-            walls.append((Point(*seg[0]), Point(*seg[1]), ("line", i)))
+    hit, ends = _lines_in_box(lines, box)
+    for i, (inside, (x0, y0, x1, y1)) in enumerate(zip(hit.tolist(), ends.tolist())):
+        if inside:
+            walls.append((Point(x0, y0), Point(x1, y1), ("line", i)))
     return build_subdivision(walls, box, "lines", lines)
 
 

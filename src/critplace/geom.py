@@ -1,8 +1,8 @@
-"""Scalar geometric primitives, tolerance policy, and perimeter coordinates.
+"""Geometric primitives, the box clip, tolerance policy, and perimeter coordinates.
 
 Everything here is an immutable value; all operations are pure functions.
-Coordinates are plain floats, except that the square's perimeter map also
-takes arrays.
+Coordinates are plain floats, except that the box clip (`_slab_clip`,
+`_lines_in_box`) and the square's perimeter map work on arrays.
 """
 
 from __future__ import annotations
@@ -144,58 +144,40 @@ class Polyline:
         return list(zip(self.vertices, self.vertices[1:]))
 
 
-def _slab_clip(
-    px: float, py: float, dx: float, dy: float, t0: float, t1: float,
-    xmin: float, ymin: float, xmax: float, ymax: float, closed: bool = False,
-) -> tuple[float, float] | None:
-    """Liang-Barsky: the part [t0', t1'] of p + t*d, t in [t0, t1], inside the box.
+def _slab_clip(px, py, dx, dy, t0, t1, xmin, ymin, xmax, ymax, closed: bool):
+    """Liang-Barsky, elementwise over arrays of points p and directions d:
+    whether each p + t*d, t in [t0, t1], meets the box, and its part
+    [t0', t1'] inside it.  The bounds are shared or given per row.
 
-    By default a zero-length part counts as a miss and an axis-parallel
-    direction must lie within the bounds.  closed=True treats the box as
-    closed: a touch gives a zero-length interval and axis-parallel runs
-    within CLOSED_PAD outside the bounds count as inside.
+    Open (closed=False): a zero-length part is a miss and an axis-parallel
+    direction must lie within the bounds.  Closed: a touch gives a
+    zero-length part and axis-parallel runs within CLOSED_PAD outside the
+    bounds count as inside.  The x axis is taken first, and a bound only
+    where it is strictly tighter, so a bound never replaces an equal t of
+    the other sign of zero.
     """
-    # unrolled over the two axes: placement clips every curve piece to its box
     pad = CLOSED_PAD if closed else 0.0
-    if abs(dx) <= PARALLEL_DIR:
-        if not (xmin - pad <= px <= xmax + pad):
-            return None
-    else:
-        ta, tb = (xmin - px) / dx, (xmax - px) / dx
-        if ta > tb:
-            ta, tb = tb, ta
-        if ta > t0:
-            t0 = ta
-        if tb < t1:
-            t1 = tb
-    if abs(dy) <= PARALLEL_DIR:
-        if not (ymin - pad <= py <= ymax + pad):
-            return None
-    else:
-        ta, tb = (ymin - py) / dy, (ymax - py) / dy
-        if ta > tb:
-            ta, tb = tb, ta
-        if ta > t0:
-            t0 = ta
-        if tb < t1:
-            t1 = tb
-    if t0 > t1 or (t0 == t1 and not closed):
-        return None
-    return (t0, t1)
+    hit = np.ones(len(px), dtype=bool)
+    t0, t1 = np.full(len(px), float(t0)), np.full(len(px), float(t1))
+    for p, d, lo, hi in ((px, dx, xmin, xmax), (py, dy, ymin, ymax)):
+        along = abs(d) <= PARALLEL_DIR
+        hit &= ~along | ((lo - pad <= p) & (p <= hi + pad))
+        d = np.where(along, 1.0, d)
+        ta, tb = (lo - p) / d, (hi - p) / d
+        ta, tb = np.where(ta > tb, tb, ta), np.where(ta > tb, ta, tb)
+        t0 = np.where(~along & (ta > t0), ta, t0)
+        t1 = np.where(~along & (tb < t1), tb, t1)
+    return hit & ~((t0 > t1) if closed else (t0 >= t1)), t0, t1
 
 
-def _line_in_box(
-    line: Line, xmin: float, ymin: float, xmax: float, ymax: float
-) -> tuple[tuple[float, float], tuple[float, float]] | None:
-    """End points of the line's part inside the box; None when the line
-    misses the box or only touches it."""
-    dx, dy = line.direction()
-    px, py = line.p.x, line.p.y
-    clip = _slab_clip(px, py, dx, dy, -math.inf, math.inf, xmin, ymin, xmax, ymax)
-    if clip is None:
-        return None
-    t0, t1 = clip
-    return ((px + t0 * dx, py + t0 * dy), (px + t1 * dx, py + t1 * dy))
+def _lines_in_box(lines: list[Line], box):
+    """Whether each line crosses the box (an object with xmin, ymin, xmax
+    and ymax) rather than missing or only touching it, and the (n, 4) end
+    points x0, y0, x1, y1 of its part inside, which mean nothing on a miss."""
+    rows = np.array([(ln.p.x, ln.p.y, *ln.direction()) for ln in lines], dtype=float).reshape(-1, 4)
+    px, py, dx, dy = rows.T
+    hit, t0, t1 = _slab_clip(px, py, dx, dy, -math.inf, math.inf, box.xmin, box.ymin, box.xmax, box.ymax, False)
+    return hit, np.column_stack([px + t0 * dx, py + t0 * dy, px + t1 * dx, py + t1 * dy])
 
 
 # ---------------------------------------------------------------------------

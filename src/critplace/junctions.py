@@ -22,13 +22,12 @@ import numpy as np
 
 from .arrangement import BBox, _merge_labels
 from .geom import (
-    CLOSED_PAD,
-    PARALLEL_DIR,
     SQUARE,
     SQUARE_PERIMETER,
     PerimeterCoord,
     Point,
     Polyline,
+    _slab_clip,
     _square_perimeter_s,
     require_positive,
 )
@@ -169,23 +168,6 @@ def _candidates(edges: _Table, xs: np.ndarray, ys: np.ndarray):
     return e[order], row[order], col[order]
 
 
-def _clip_closed(px, py, dx, dy, xmin, ymin, xmax, ymax):
-    """`geom._slab_clip(px, py, dx, dy, 0.0, 1.0, box, closed=True)`
-    elementwise, in its order of operations: whether each segment meets the
-    closed box, and its clipped (t0, t1)."""
-    n = len(px)
-    hit, t0, t1 = np.ones(n, dtype=bool), np.zeros(n), np.ones(n)
-    for p, d, lo, hi in ((px, dx, xmin, xmax), (py, dy, ymin, ymax)):
-        along = abs(d) <= PARALLEL_DIR
-        hit &= ~along | ((lo - CLOSED_PAD <= p) & (p <= hi + CLOSED_PAD))
-        d = np.where(along, 1.0, d)
-        ta, tb = (lo - p) / d, (hi - p) / d
-        ta, tb = np.where(ta > tb, tb, ta), np.where(ta > tb, ta, tb)
-        t0 = np.where(~along & (ta > t0), ta, t0)
-        t1 = np.where(~along & (tb < t1), tb, t1)
-    return hit & ~(t0 > t1), t0, t1
-
-
 def _salient(edges: _Table, xs: np.ndarray, ys: np.ndarray) -> _Table:
     """The salient subtrajectories of every grid point (xs[col], ys[row]),
     one row each, ordered by grid point, then trajectory, then position
@@ -205,8 +187,9 @@ def _salient(edges: _Table, xs: np.ndarray, ys: np.ndarray) -> _Table:
     """
     e, row, col = _candidates(edges, xs, ys)
     cx, cy = xs[col], ys[row]
-    hit, t0, t1 = _clip_closed(
-        edges.x[e], edges.y[e], edges.dx[e], edges.dy[e], cx - 0.5, cy - 0.5, cx + 0.5, cy + 0.5
+    hit, t0, t1 = _slab_clip(
+        edges.x[e], edges.y[e], edges.dx[e], edges.dy[e], 0.0, 1.0,
+        cx - 0.5, cy - 0.5, cx + 0.5, cy + 0.5, True,
     )
     e, row, col, t0, t1 = e[hit], row[hit], col[hit], t0[hit], t1[hit]
     point = row * len(xs) + col
@@ -251,7 +234,9 @@ def _salient(edges: _Table, xs: np.ndarray, ys: np.ndarray) -> _Table:
     wy = np.where(to_vertex, edges.xy[v + 1, 1], y1[run])
     half = 0.5 * INNER_RATIO
     icx, icy = cx[run], cy[run]
-    touch, _, _ = _clip_closed(ux, uy, wx - ux, wy - uy, icx - half, icy - half, icx + half, icy + half)
+    touch, _, _ = _slab_clip(
+        ux, uy, wx - ux, wy - uy, 0.0, 1.0, icx - half, icy - half, icx + half, icy + half, True
+    )
     reached = np.bincount(run, weights=touch, minlength=len(e0)) > 0
     s_in, on_in = _square_perimeter_s(x0 - cx, y0 - cy)
     s_out, on_out = _square_perimeter_s(x1 - cx, y1 - cy)

@@ -47,7 +47,7 @@ from .geom import (
     PerimeterCoord,
     Point,
     Segment,
-    _line_in_box,
+    _lines_in_box,
     _slab_clip,
     perimeter_point,
     shape_perimeter,
@@ -815,30 +815,34 @@ def collect_S(
         for out, tau in zip(per_vector, vectors.vectors):
             if tau.kind != "corner":
                 out.extend(edge_curve(regions.cells, windows, tau))
-    clipped = (clip_curve_to_box(c, domain) for out in per_vector for c in out)
-    return [c for c in clipped if c], strips
+    return clip_curve_to_box([c for out in per_vector for c in out], domain), strips
 
 
-def clip_curve_to_box(curve: CriticalCurve, box: BBox) -> CriticalCurve | None:
-    pieces: list[CurvePiece] = []
-    for piece in curve.pieces:
-        pieces.extend(_clip_piece_to_box(piece, box))
-    if not pieces:
-        return None
-    return CriticalCurve(curve.cell_id, curve.vector, pieces, curve.convex_flag, curve.kind)
+def clip_curve_to_box(curves: list[CriticalCurve], box: BBox) -> list[CriticalCurve]:
+    """The curves clipped to the box, in order, without those that keep no
+    piece.  The straight pieces of all curves are clipped in one call."""
+    segs = np.array(
+        [(*p.p0, *p.p1) for c in curves for p in c.pieces if p.kind == "seg"], dtype=float
+    ).reshape(-1, 4)
+    x0, y0, x1, y1 = segs.T
+    dx, dy = x1 - x0, y1 - y0
+    hit, t0, t1 = _slab_clip(x0, y0, dx, dy, 0.0, 1.0, box.xmin, box.ymin, box.xmax, box.ymax, False)
+    ends = np.column_stack([x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy])
+    clipped = iter([[seg_piece(*e)] if h else [] for h, e in zip(hit.tolist(), ends.tolist())])
+    out = []
+    for curve in curves:
+        pieces = [
+            q for p in curve.pieces
+            for q in (next(clipped) if p.kind == "seg" else _clip_arc_to_box(p, box))
+        ]
+        if pieces:
+            out.append(CriticalCurve(curve.cell_id, curve.vector, pieces, curve.convex_flag, curve.kind))
+    return out
 
 
-def _clip_piece_to_box(piece: CurvePiece, box: BBox) -> list[CurvePiece]:
-    if piece.kind == "seg":
-        x0, y0 = piece.p0
-        x1, y1 = piece.p1
-        dx, dy = x1 - x0, y1 - y0
-        clip = _slab_clip(x0, y0, dx, dy, 0.0, 1.0, box.xmin, box.ymin, box.xmax, box.ymax)
-        if clip is None:
-            return []
-        t0, t1 = clip
-        return [seg_piece(x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy)]
-    # arc: cut the parameter interval at the box-side crossings
+def _clip_arc_to_box(piece: CurvePiece, box: BBox) -> list[CurvePiece]:
+    """The arc's parts inside the box: its parameter interval cut at the
+    box-side crossings."""
     cuts = [piece.psi0, piece.psi1]
     for a, b, c in (
         (1.0, 0.0, box.xmin),
@@ -904,7 +908,7 @@ def contact_curves(primitives: list, shape: str, domain: BBox) -> list[CriticalC
     """Placements where the boundary structure jumps without a gap of length
     eps: a square corner on a primitive, a primitive endpoint on the boundary,
     or a line tangent to the circle."""
-    out: list[CriticalCurve] = []
+    out: list = []  # each curve's pieces, or the moved line still to clip to the domain
     # a square corner on a primitive: the primitive moved by minus the corner
     corners = [(-c.x, -c.y) for c in square_corners(_ORIGIN)]
     for prim in primitives:
@@ -915,21 +919,15 @@ def contact_curves(primitives: list, shape: str, domain: BBox) -> list[CriticalC
             shifts = [(off * prim.a, off * prim.b) for off in (-1.0, 1.0)] if line else []
         for dx, dy in shifts:
             p, q = Point(prim.p.x + dx, prim.p.y + dy), Point(prim.q.x + dx, prim.q.y + dy)
-            piece = _line_piece(Line(p, q), domain) if line else seg_piece(p.x, p.y, q.x, q.y)
-            if piece is not None:
-                out.append(CriticalCurve(-1, None, [piece], True, "contact"))
+            out.append(Line(p, q) if line else [seg_piece(p.x, p.y, q.x, q.y)])
         if shape == SQUARE and not line:  # a segment endpoint on the square's boundary
             for end in (prim.p, prim.q):
                 cs = square_corners(end)
-                ring = [seg_piece(a.x, a.y, b.x, b.y) for a, b in zip(cs, cs[1:] + cs[:1])]
-                out.append(CriticalCurve(-1, None, ring, True, "contact"))
-    clipped = [clip_curve_to_box(c, domain) for c in out]
-    return [c for c in clipped if c]
-
-
-def _line_piece(line: Line, box: BBox) -> CurvePiece | None:
-    ends = _line_in_box(line, box.xmin, box.ymin, box.xmax, box.ymax)
-    return None if ends is None else seg_piece(*ends[0], *ends[1])
+                out.append([seg_piece(a.x, a.y, b.x, b.y) for a, b in zip(cs, cs[1:] + cs[:1])])
+    hit, ends = _lines_in_box([c for c in out if isinstance(c, Line)], domain)
+    moved = iter([[seg_piece(*e)] if h else [] for h, e in zip(hit.tolist(), ends.tolist())])
+    pieces = [next(moved) if isinstance(c, Line) else c for c in out]
+    return clip_curve_to_box([CriticalCurve(-1, None, p, True, "contact") for p in pieces if p], domain)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@ and junction heat grids with darkness proportional to significance."""
 
 from __future__ import annotations
 
-from .arrangement import bbox_of_points
-from .geom import _line_in_box
+from .geom import _lines_in_box
 from .sceneio import Scene, curves_from_result, domain_from_result, fmt
 
 _MARGIN = 0.05  # fraction of the view added around the data
@@ -46,29 +45,13 @@ def _polyline_el(view, pts, color, width, opacity=1.0) -> str:
     )
 
 
-def render_svg(result: dict | None, scene: Scene | None = None) -> str:
+def render_svg(result: dict, scene: Scene | None = None) -> str:
     """Layered SVG for a result document, optionally over its input scene."""
-    if result is not None and result.get("type") == "junctions":
+    if result.get("type") == "junctions":
         xmin, ymin, xmax, ymax = result["bbox"]
-    elif result is not None:
+    else:
         b = domain_from_result(result)
         xmin, ymin, xmax, ymax = b.xmin, b.ymin, b.xmax, b.ymax
-    elif scene is not None:
-        pts = [
-            (p.x, p.y)
-            for t in scene.trajectories
-            for p in t.vertices
-        ] + [
-            (q.x, q.y)
-            for s in (scene.lines + scene.segments)
-            for q in (s.p, s.q)
-        ]
-        if not pts:
-            pts = [(0.0, 0.0), (1.0, 1.0)]
-        b = bbox_of_points(pts)
-        xmin, ymin, xmax, ymax = b.xmin, b.ymin, b.xmax, b.ymax
-    else:
-        xmin, ymin, xmax, ymax = 0.0, 0.0, 1.0, 1.0
     view = _View(xmin, ymin, xmax, ymax)
 
     body: list[str] = []
@@ -83,15 +66,14 @@ def render_svg(result: dict | None, scene: Scene | None = None) -> str:
         body.append(_polyline_el(view, [(xmin, 0), (xmax, 0)], "#bbb", 0.8))
     body.append("</g>")
 
-    if result is not None and result.get("type") == "junctions":
+    if result.get("type") == "junctions":
         body.append(_junction_layer(view, result))
 
     if scene is not None:
         body.append('<g id="primitives">')
-        for ln in scene.lines:
-            seg = _line_in_box(ln, view.xmin, view.ymin, view.xmax, view.ymax)
-            if seg:
-                body.append(_polyline_el(view, seg, "#222", 1.2))
+        hit, ends = _lines_in_box(scene.lines, view)
+        for x0, y0, x1, y1 in ends[hit].tolist():
+            body.append(_polyline_el(view, [(x0, y0), (x1, y1)], "#222", 1.2))
         for s in scene.segments:
             body.append(_polyline_el(view, [(s.p.x, s.p.y), (s.q.x, s.q.y)], "#222", 1.2))
         for t in scene.trajectories:
@@ -100,7 +82,7 @@ def render_svg(result: dict | None, scene: Scene | None = None) -> str:
             )
         body.append("</g>")
 
-    if result is not None and result.get("type") == "critical":
+    if result.get("type") == "critical":
         body.append(_curves_layer(view, result))
 
     return (

@@ -41,9 +41,13 @@
   `reference_points_far_from_segments`, the dictionary-bucket loop over the
   scan points.  `sample_verdicts` puts the batched and the scalar verdict of
   every sample `verify` checks side by side.
+* `reference_slab_clip`: the scalar Liang-Barsky clip of one p + t*d to a
+  box, as the program clipped one line or curve piece at a time before
+  `geom._slab_clip` worked on arrays; the array clip must match it bit for
+  bit.
 * Junction detection as it was before `grid_scan` assessed every grid
   point in one batched pass: `reference_salient_subtrajectories` clips one
-  trajectory edge at a time with `_slab_clip`, `reference_perimeter_coordinate`
+  trajectory edge at a time with `reference_slab_clip`, `reference_perimeter_coordinate`
   maps a boundary point with scalar branches, `reference_epsilon_cluster`
   sorts and groups one point's coordinates in Python, and `reference_assess`
   pairs the clusters with a dict of sets.  The program's `assess`,
@@ -73,8 +77,10 @@ from critplace.arrangement import (
 )
 from critplace.geom import (
     CIRCLE,
+    CLOSED_PAD,
     EPS_GEOM,
     EPS_VERIFY,
+    PARALLEL_DIR,
     PERIMETER_END,
     SQUARE,
     SQUARE_PERIMETER,
@@ -84,7 +90,6 @@ from critplace.geom import (
     PerimeterCoord,
     Point,
     Polyline,
-    _slab_clip,
     shape_perimeter,
     square_corners,
 )
@@ -814,7 +819,7 @@ def reference_collect(
         curves.extend(edge_curve(cell.id, {orientation: windows}, tau))
         if all((s.cell_id, s.orientation) != (cell.id, orientation) for s in strips):
             strips.extend(DegenerateStrip(cell.id, orientation, lo, hi) for lo, hi in degenerate)
-    return [c for c in (clip_curve_to_box(c, domain) for c in curves) if c]
+    return clip_curve_to_box(curves, domain)
 
 
 def curves_by_vector(arrangement: Arrangement, shape: str, eps: float) -> dict:
@@ -966,6 +971,44 @@ def reference_perimeter_coordinate(center: Point, boundary_point: Point) -> Peri
     return PerimeterCoord(SQUARE, center, min(max(s, 0.0), SQUARE_PERIMETER - PERIMETER_END))
 
 
+def reference_slab_clip(
+    px: float, py: float, dx: float, dy: float, t0: float, t1: float,
+    xmin: float, ymin: float, xmax: float, ymax: float, closed: bool,
+) -> tuple[float, float] | None:
+    """The part [t0', t1'] of p + t*d, t in [t0, t1], inside the box, or None.
+
+    Open: a zero-length part is a miss and an axis-parallel direction must
+    lie within the bounds.  Closed: a touch gives a zero-length interval and
+    axis-parallel runs within CLOSED_PAD outside the bounds count as inside.
+    """
+    pad = CLOSED_PAD if closed else 0.0
+    if abs(dx) <= PARALLEL_DIR:
+        if not (xmin - pad <= px <= xmax + pad):
+            return None
+    else:
+        ta, tb = (xmin - px) / dx, (xmax - px) / dx
+        if ta > tb:
+            ta, tb = tb, ta
+        if ta > t0:
+            t0 = ta
+        if tb < t1:
+            t1 = tb
+    if abs(dy) <= PARALLEL_DIR:
+        if not (ymin - pad <= py <= ymax + pad):
+            return None
+    else:
+        ta, tb = (ymin - py) / dy, (ymax - py) / dy
+        if ta > tb:
+            ta, tb = tb, ta
+        if ta > t0:
+            t0 = ta
+        if tb < t1:
+            t1 = tb
+    if t0 > t1 or (t0 == t1 and not closed):
+        return None
+    return (t0, t1)
+
+
 def reference_salient_subtrajectories(trajectories: list[Polyline], p: Point) -> list[SalientSubtrajectory]:
     out: list[SalientSubtrajectory] = []
     xmin, ymin, xmax, ymax = p.x - 0.5, p.y - 0.5, p.x + 0.5, p.y + 0.5
@@ -979,7 +1022,7 @@ def reference_salient_subtrajectories(trajectories: list[Polyline], p: Point) ->
         open_run: tuple[int, float] | None = None
         last: tuple[int, float] | None = None
         for ei, (a, b) in enumerate(traj.edges()):
-            clip = _slab_clip(
+            clip = reference_slab_clip(
                 a.x, a.y, b.x - a.x, b.y - a.y, 0.0, 1.0, xmin, ymin, xmax, ymax, True
             )
             if clip is None:
@@ -1014,7 +1057,7 @@ def reference_salient_subtrajectories(trajectories: list[Polyline], p: Point) ->
             if len(pts) < 2:
                 continue
             if not any(
-                _slab_clip(
+                reference_slab_clip(
                     u.x, u.y, v.x - u.x, v.y - u.y, 0.0, 1.0,
                     ixmin, iymin, ixmax, iymax, True,
                 )

@@ -421,13 +421,6 @@ def test_lower_bound_ring_structure(tmp_path):
             assert mate < 1e-4 or on_translate(x, y)
 
 
-def test_render_empty_result_has_frame():
-    from critplace.render import render_svg
-
-    svg = render_svg(None, None)
-    assert "<svg" in svg and 'id="frame"' in svg
-
-
 def test_render_heat_opacity_normalized(tmp_path):
     scene = tmp_path / "scene.txt"
     result = tmp_path / "result.json"
