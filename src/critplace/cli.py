@@ -9,6 +9,7 @@ result as SVG.  Exit codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -47,7 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser, built on the first call and kept: parsing
+    leaves no state in it, as every call fills a new namespace."""
     parser = _Parser(prog="critplace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -500,17 +500,21 @@ def cell_regions(arrangement: Arrangement, cell_ids: list[int]) -> _Regions:
 
 def _corner_level_segments(regions: _Regions, eps: float):
     """Exact level-set segments of the distance sums of the four corners in
-    every region, in chunks of at most KERNEL_CHUNK vertex slots.
+    every region.
 
     A band is a region clipped to the y-range of one of its strips of y,
     and a piece is a band clipped to the x-range of one of the region's
     strips of x: in a piece the four wall distances are linear.  A corner's
     level line is cut from every piece whose two walls on that corner's
     sides run across their rays.  A strip of x more than BREAK_TOL past the
-    band's x-range would clip it to nothing and is skipped.  Returns the
-    segments' ends, (n, 2, 2), and each one's region and corner, numbered
-    2 * (looks right) + (looks up); one corner's segments run in region,
-    band, then strip of x order."""
+    band's x-range would clip it to nothing and is skipped, and so is a
+    pair with no such corner.  The bands are clipped first, in chunks of at
+    most KERNEL_CHUNK region vertex slots; the pairs left are then cut into
+    chunks whose level rows, times the widest piece among them (its band's
+    vertices and the two an x-slab clip can add), hold at most KERNEL_CHUNK
+    vertex slots.  Returns the segments' ends, (n, 2, 2), and each one's
+    region and corner, numbered 2 * (looks right) + (looks up); one
+    corner's segments run in region, band, then strip of x order."""
     axis, bounds, line = regions.strip_axis, regions.strip_bounds, regions.strip_walls
     look = np.array([-1.0, 1.0])
     # a wall distance x - x_wall(y) looking left, y - y_wall(x) looking down,
@@ -530,39 +534,49 @@ def _corner_level_segments(regions: _Regions, eps: float):
     v_ok = np.abs(b) > AXIS_TOL
     b = np.where(v_ok, b, 1.0)
     vP, vR = -look * a / b, look * c / b
-    # each band pairs with every strip of x of its region: a run of v
+    # the bands, in one array padded to the widest, and their x-ranges
     hregion, vregion = regions.strip_region[h], regions.strip_region[v]
+    cuts = _chunks(len(h), regions.poly.shape[1])
+    clipped = [
+        _clip_slab(regions.poly[hregion[s]], regions.count[hregion[s]], 1, bounds[h[s], 0], bounds[h[s], 1])
+        for s in cuts
+    ]
+    band = np.zeros((len(h), max((p.shape[1] for p, _n in clipped), default=1), 2))
+    bcount = np.concatenate([np.zeros(0, dtype=np.int64), *(n for _p, n in clipped)])
+    for s, (p, _n) in zip(cuts, clipped):
+        band[s, : p.shape[1]] = p
+    valid = np.arange(band.shape[1]) < bcount[:, None]
+    xmin = np.where(valid, band[..., 0], np.inf).min(axis=1)
+    xmax = np.where(valid, band[..., 0], -np.inf).max(axis=1)
+    # each band pairs with every strip of x of its region, a run of v, and
+    # each pair with the corners whose two rays meet walls
     first = np.searchsorted(vregion, hregion)
-    n_pairs = np.searchsorted(vregion, hregion, side="right") - first
-    # chunks of whole bands, of at most KERNEL_CHUNK / width level rows, a
-    # band's at most its rays times its region's: a piece has up to four
-    # vertices more than its region
-    rays = np.concatenate([[0], np.cumsum(v_ok.sum(axis=1))])
-    weight = h_ok.sum(axis=1) * (rays[first + n_pairs] - rays[first] + 1)
-    chunk = np.cumsum(weight) // max(1, KERNEL_CHUNK // (regions.poly.shape[1] + 4))
-    cut = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(h)]
+    n = (np.searchsorted(vregion, hregion, side="right") - first) * (bcount > 0)
+    bi = np.repeat(np.arange(len(h)), n)
+    vi = np.repeat(first - np.cumsum(n) + n, n) + np.arange(len(bi))
+    corners = h_ok[bi][:, [0, 0, 1, 1]] & v_ok[vi][:, [0, 1, 0, 1]]
+    near = (xmax[bi] - bounds[v[vi], 0] >= -BREAK_TOL) & (bounds[v[vi], 1] - xmin[bi] >= -BREAK_TOL)
+    keep = near & corners.any(axis=1)
+    bi, vi, corners = bi[keep], vi[keep], corners[keep]
+    rows, wide = corners.sum(axis=1), bcount[bi] + 2
     out_ends, out_region, out_corner = [], [], []
-    for s in (slice(lo, hi) for lo, hi in zip(cut, cut[1:])):
-        r = hregion[s]
-        band, bcount = _clip_slab(regions.poly[r], regions.count[r], 1, bounds[h[s], 0], bounds[h[s], 1])
-        valid = np.arange(band.shape[1]) < bcount[:, None]
-        xmin = np.where(valid, band[..., 0], np.inf).min(axis=1)
-        xmax = np.where(valid, band[..., 0], -np.inf).max(axis=1)
-        n = n_pairs[s] * (bcount > 0)
-        bi = np.repeat(np.arange(len(r)), n)
-        vi = np.repeat(first[s] - np.cumsum(n) + n, n) + np.arange(len(bi))
-        near = (xmax[bi] - bounds[v[vi], 0] >= -BREAK_TOL) & (bounds[v[vi], 1] - xmin[bi] >= -BREAK_TOL)
-        bi, vi = bi[near], vi[near]
-        piece, pcount = _clip_slab(band[bi], bcount[bi], 0, bounds[v[vi], 0], bounds[v[vi], 1])
-        # a row for each piece and corner whose two rays meet walls
-        hb = s.start + bi
-        pair, corner = np.nonzero(h_ok[hb][:, [0, 0, 1, 1]] & v_ok[vi][:, [0, 1, 0, 1]])
-        hb, vb, sh, sv = hb[pair], vi[pair], corner // 2, corner % 2
+    lo = 0
+    while lo < len(bi):
+        # the longest run of pairs from lo whose level rows, times the
+        # widest piece among them, fit in KERNEL_CHUNK slots
+        slots = np.cumsum(rows[lo : lo + KERNEL_CHUNK]) * np.maximum.accumulate(wide[lo : lo + KERNEL_CHUNK])
+        hi = lo + max(1, int(np.searchsorted(slots, KERNEL_CHUNK, side="right")))
+        cb, cv = bi[lo:hi], vi[lo:hi]
+        count = bcount[cb]
+        piece, pcount = _clip_slab(band[cb, : count.max()], count, 0, bounds[v[cv], 0], bounds[v[cv], 1])
+        pair, corner = np.nonzero(corners[lo:hi])
+        hb, vb, sh, sv = cb[pair], cv[pair], corner // 2, corner % 2
         P, Q, R = -look[sh] + vP[vb, sv], hQ[hb, sh] - look[sv], hR[hb, sh] + vR[vb, sv]
         ok, e0, e1 = _level_ends(piece[pair], pcount[pair], P, Q, R, eps)
         out_ends.append(np.stack([e0[ok], e1[ok]], axis=1))
         out_region.append(hregion[hb[ok]])
         out_corner.append(corner[ok])
+        lo = hi
     return (
         np.concatenate([np.zeros((0, 2, 2)), *out_ends]),
         np.concatenate([np.zeros(0, dtype=np.int64), *out_region]),

@@ -5,12 +5,24 @@ points, `S x1 y1 x2 y2` for a segment, and `T <id>` followed by indented
 `x y` rows for a trajectory polyline; `#` starts a comment.  Results are
 JSON-shaped documents with a schema version; floats are emitted with 12
 significant digits so identical runs produce byte-identical files.
+
+`emit_result` writes a document as `json.dumps(doc, sort_keys=True,
+indent=1)` does, byte for byte, without going through json: any indent
+sends json to its pure-Python encoder.  Its own writer sorts the keys,
+indents one space a level, writes floats by `float.__repr__` (NaN and
+Infinity as json does) and strings by json's ASCII escaper, and joins a
+list of floats in one step; any other type, or a key that is not a
+string, is a TypeError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .arrangement import BBox
 from .geom import Line, Point, Polyline, Segment
@@ -111,8 +123,6 @@ def _piece_doc(piece: CurvePiece) -> dict:
             "p0": [_f(piece.p0[0]), _f(piece.p0[1])],
             "p1": [_f(piece.p1[0]), _f(piece.p1[1])],
         }
-    import math
-
     return {
         "kind": "arc",
         "center": [_f(piece.center[0]), _f(piece.center[1])],
@@ -222,6 +232,15 @@ def domain_from_result(doc: dict) -> BBox:
     return BBox(*_numbers(doc, "domain", 4))
 
 
+def _rounded_grid(values: np.ndarray) -> list:
+    """`values` as nested lists of `_f` floats, each distinct value rounded
+    once; values are told apart by their bits, so -0.0 stays -0.0."""
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    rounded = np.array([_f(v) for v in bits.view(float).tolist()], dtype=object)
+    return rounded[at].reshape(values.shape).tolist()
+
+
 def result_from_junctions(grid, top, eps: float) -> dict:
     return {
         "schema": SCHEMA_VERSION,
@@ -231,7 +250,7 @@ def result_from_junctions(grid, top, eps: float) -> dict:
         "bbox": [_f(grid.bbox.xmin), _f(grid.bbox.ymin), _f(grid.bbox.xmax), _f(grid.bbox.ymax)],
         "nx": grid.nx,
         "ny": grid.ny,
-        "significance": [[_f(v) for v in row] for row in grid.significance.tolist()],
+        "significance": _rounded_grid(grid.significance),
         "kinds": grid.kind.tolist(),
         "requested_k": top.requested,
         "complete": bool(top.complete),
@@ -248,8 +267,56 @@ def result_from_junctions(grid, top, eps: float) -> dict:
     }
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append the JSON text of `value`, nested at indent `pad`, to `out`."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = pad + " "
+        for i, key in enumerate(sorted(value)):
+            out.append(("{\n" if i == 0 else ",\n") + inner + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out)
+        out.append("\n" + pad + "}")
+    else:
+        inner = pad + " "
+        try:  # a list of floats, in one join
+            text = (",\n" + inner).join(map(float.__repr__, value))
+        except TypeError:  # it holds something else
+            text = None
+        if text is not None and "n" not in text:  # nan and inf go one by one
+            out.append("[\n" + inner + text + "\n" + pad + "]")
+            return
+        for i, item in enumerate(value):
+            out.append(("[\n" if i == 0 else ",\n") + inner)
+            _write(item, inner, out)
+        out.append("\n" + pad + "]")
+
+
 def emit_result(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    out: list[str] = []
+    _write(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # the keys each result type's readers look up

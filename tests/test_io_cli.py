@@ -3,11 +3,16 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import critplace.cli
+from critplace.arrangement import bbox_of_points
 from critplace.cli import main
 from critplace.generators import cross_trajectories
-from critplace.geom import Line, Point
+from critplace.geom import CIRCLE, SQUARE, Line, Point
+from critplace.junctions import grid_scan, top_k
+from critplace.placement import build_placement_arrangement
 from critplace.sceneio import (
     Scene,
     SceneError,
@@ -16,6 +21,7 @@ from critplace.sceneio import (
     emit_scene,
     parse_result,
     parse_scene,
+    result_from_junctions,
     result_from_placement,
 )
 
@@ -30,6 +36,17 @@ T walk
   0 0.2
   2 0.1
 """
+
+SEGMENT_SCENE = """\
+S -1 -0.2 1 0.3
+S -0.3 -1 0.2 1
+S -0.8 0.6 0.7 -0.7
+S 0.3 0.4 1.1 0.9
+S -1.2 -0.9 -0.4 -0.1
+S 0.5 -0.9 0.9 -0.2
+S -0.6 0.1 -0.2 0.2
+"""
+TWO_LINES = "L 0 -1 0.1 1\nL -1 0 1 0.13\n"
 
 
 def test_scene_parse_basics():
@@ -165,6 +182,109 @@ def test_cli_junctions_result_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(result.read_bytes()).hexdigest() == (
         "2c97e4be3d6e22449c97b03c277233b6bedc325d844fa8989b6e13bdb1f6162f"
     )
+
+
+# the digests of the results json.dumps(indent=1) wrote
+@pytest.mark.parametrize("scene_text, shape, eps, translates, digest", [
+    (SEGMENT_SCENE, SQUARE, "0.3", False, "4337facaa297fcf0f8b5b80c1562b97377bead4b86de0e70d693440983743014"),
+    ((SCENES / "three_lines.txt").read_text(), SQUARE, "0.3", True,
+     "5bb8d9b2f87b2e7b9c06b17bfb50860a2ac3f14400b940da39260fd343441f31"),
+    (TWO_LINES, CIRCLE, "0.5", False, "83b252ea1b647bed5e956fb9f873b69ad23813e3d09d027dbdc79d51ac9fdec5"),
+], ids=["square-segments", "square-lines-translates", "circle-two-lines"])
+def test_cli_critical_result_bytes_are_pinned(tmp_path, scene_text, shape, eps, translates, digest):
+    scene, result = tmp_path / "scene.txt", tmp_path / "result.json"
+    scene.write_text(scene_text)
+    argv = ["critical", "--shape", shape, "--eps", eps, "--in", str(scene), "--out", str(result)]
+    assert main(argv + ["--include-line-translates"] * translates) == 0
+    assert hashlib.sha256(result.read_bytes()).hexdigest() == digest
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [{}, [], [[]]], "d": {"e": {"f": []}}},
+    {"true": True, "false": False, "one": 1, "float one": 1.0, "none": None, "big": 10**20, "neg": -3},
+    [-0.0, 0.0, 1e-300, 5e-324, 1e22, 123456789012.0, 0.1, -2.5, 1.7976931348623157e308],
+    [math.nan, math.inf, -math.inf],
+    {"mixed": [1.0, math.nan, 2.0], "last": [0.5, -math.inf]},
+    [1.0, 2, True, "x", None, [1.5, 2.5], {"k": 3.0}],
+    [np.float64(0.1), np.float64(-0.0)],
+    {"z": 1, "a": 2, "\u00e9": "caf\u00e9", "\u263a": ["\U0001d11e", "tab\tquote\"slash\\", "\x01"]},
+    ((1.0, 2.0), ("a", None)),
+], ids=["empty-dict", "empty-list", "nested-empty", "scalars", "floats", "specials", "mixed-specials",
+        "mixed-list", "numpy-floats", "not-ascii", "tuples"])
+def test_emit_result_writes_what_json_writes(doc):
+    assert emit_result(doc) == _json_text(doc)
+
+
+def _junctions_doc():
+    trajs = parse_scene((SCENES / "crossing_walks.txt").read_text()).trajectories
+    bbox = bbox_of_points([(v.x, v.y) for t in trajs for v in t.vertices])
+    grid = grid_scan(trajs, 0.3, bbox, 0.25)
+    return result_from_junctions(grid, top_k(grid, 4), 0.3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: result_from_placement(build_placement_arrangement(parse_scene(SEGMENT_SCENE).segments, 0.3, SQUARE)),
+    lambda: result_from_placement(build_placement_arrangement(
+        parse_scene((SCENES / "three_lines.txt").read_text()).lines, 0.3, SQUARE, include_line_translates=True)),
+    lambda: result_from_placement(build_placement_arrangement(parse_scene(TWO_LINES).lines, 0.5, CIRCLE)),
+    _junctions_doc,
+], ids=["square-segments", "square-lines-translates", "circle-arcs", "junctions"])
+def test_emit_result_writes_real_results_as_json_does(make):
+    doc = make()
+    assert emit_result(doc) == _json_text(doc)
+
+
+def test_emit_result_refuses_what_json_refuses():
+    for doc in ({"n": np.int64(3)}, [1.0, np.int64(3)], {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=1)
+        with pytest.raises(TypeError):
+            emit_result(doc)
+    # json writes a number key as a string; result keys are strings
+    with pytest.raises(TypeError):
+        emit_result({1: 2.0})
+
+
+def test_results_are_not_written_by_the_pure_python_encoder(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({}, indent=1)
+    scene, result = tmp_path / "scene.txt", tmp_path / "result.json"
+    scene.write_text(SEGMENT_SCENE)
+    assert main(["critical", "--shape", "square", "--eps", "0.3", "--in", str(scene), "--out", str(result)]) == 0
+    assert parse_result(result.read_text())["type"] == "critical"
+    assert main(["junctions", "--eps", "0.3", "--spacing", "0.25", "--k", "4",
+                 "--in", str(SCENES / "crossing_walks.txt"), "--out", str(result)]) == 0
+    assert parse_result(result.read_text())["type"] == "junctions"
+
+
+def test_cli_calls_leave_no_options_behind(tmp_path, monkeypatch):
+    # the parser is built once; each call's defaults are its own
+    seen = []
+    for command in ("oracle-check", "genlb"):
+        monkeypatch.setitem(critplace.cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
+    out = str(tmp_path / "o")
+    assert main(["oracle-check", "--eps", "0.3", "--resolution", "0.01", "--in", "s", "--curves", "c",
+                 "--delta", "0.5"]) == 0
+    assert main(["genlb", "--n", "3", "--eps", "0.25", "--tilt", "0.01", "--out", out]) == 0
+    assert main(["oracle-check", "--eps", "0.2", "--resolution", "0.02", "--in", "s", "--curves", "c"]) == 0
+    assert main(["genlb", "--n", "4", "--eps", "0.25", "--out", out]) == 0
+    assert seen == [
+        {"command": "oracle-check", "eps": 0.3, "resolution": 0.01, "scene": "s", "curves": "c", "delta": 0.5},
+        {"command": "genlb", "n": 3, "eps": 0.25, "tilt": 0.01, "out": out},
+        {"command": "oracle-check", "eps": 0.2, "resolution": 0.02, "scene": "s", "curves": "c", "delta": None},
+        {"command": "genlb", "n": 4, "eps": 0.25, "tilt": 0.005, "out": out},
+    ]
+    assert critplace.cli._build_parser() is critplace.cli._build_parser()
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from critplace.placement import (
     CriticalCurve,
     CurvePiece,
     _arc_arc_points,
+    _corner_level_segments,
     _level_ends,
     _overlay_counts,
     _piece_bbox,
@@ -472,6 +474,36 @@ def test_square_curves_equal_the_per_pair_reference(prims, eps, shows, monkeypat
     # exact float equality of every piece, in the same order
     assert pa.curves == ref_curves
     assert pa.warnings == warnings
+
+
+@pytest.mark.parametrize("prims, eps", [
+    (lower_bound_lines(8, 0.25), 0.25),
+    (_random_segments(8, 3), 0.3),
+], ids=["lower-bound-8", "segments-with-holes"])
+def test_corner_kernel_does_not_depend_on_its_chunks(prims, eps, monkeypatch):
+    """The corner kernel's segments are the same bytes whatever budget cuts
+    its bands and pairs into chunks."""
+    arr = build_placement_arrangement(prims, eps, SQUARE).arrangement
+    if isinstance(prims[0], Segment):
+        assert any(cell.holes for cell in arr.cells)
+    regions = cell_regions(arr, [cell.id for cell in arr.cells])
+    digests, chunks = [], []
+    for budget in (64, KERNEL_CHUNK, 1 << 20):
+        calls = []
+
+        def level_ends(*args, calls=calls):
+            calls.append(1)
+            return _level_ends(*args)
+
+        monkeypatch.setattr("critplace.arrangement.KERNEL_CHUNK", budget)
+        monkeypatch.setattr("critplace.placement.KERNEL_CHUNK", budget)
+        monkeypatch.setattr("critplace.placement._level_ends", level_ends)
+        out = _corner_level_segments(regions, eps)
+        assert len(out[0])
+        digests.append(hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest())
+        chunks.append(len(calls))
+    assert digests[0] == digests[1] == digests[2]
+    assert chunks[0] > chunks[1] >= chunks[2] == 1
 
 
 def test_wall_rays_equal_the_looped_reference():
